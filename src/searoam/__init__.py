@@ -34,6 +34,7 @@ from .camera import (
 from .sim import (
     SceneSpec,
     SimResult,
+    SimTooLargeError,
     SpeedProfile,
     Sphere,
     Target,
@@ -79,7 +80,7 @@ __all__ = [
     "DEFAULT_TENSION", "KINDS", "CatmullRomSegment", "PathCurve",
     "build_segment", "with_phantom_endpoints",
     "VIEW_MODELS", "DegenerateViewError", "SmoothnessReport", "smoothness", "view_direction",
-    "SceneSpec", "SimResult", "SpeedProfile", "Sphere", "Target", "Trajectory",
+    "SceneSpec", "SimResult", "SimTooLargeError", "SpeedProfile", "Sphere", "Target", "Trajectory",
     "cast_ray", "perturb_direction", "run_ray_task", "sample_trajectory", "simulate", "traverse",
     "CorrelationResult", "DegenerateSampleError", "NormalityResult", "RegressionFit",
     "StatsReport", "StudyRecord", "UndefinedCorrelationError", "UndefinedFitError",

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from bisect import bisect_right
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,12 +27,35 @@ DEFAULT_AGENT_RADIUS = 1.0
 # Default ray-attempt trigger distance, as a multiple of each target's radius.
 TRIGGER_RADIUS_FACTOR = 3.0
 
+# Limit on the estimated time steps of one traversal.  The README demo takes
+# about 10.5k steps per curve kind; beyond this limit a tiny dt would grow
+# the step lists (and the positions array) until memory runs out.
+MAX_STEPS = 2_000_000
+
+# Distances per block in the scene tests (512 KB per float64 array):
+# positions are tested against all sphere centers a block of rows at a time,
+# so memory does not grow with positions x spheres.
+DISTANCE_BLOCK = 1 << 16
+
+
+class SimTooLargeError(ValueError):
+    """The traversal would take more than MAX_STEPS time steps."""
+
 
 def _as_center(value, what: str) -> np.ndarray:
-    center = np.asarray(value, dtype=float)
-    if center.shape != (3,) or not np.all(np.isfinite(center)):
+    try:
+        center = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        center = None
+    if center is None or center.shape != (3,) or not np.all(np.isfinite(center)):
         raise ValueError(f"{what} center must be three finite numbers")
     return center
+
+
+def _check_radius(radius, what: str) -> None:
+    if (isinstance(radius, bool) or not isinstance(radius, numbers.Real)
+            or not (math.isfinite(radius) and radius > 0)):
+        raise ValueError(f"{what} radius must be a number > 0, got {radius!r}")
 
 
 @dataclass(frozen=True)
@@ -40,8 +65,7 @@ class Sphere:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_center(self.center, "sphere"))
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"sphere radius must be > 0, got {self.radius!r}")
+        _check_radius(self.radius, "sphere")
 
 
 @dataclass(frozen=True)
@@ -52,8 +76,34 @@ class Target:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_center(self.center, "target"))
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"target radius must be > 0, got {self.radius!r}")
+        _check_radius(self.radius, "target")
+
+
+def _scene_entries(doc: dict, key: str, build) -> tuple:
+    """Build each entry of the scene list doc[key], naming it in any error."""
+    items = doc.get(key, [])
+    if not isinstance(items, list):
+        raise ValueError(f"scene {key!r} must be a list, got {type(items).__name__}")
+    what = key[:-1]
+    built = []
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ValueError(f"{what} {i}: expected an object, got {type(item).__name__}")
+        try:
+            built.append(build(item))
+        except KeyError as exc:
+            raise ValueError(f"{what} {i}: missing {exc.args[0]!r}") from None
+        except ValueError as exc:
+            raise ValueError(f"{what} {i}: {exc}") from None
+    return tuple(built)
+
+
+def _scene_number(doc: dict, key: str, default: float) -> float:
+    value = doc.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"scene {key!r} must be a number, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -64,6 +114,13 @@ class SceneSpec:
     targets: tuple[Target, ...] = ()
     agent_radius: float = DEFAULT_AGENT_RADIUS
     energy_budget: float = DEFAULT_ENERGY_BUDGET
+    # Sphere fields stacked once for the vectorized scene tests: (T, 3)
+    # target centers and (T,) radii, (O, 3) obstacle centers and (O,) reach
+    # (obstacle radius + agent radius, the inclusive collision distance).
+    target_centers: np.ndarray = field(init=False, repr=False, compare=False)
+    target_radii: np.ndarray = field(init=False, repr=False, compare=False)
+    obstacle_centers: np.ndarray = field(init=False, repr=False, compare=False)
+    obstacle_reach: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
@@ -75,6 +132,15 @@ class SceneSpec:
         ids = [t.id for t in self.targets]
         if len(set(ids)) != len(ids):
             raise ValueError("target ids must be unique")
+        targets, obstacles = self.targets, self.obstacles
+        object.__setattr__(self, "target_centers",
+                           np.array([t.center for t in targets]).reshape(-1, 3))
+        object.__setattr__(self, "target_radii",
+                           np.array([t.radius for t in targets], dtype=float))
+        object.__setattr__(self, "obstacle_centers",
+                           np.array([o.center for o in obstacles]).reshape(-1, 3))
+        object.__setattr__(self, "obstacle_reach", np.array(
+            [o.radius + self.agent_radius for o in obstacles], dtype=float))
 
     @classmethod
     def from_json(cls, text: str) -> "SceneSpec":
@@ -83,7 +149,8 @@ class SceneSpec:
         Schema: {"obstacles": [{"center": [x,y,z], "radius": r}, ...],
         "targets": [{"id": "...", "center": [...], "radius": r}, ...],
         "agent_radius": r, "energy_budget": s}.  agent_radius defaults to
-        1.0 and energy_budget to 300 when absent.
+        1.0 and energy_budget to 300 when absent.  A malformed entry raises
+        ValueError naming it, e.g. "obstacle 0: missing 'radius'".
         """
         try:
             doc = json.loads(text)
@@ -91,19 +158,16 @@ class SceneSpec:
             raise ValueError(f"scene is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise ValueError("scene JSON must be an object")
-        obstacles = tuple(
-            Sphere(center=o["center"], radius=o["radius"])
-            for o in doc.get("obstacles", [])
-        )
-        targets = tuple(
-            Target(id=str(t["id"]), center=t["center"], radius=t["radius"])
-            for t in doc.get("targets", [])
-        )
+        obstacles = _scene_entries(
+            doc, "obstacles", lambda o: Sphere(center=o["center"], radius=o["radius"]))
+        targets = _scene_entries(
+            doc, "targets",
+            lambda t: Target(id=str(t["id"]), center=t["center"], radius=t["radius"]))
         return cls(
             obstacles=obstacles,
             targets=targets,
-            agent_radius=float(doc.get("agent_radius", DEFAULT_AGENT_RADIUS)),
-            energy_budget=float(doc.get("energy_budget", DEFAULT_ENERGY_BUDGET)),
+            agent_radius=_scene_number(doc, "agent_radius", DEFAULT_AGENT_RADIUS),
+            energy_budget=_scene_number(doc, "energy_budget", DEFAULT_ENERGY_BUDGET),
         )
 
     def to_json(self) -> str:
@@ -126,6 +190,8 @@ class SpeedProfile:
     """Per-keypoint speeds, interpolated linearly in global s between knots."""
 
     speeds: np.ndarray
+    # Global s of each keypoint, the knots speeds are interpolated between.
+    knots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         speeds = np.asarray(self.speeds, dtype=float)
@@ -134,6 +200,7 @@ class SpeedProfile:
         if not np.all(np.isfinite(speeds)) or np.any(speeds <= 0):
             raise ValueError("speeds must be finite and > 0")
         object.__setattr__(self, "speeds", speeds)
+        object.__setattr__(self, "knots", np.linspace(0.0, 1.0, len(speeds)))
 
     @classmethod
     def from_keypoints(cls, keypoints) -> "SpeedProfile":
@@ -144,8 +211,7 @@ class SpeedProfile:
         return cls(np.full(n_keypoints, float(speed)))
 
     def speed_at(self, s: float) -> float:
-        knots = np.linspace(0.0, 1.0, len(self.speeds))
-        return float(np.interp(s, knots, self.speeds))
+        return float(np.interp(s, self.knots, self.speeds))
 
 
 @dataclass(frozen=True)
@@ -195,13 +261,42 @@ def _arc_length_table(curve: PathCurve) -> tuple[np.ndarray, np.ndarray]:
     return grid, np.concatenate([[0.0], np.cumsum(chords)])
 
 
+def _interp(x: float, xp: list, fp: list) -> float:
+    """np.interp(x, xp, fp) for one float over lists, with numpy's arithmetic.
+
+    Follows numpy's scalar loop case by case: NaN is returned as is, x
+    outside [xp[0], xp[-1]] (or equal to xp[-1]) takes the end value, an
+    exact knot takes its fp, and otherwise the interval is the last one
+    whose left knot is <= x (so repeated knots resolve to the later copy).
+    The line is evaluated from the left knot, and from the right knot when
+    that gives NaN.  xp must be non-decreasing.
+    """
+    if x != x:
+        return x
+    j = bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j >= len(xp) - 1:
+        return fp[-1]
+    if xp[j] == x:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    y = slope * (x - xp[j]) + fp[j]
+    if y != y:
+        y = slope * (x - xp[j + 1]) + fp[j + 1]
+        if y != y and fp[j] == fp[j + 1]:
+            y = fp[j]
+    return y
+
+
 def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: float):
     """Advance along the curve in fixed time steps of dt.
 
     Each step moves speed*dt units of arc length, resolved through a dense
     precomputed arc-length table (speed is read at the step's start); the
     final step is shortened to land exactly on the path end or on the
-    budget.  Returns (times, s_values, completed), starting at t=0.
+    budget.  Returns (times, s_values, completed), starting at t=0.  Raises
+    SimTooLargeError when the estimated step count exceeds MAX_STEPS.
     """
     if len(profile.speeds) != len(curve.keypoints):
         raise ValueError(
@@ -212,14 +307,27 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
         raise ValueError(f"dt must be > 0, got {dt!r}")
 
     s_grid, lengths = _arc_length_table(curve)
-    total = lengths[-1]
+    total = float(lengths[-1])
+    # No step is slower than the slowest keypoint speed, so this bounds the
+    # step count; ceil(x) > MAX_STEPS exactly when x > MAX_STEPS.
+    estimate = min(budget, total / float(profile.speeds.min())) / dt
+    if estimate > MAX_STEPS:
+        raise SimTooLargeError(
+            f"about {estimate:.3g} time steps at dt={dt!r} exceed the limit of "
+            f"{MAX_STEPS}; use a larger dt"
+        )
+
+    # Python floats: one step is a few scalar operations, which numpy calls
+    # would dominate.  _interp reproduces np.interp bit for bit.
+    s_grid, lengths = s_grid.tolist(), lengths.tolist()
+    knots, speeds = profile.knots.tolist(), profile.speeds.tolist()
     times = [0.0]
     s_values = [0.0]
     t, s, ell = 0.0, 0.0, 0.0
     completed = total == 0.0
     while not completed and t < budget:
         step = min(dt, budget - t)
-        d_ell = profile.speed_at(s) * step
+        d_ell = _interp(s, knots, speeds) * step
         if ell + d_ell >= total:
             step *= (total - ell) / d_ell
             ell = total
@@ -227,7 +335,7 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
             completed = True
         else:
             ell += d_ell
-            s = float(np.interp(ell, lengths, s_grid))
+            s = _interp(ell, lengths, s_grid)
         t += step
         times.append(t)
         s_values.append(s)
@@ -253,18 +361,50 @@ def sample_trajectory(
     return Trajectory(np.array(times), ss, positions, view)
 
 
+def _entry_blocks(points: np.ndarray, centers: np.ndarray, reach):
+    """Yield (first_row, dist, entries) over blocks of consecutive points.
+
+    dist[i, j] is the distance from points[first_row + i] to centers[j],
+    summed as sqrt((dx*dx + dy*dy) + dz*dz): the order np.linalg.norm uses
+    over a last axis of length 3, so the values equal it bit for bit.
+    entries[i, j] is True where that point is within reach[j] (inclusive)
+    of center j and the point before it was not; a first point within reach
+    counts as an entry.  A block holds at most DISTANCE_BLOCK distances, or
+    a single row when there are more centers than that.
+    """
+    rows = max(1, DISTANCE_BLOCK // max(1, len(centers)))
+    before = np.zeros(len(centers), dtype=bool)
+    for start in range(0, len(points), rows):
+        block = points[start:start + rows]
+        # In place, to keep to two block-sized float arrays.
+        dist = block[:, 0, None] - centers[:, 0]
+        dist *= dist
+        part = block[:, 1, None] - centers[:, 1]
+        part *= part
+        dist += part
+        np.subtract(block[:, 2, None], centers[:, 2], out=part)
+        part *= part
+        dist += part
+        np.sqrt(dist, out=dist)
+        within = dist <= reach
+        entries = within.copy()
+        entries[0] &= ~before
+        entries[1:] &= ~within[:-1]
+        before = within[-1]
+        yield start, dist, entries
+
+
 def _count_collisions(positions: np.ndarray, scene: SceneSpec) -> int:
     """Count obstacle entry events along sampled positions.
 
     Overlap is inclusive (touching counts); starting inside an obstacle
     counts as an entry.
     """
-    collisions = 0
-    for obstacle in scene.obstacles:
-        dist = np.linalg.norm(positions - obstacle.center, axis=1)
-        inside = dist <= obstacle.radius + scene.agent_radius
-        collisions += int(inside[0]) + int(np.sum(inside[1:] & ~inside[:-1]))
-    return collisions
+    return sum(
+        int(np.count_nonzero(entries))
+        for _, _, entries in _entry_blocks(positions, scene.obstacle_centers,
+                                           scene.obstacle_reach)
+    )
 
 
 def traverse(curve: PathCurve, profile: SpeedProfile, scene: SceneSpec, dt: float) -> SimResult:
@@ -285,6 +425,12 @@ def traverse(curve: PathCurve, profile: SpeedProfile, scene: SceneSpec, dt: floa
     )
 
 
+# Prefilter slack in cast_ray, relative to |oc|^2 + r^2 (see there).
+_DISC_SLACK = 2.0 ** -40
+# Absolute slack on top, for discriminants whose terms underflow.
+_DISC_FLOOR = 2.0 ** -1000
+
+
 def cast_ray(origin, direction, scene: SceneSpec) -> str | None:
     """Intersect a ray with the scene's targets; nearest hit wins.
 
@@ -299,9 +445,27 @@ def cast_ray(origin, direction, scene: SceneSpec) -> str | None:
         raise ValueError("ray direction must be nonzero")
     d = direction / norm
 
+    # Vectorized prefilter: keep every target whose discriminant might be
+    # >= 0.  The scalar test below and this estimate compute the same
+    # b*b - |oc|^2 + r^2 from the same oc and d, rounded in different orders
+    # (np.dot may use FMA).  As |d| = 1, b*b <= |oc|^2, so each result is
+    # within about 13 * 2^-53 * (|oc|^2 + r^2) of the exact discriminant
+    # and the two differ by under 2^-48 * (|oc|^2 + r^2).  The slack is
+    # 2^-40 of that scale plus a floor for underflow, so no target the
+    # scalar test accepts is dropped; NaN estimates are kept too.  The
+    # scalar test then decides, in target order, exactly as a loop over all
+    # targets would.
+    oc = origin - scene.target_centers
+    b = oc @ d
+    oc2 = np.einsum("ij,ij->i", oc, oc)
+    r2 = scene.target_radii * scene.target_radii
+    disc = b * b - oc2 + r2
+    candidates = np.flatnonzero(~(disc < -(_DISC_SLACK * (oc2 + r2) + _DISC_FLOOR)))
+
     best_t = math.inf
     best_id = None
-    for target in scene.targets:
+    for i in candidates.tolist():
+        target = scene.targets[i]
         oc = origin - target.center
         b = float(np.dot(d, oc))
         disc = b * b - float(np.dot(oc, oc)) + target.radius * target.radius
@@ -317,6 +481,21 @@ def cast_ray(origin, direction, scene: SceneSpec) -> str | None:
     return best_id
 
 
+def _check_sigma(sigma: float) -> None:
+    # perturb_direction divides by kappa = 1/sigma^2, which is 0 once sigma^2
+    # overflows.
+    if not (sigma >= 0 and math.isfinite(sigma * sigma)):
+        raise ValueError(f"sigma must be finite (below 1e154) and >= 0, got {sigma!r}")
+
+
+def _check_ray_args(sigma: float, trigger_distance: float | None) -> None:
+    _check_sigma(sigma)
+    if trigger_distance is not None and not (
+        math.isfinite(trigger_distance) and trigger_distance > 0
+    ):
+        raise ValueError(f"trigger_distance must be finite and > 0, got {trigger_distance!r}")
+
+
 def perturb_direction(rng: np.random.Generator, direction, sigma: float) -> np.ndarray:
     """Apply seeded directional aim noise to a unit direction.
 
@@ -325,8 +504,7 @@ def perturb_direction(rng: np.random.Generator, direction, sigma: float) -> np.n
     standard deviation per axis; sigma=0 returns the direction unchanged
     and large sigma approaches a uniform direction on the sphere.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma!r}")
+    _check_sigma(sigma)
     d = np.asarray(direction, dtype=float)
     norm = np.linalg.norm(d)
     if norm == 0.0:
@@ -342,13 +520,24 @@ def perturb_direction(rng: np.random.Generator, direction, sigma: float) -> np.n
     w = max(-1.0, min(1.0, w))
     phi = 2.0 * math.pi * rng.random()
 
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(d)))] = 1.0
-    e1 = np.cross(d, axis)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(d, e1)
+    # Orthonormal frame (e1, e2) around d, in Python floats: e1 = d x axis
+    # with axis the unit vector of d's smallest |component| (first on ties),
+    # e2 = d x e1, each cross product in np.cross's own formula and order.
+    d0, d1, d2 = d.tolist()
+    mags = (abs(d0), abs(d1), abs(d2))
+    smallest = mags.index(min(mags))
+    a0, a1, a2 = (float(i == smallest) for i in range(3))
+    e1 = (d1 * a2 - d2 * a1, d2 * a0 - d0 * a2, d0 * a1 - d1 * a0)
+    n1 = float(np.linalg.norm(e1))
+    f0, f1, f2 = e1[0] / n1, e1[1] / n1, e1[2] / n1
+    g0, g1, g2 = d1 * f2 - d2 * f1, d2 * f0 - d0 * f2, d0 * f1 - d1 * f0
     sin_theta = math.sqrt(max(0.0, 1.0 - w * w))
-    return sin_theta * (math.cos(phi) * e1 + math.sin(phi) * e2) + w * d
+    c, s = math.cos(phi), math.sin(phi)
+    return np.array([
+        sin_theta * (c * f0 + s * g0) + w * d0,
+        sin_theta * (c * f1 + s * g1) + w * d1,
+        sin_theta * (c * f2 + s * g2) + w * d2,
+    ])
 
 
 def run_ray_task(
@@ -370,33 +559,28 @@ def run_ray_task(
     """
     if not scene.targets:
         raise ValueError("ray task needs at least one target in the scene")
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma!r}")
+    _check_ray_args(sigma, trigger_distance)
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"expected (N, 3) trajectory points, got shape {points.shape}")
 
-    centers = np.stack([t.center for t in scene.targets])
-    triggers = np.array([
-        trigger_distance if trigger_distance is not None else TRIGGER_RADIUS_FACTOR * t.radius
-        for t in scene.targets
-    ])
-    dist = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
-    within = dist <= triggers[None, :]
-    entries = np.vstack([within[:1], within[1:] & ~within[:-1]])
-
+    centers = scene.target_centers
+    triggers = (TRIGGER_RADIUS_FACTOR * scene.target_radii
+                if trigger_distance is None else trigger_distance)
     rng = np.random.default_rng(seed)
     attempts = 0
     hits = 0
-    for k in range(len(points)):
-        for j in np.nonzero(entries[k])[0]:
-            intended = scene.targets[int(np.argmin(dist[k]))]
-            aim = intended.center - points[k]
+    for start, dist, entries in _entry_blocks(points, centers, triggers):
+        # One row index per (point, target) entry, in row-major order.
+        rows = np.nonzero(entries)[0]
+        nearest = np.argmin(dist[rows], axis=1)
+        for k, i in zip((rows + start).tolist(), nearest.tolist()):
+            aim = centers[i] - points[k]
             if np.linalg.norm(aim) == 0.0:
                 raise ValueError("ray origin coincides with the target center")
             direction = perturb_direction(rng, aim, sigma)
             attempts += 1
-            if cast_ray(points[k], direction, scene) == intended.id:
+            if cast_ray(points[k], direction, scene) == scene.targets[i].id:
                 hits += 1
     return attempts, hits
 
@@ -410,7 +594,12 @@ def simulate(
     sigma: float = 0.0,
     trigger_distance: float | None = None,
 ) -> SimResult:
-    """Full roaming run: traversal metrics plus the UI-ray task."""
+    """Full roaming run: traversal metrics plus the UI-ray task.
+
+    sigma must be finite and >= 0 and trigger_distance (when given) finite
+    and > 0; both are checked before stepping, with or without targets.
+    """
+    _check_ray_args(sigma, trigger_distance)
     times, s_values, completed = _step_states(curve, profile, dt, scene.energy_budget)
     positions = curve.positions(np.array(s_values))
     collisions = _count_collisions(positions, scene)

@@ -1,12 +1,13 @@
 import csv
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from searoam.cli import main
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, GOLDEN_DIR
 
 ROUTE = DATA_DIR / "demo_route.csv"
 ROUTE_SPEEDS = DATA_DIR / "demo_route_speeds.csv"
@@ -110,14 +111,60 @@ def test_sim_run_empty_scene(tmp_path):
     assert doc["time_used"] == pytest.approx(5.0, abs=0.01)
 
 
-def test_sim_run_bad_scene_json(tmp_path, capsys):
+@pytest.mark.parametrize("text, message", [
+    ("{broken", "JSON"),
+    ('{"obstacles": [{"center": [0, 0, 0]}]}', "obstacle 0: missing 'radius'"),
+    ('{"obstacles": [{"center": [0, 0, 0], "radius": "3"}]}',
+     "obstacle 0: sphere radius must be a number"),
+    ('{"obstacles": {"center": [0, 0, 0], "radius": 3}}', "'obstacles' must be a list"),
+], ids=["not_json", "missing_radius", "string_radius", "obstacles_object"])
+def test_sim_run_bad_scene_json(tmp_path, capsys, text, message):
     scene = tmp_path / "scene.json"
-    scene.write_text("{broken")
+    scene.write_text(text)
     out = tmp_path / "out"
     code = main(["sim", "run", str(ROUTE_SPEEDS), str(scene), "--out", str(out)])
     assert code == 1
-    assert "JSON" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("arg, name", [
+    ("--sigma=-1", "sigma"),
+    ("--sigma=nan", "sigma"),
+    ("--sigma=inf", "sigma"),
+    ("--trigger-distance=-1", "trigger_distance"),
+    ("--trigger-distance=0", "trigger_distance"),
+    ("--trigger-distance=nan", "trigger_distance"),
+])
+def test_sim_run_rejects_bad_ray_args(tmp_path, capsys, arg, name):
+    # a scene without targets: the rules hold whether or not rays are cast
+    scene = tmp_path / "empty.json"
+    scene.write_text('{"obstacles": [], "targets": []}')
+    out = tmp_path / "out"
+    code = main(["sim", "run", str(ROUTE_SPEEDS), str(scene), arg, "--out", str(out)])
+    assert code == 1
+    assert f"error: {name} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sim_run_tiny_dt_hits_step_limit(tmp_path, capsys):
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    code = main(["sim", "run", str(ROUTE_SPEEDS), str(SCENE), "--dt", "1e-7",
+                 "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    assert "time steps" in capsys.readouterr().err
+    assert elapsed < 1.0
+    assert not out.exists()
+
+
+def test_sim_run_readme_command_matches_golden(tmp_path):
+    out = tmp_path / "sim"
+    code = main(["sim", "run", str(ROUTE_SPEEDS), str(SCENE), "--dt", "0.005",
+                 "--seed", "11", "--sigma", "0.1", "--out", str(out)])
+    assert code == 0
+    assert read_outputs(out) == read_outputs(GOLDEN_DIR / "sim_readme")
 
 
 # --- study analyze -----------------------------------------------------------

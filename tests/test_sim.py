@@ -1,11 +1,15 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from searoam import sim
 from searoam.sim import (
     SceneSpec,
+    SimTooLargeError,
     SpeedProfile,
     Sphere,
     Target,
@@ -120,6 +124,8 @@ def test_profile_length_mismatch():
         traverse(STRAIGHT_10, SpeedProfile.constant(1.0, 3), SceneSpec(), dt=0.1)
     with pytest.raises(ValueError):
         traverse(STRAIGHT_10, two_point_profile(1.0), SceneSpec(), dt=0.0)
+    with pytest.raises(SimTooLargeError):  # 10 units at speed 1 is 10^7 steps
+        traverse(STRAIGHT_10, two_point_profile(1.0), SceneSpec(), dt=1e-6)
 
 
 def test_dt_refinement_keeps_collisions_and_time_stable(demo_pts):
@@ -348,3 +354,268 @@ def test_simresult_json_dict_fields():
     assert set(doc) == {
         "time_used", "collisions", "ray_attempts", "ray_hits", "accuracy", "completed",
     }
+
+
+# --- reference implementations ------------------------------------------------
+# The loops the kernels in searoam.sim replaced (np.interp itself is the
+# reference for sim._interp).  Each property below requires the kernel to
+# equal its reference bit for bit.
+
+def reference_step_states(curve, profile, dt, budget):
+    s_grid, lengths = sim._arc_length_table(curve)
+    knots = np.linspace(0.0, 1.0, len(profile.speeds))
+    total = lengths[-1]
+    times, s_values = [0.0], [0.0]
+    t, s, ell = 0.0, 0.0, 0.0
+    completed = total == 0.0
+    while not completed and t < budget:
+        step = min(dt, budget - t)
+        d_ell = float(np.interp(s, knots, profile.speeds)) * step
+        if ell + d_ell >= total:
+            step *= (total - ell) / d_ell
+            ell = total
+            s = 1.0
+            completed = True
+        else:
+            ell += d_ell
+            s = float(np.interp(ell, lengths, s_grid))
+        t += step
+        times.append(t)
+        s_values.append(s)
+    return times, s_values, completed
+
+
+def reference_count_collisions(positions, scene):
+    collisions = 0
+    for obstacle in scene.obstacles:
+        dist = np.linalg.norm(positions - obstacle.center, axis=1)
+        inside = dist <= obstacle.radius + scene.agent_radius
+        collisions += int(inside[0]) + int(np.sum(inside[1:] & ~inside[:-1]))
+    return collisions
+
+
+def reference_cast_ray(origin, direction, scene):
+    origin = np.asarray(origin, dtype=float)
+    direction = np.asarray(direction, dtype=float)
+    norm = np.linalg.norm(direction)
+    if norm == 0.0:
+        raise ValueError("ray direction must be nonzero")
+    d = direction / norm
+    best_t = math.inf
+    best_id = None
+    for target in scene.targets:
+        oc = origin - target.center
+        b = float(np.dot(d, oc))
+        disc = b * b - float(np.dot(oc, oc)) + target.radius * target.radius
+        if disc < 0.0:
+            continue
+        root = math.sqrt(disc)
+        t_hit = -b - root
+        if t_hit < 0.0:
+            t_hit = -b + root
+        if 0.0 <= t_hit < best_t:
+            best_t = t_hit
+            best_id = target.id
+    return best_id
+
+
+def reference_perturb_direction(rng, direction, sigma):
+    d = np.asarray(direction, dtype=float)
+    norm = np.linalg.norm(d)
+    if norm == 0.0:
+        raise ValueError("direction must be nonzero")
+    d = d / norm
+    if sigma * sigma == 0.0:
+        return d
+    kappa = 1.0 / (sigma * sigma)
+    u = rng.random()
+    w = 1.0 + math.log(u + (1.0 - u) * math.exp(-2.0 * kappa)) / kappa
+    w = max(-1.0, min(1.0, w))
+    phi = 2.0 * math.pi * rng.random()
+    axis = np.zeros(3)
+    axis[int(np.argmin(np.abs(d)))] = 1.0
+    e1 = np.cross(d, axis)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(d, e1)
+    sin_theta = math.sqrt(max(0.0, 1.0 - w * w))
+    return sin_theta * (math.cos(phi) * e1 + math.sin(phi) * e2) + w * d
+
+
+def reference_run_ray_task(points, sigma, seed, scene, trigger_distance=None):
+    points = np.asarray(points, dtype=float)
+    centers = np.stack([t.center for t in scene.targets])
+    triggers = np.array([
+        trigger_distance if trigger_distance is not None else sim.TRIGGER_RADIUS_FACTOR * t.radius
+        for t in scene.targets
+    ])
+    dist = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
+    within = dist <= triggers[None, :]
+    entries = np.vstack([within[:1], within[1:] & ~within[:-1]])
+    rng = np.random.default_rng(seed)
+    attempts = hits = 0
+    for k in range(len(points)):
+        for _ in np.nonzero(entries[k])[0]:
+            intended = scene.targets[int(np.argmin(dist[k]))]
+            aim = intended.center - points[k]
+            if np.linalg.norm(aim) == 0.0:
+                raise ValueError("ray origin coincides with the target center")
+            direction = reference_perturb_direction(rng, aim, sigma)
+            attempts += 1
+            if reference_cast_ray(points[k], direction, scene) == intended.id:
+                hits += 1
+    return attempts, hits
+
+
+def same_float(a, b):
+    """Bitwise-equal floats up to NaN payload (signed zeros must match)."""
+    if a != a or b != b:
+        return a != a and b != b
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return "ValueError"
+
+
+# Small integer grids make exact tangents, coincident centers and zero
+# direction components common; the float branch covers general positions.
+grid = st.integers(-4, 4).map(float)
+coord = st.one_of(grid, st.floats(-10, 10, allow_nan=False))
+point3 = st.tuples(coord, coord, coord)
+nonzero3 = point3.filter(lambda v: any(v))
+radius = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(0.01, 6.0))
+
+
+@st.composite
+def target_scenes(draw, max_targets=6):
+    """Targets whose centers come from a small pool, so duplicates occur."""
+    pool = draw(st.lists(point3, min_size=1, max_size=3))
+    n = draw(st.integers(1, max_targets))
+    targets = tuple(
+        Target(f"t{i}", draw(st.sampled_from(pool)), draw(radius)) for i in range(n)
+    )
+    return SceneSpec(targets=targets)
+
+
+@st.composite
+def grazing_rays(draw):
+    """(origin, direction, scene) with a target the ray grazes up to rounding.
+
+    Here the two ways of rounding the discriminant often disagree in sign,
+    which is what cast_ray's prefilter slack must absorb.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    origin = rng.uniform(-100, 100, 3)
+    d = rng.normal(size=3)
+    d /= np.linalg.norm(d)
+    n = np.cross(d, rng.normal(size=3))
+    n /= np.linalg.norm(n)
+    r = 10 ** rng.uniform(-2, 2)
+    center = origin + rng.uniform(-50, 50) * d + r * n
+    return origin, d, SceneSpec(targets=(Target("g", center, r),))
+
+
+# --- kernels against their references -----------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(
+    xp=st.lists(st.sampled_from([-2.0, 0.0, 0.5, 1.0, 1.5, 3.0]) | st.floats(-5, 5),
+                min_size=2, max_size=8).map(sorted),
+    fp=st.lists(st.floats(-1e6, 1e6) | st.sampled_from([math.inf, -math.inf, -0.0]),
+                min_size=8, max_size=8),
+    pick=st.integers(0, 7),
+    x=st.one_of(st.floats(-6, 6), st.sampled_from([math.nan, -0.0, -math.inf, math.inf])),
+    at_knot=st.booleans(),
+)
+@example(xp=[0.0, 1.0, 1.0, 2.0], fp=[0.0, 5.0, 7.0, 9.0] + [0.0] * 4, pick=1, x=1.0,
+         at_knot=False)  # x on a repeated knot
+def test_interp_equals_numpy(xp, fp, pick, x, at_knot):
+    fp = fp[:len(xp)]
+    if at_knot:
+        x = xp[pick % len(xp)]
+    assert same_float(sim._interp(x, xp, fp), float(np.interp(x, xp, fp)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["polyline", "bezier", "catmull_rom"]),
+    # keypoints drawn from a pool of three, so consecutive duplicates
+    # (zero-length chords, repeated arc-table lengths) are common
+    picks=st.lists(st.integers(0, 2), min_size=2, max_size=5),
+    pool=st.lists(st.tuples(grid, grid, grid), min_size=3, max_size=3),
+    speeds=st.lists(st.sampled_from([0.5, 1.0, 2.5, 7.0]), min_size=5, max_size=5),
+    dt=st.sampled_from([0.05, 0.1, 0.37]),
+    budget=st.sampled_from([3.0, 300.0]),
+)
+def test_step_states_equal_reference(kind, picks, pool, speeds, dt, budget):
+    curve = PathCurve(kind, [pool[i] for i in picks])
+    profile = SpeedProfile(np.array(speeds[:len(picks)]))
+    new = sim._step_states(curve, profile, dt, budget)
+    ref = reference_step_states(curve, profile, dt, budget)
+    assert new == ref
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    positions=st.lists(point3, min_size=1, max_size=40),
+    pool=st.lists(point3, min_size=1, max_size=3),
+    radii=st.lists(radius, min_size=0, max_size=6),
+    agent=st.sampled_from([0.0, 0.5, 1.0]),
+    block=st.integers(1, 64),
+)
+def test_count_collisions_equals_reference(positions, pool, radii, agent, block):
+    obstacles = tuple(Sphere(pool[i % len(pool)], r) for i, r in enumerate(radii))
+    scene = SceneSpec(obstacles=obstacles, agent_radius=agent)
+    positions = np.array(positions)
+    with mock.patch.object(sim, "DISTANCE_BLOCK", block):  # many small blocks
+        count = sim._count_collisions(positions, scene)
+    assert count == reference_count_collisions(positions, scene)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ray=st.tuples(point3, nonzero3, target_scenes()) | grazing_rays())
+@example(ray=((-5.0, 0.0, 0.0), (1.0, 0.0, 0.0),  # tangent ray
+              SceneSpec(targets=(Target("rim", (0, 3, 0), 3.0),))))
+@example(ray=((0.0, 0.0, 0.0), (1.0, 0.0, 0.0),  # tie: the first target wins
+              SceneSpec(targets=(Target("a", (5, 0, 0), 1.0), Target("b", (5, 0, 0), 1.0)))))
+def test_cast_ray_equals_reference(ray):
+    origin, direction, scene = ray
+    new = outcome(cast_ray, origin, direction, scene)
+    assert new == outcome(reference_cast_ray, origin, direction, scene)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    direction=nonzero3,
+    sigma=st.sampled_from([0.0, 1e-3, 0.05, 0.5, 2.0, 1000.0]) | st.floats(0, 50),
+    seed=st.integers(0, 2**32),
+)
+def test_perturb_direction_equals_reference(direction, sigma, seed):
+    new = outcome(perturb_direction, np.random.default_rng(seed), direction, sigma)
+    ref = outcome(reference_perturb_direction, np.random.default_rng(seed), direction, sigma)
+    if isinstance(ref, str):  # the norm of a tiny direction underflows to 0
+        assert new == ref
+    else:
+        assert new.tobytes() == ref.tobytes()  # signed zeros included
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scene=target_scenes(max_targets=4),
+    steps=st.lists(point3, min_size=0, max_size=30),
+    start_inside=st.booleans(),
+    sigma=st.sampled_from([0.0, 0.1, 1.0]),
+    seed=st.integers(0, 1000),
+    trigger=st.one_of(st.none(), st.sampled_from([0.5, 2.0, 6.0])),
+    block=st.integers(1, 16),
+)
+def test_run_ray_task_equals_reference(scene, steps, start_inside, sigma, seed, trigger,
+                                       block):
+    first = scene.targets[0].center + (0.25, 0.0, 0.0) if start_inside else (9.0, 9.0, 9.0)
+    points = np.array([tuple(first)] + steps)
+    with mock.patch.object(sim, "DISTANCE_BLOCK", block):
+        new = outcome(run_ray_task, points, sigma, seed, scene, trigger)
+    assert new == outcome(reference_run_ray_task, points, sigma, seed, scene, trigger)
