@@ -19,6 +19,7 @@ from .geo import (
 from .spline import (
     DEFAULT_TENSION,
     KINDS,
+    ArcLengthError,
     CatmullRomSegment,
     PathCurve,
     build_segment,
@@ -77,7 +78,7 @@ __version__ = "0.1.0"
 __all__ = [
     "KeyPoint", "KeypointParseError", "PathTooShortError", "Point3", "Projection",
     "load_keypoints", "project", "serialize_keypoints",
-    "DEFAULT_TENSION", "KINDS", "CatmullRomSegment", "PathCurve",
+    "DEFAULT_TENSION", "KINDS", "ArcLengthError", "CatmullRomSegment", "PathCurve",
     "build_segment", "with_phantom_endpoints",
     "VIEW_MODELS", "DegenerateViewError", "SmoothnessReport", "smoothness", "view_direction",
     "SceneSpec", "SimResult", "SimTooLargeError", "SpeedProfile", "Sphere", "Target", "Trajectory",

@@ -10,7 +10,6 @@ from __future__ import annotations
 import io
 import csv
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -20,6 +19,11 @@ from .stats import RegressionFit
 
 PANEL_LABELS = {"polyline": "(a) polyline", "bezier": "(b) bezier", "catmull_rom": "(c) catmull-rom"}
 CURVE_COLORS = {"polyline": "#333333", "bezier": "#1f77b4", "catmull_rom": "#d62728"}
+
+
+def escape(text: str) -> str:
+    """Escape &, < and > for SVG text, as xml.sax.saxutils.escape does."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,10 @@ catmull_rom it is partitioned uniformly across the N-1 segments (segment i
 covers [i/(N-1), (i+1)/(N-1)]); the bezier curve is one span.  Missing
 neighbors for the boundary Catmull-Rom segments come from duplicating the
 first and last keypoints as phantom endpoints.
+
+Arc length integrates |dP/ds| by vectorized adaptive Gauss-Lobatto
+quadrature (nodes from numpy.polynomial.legendre), so the module needs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -22,15 +26,47 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .geo import PathTooShortError
 
 KINDS = ("polyline", "bezier", "catmull_rom")
 DEFAULT_TENSION = 0.5
 
-# Relative tolerance of the adaptive arc-length quadrature.
+# Tolerance of the adaptive arc-length quadrature over the whole range:
+# max(ARC_LENGTH_ABS_TOL, ARC_LENGTH_REL_TOL * length).
 ARC_LENGTH_REL_TOL = 1e-8
+ARC_LENGTH_ABS_TOL = 1e-12
+# Gauss-Lobatto nodes per interval, and the bounds on the adaptive
+# subdivision: how many intervals one quadrature pass may cover (about
+# 80 MB of catmull_rom temporaries at the limit) and how many times an
+# interval may be halved.
+ARC_LENGTH_NODES = 10
+ARC_LENGTH_MAX_INTERVALS = 1 << 16
+ARC_LENGTH_MAX_DEPTH = 60
+
+
+def _lobatto_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Lobatto nodes and weights on [-1, 1].
+
+    The nodes are both ends and the roots of P'_{n-1}, the derivative of
+    the Legendre polynomial of degree n-1; the rule is exact to degree
+    2n-3.
+    """
+    legendre = np.polynomial.legendre.Legendre.basis(n - 1)
+    x = np.concatenate(([-1.0], np.sort(legendre.deriv().roots()), [1.0]))
+    return x, 2.0 / (n * (n - 1) * legendre(x) ** 2)
+
+
+_LOBATTO_NODES, _LOBATTO_WEIGHTS = _lobatto_rule(ARC_LENGTH_NODES)
+
+# Parameter values per de Casteljau block: a bezier evaluation holds at
+# most a (DE_CASTELJAU_ROWS, N, 3) array at once.
+DE_CASTELJAU_ROWS = 1 << 15
+
+
+class ArcLengthError(ValueError):
+    """The arc length cannot be computed: the speed overflows, or the
+    quadrature exceeds its bounds before it reaches its tolerance."""
 
 
 def check_tension(tension: float) -> float:
@@ -281,9 +317,12 @@ class PathCurve:
     def arc_length(self, s0: float = 0.0, s1: float = 1.0) -> float:
         """Arc length between two global parameters.
 
-        Polyline lengths are exact chord sums; bezier and catmull_rom use
-        adaptive quadrature of |dP/ds| with relative tolerance
-        ARC_LENGTH_REL_TOL, split at the segment knots.
+        Polyline lengths are exact chord sums.  Bezier and catmull_rom
+        integrate |dP/ds| by adaptive Gauss-Lobatto quadrature to
+        ARC_LENGTH_REL_TOL relative or ARC_LENGTH_ABS_TOL absolute, split at
+        the catmull_rom segment knots and wherever a coordinate of dP/ds
+        changes sign.  Raises ArcLengthError if the speed overflows or the
+        subdivision exceeds its bounds.
         """
         s0, s1 = float(s0), float(s1)
         if not (math.isfinite(s0) and math.isfinite(s1)) or not 0.0 <= s0 <= s1 <= 1.0:
@@ -302,30 +341,130 @@ class PathCurve:
             total += chord[i0 + 1:i1].sum()
             return float(total)
 
+        inner = self._speed_kinks()
         if self.kind == "catmull_rom":
-            interior = [k / self.n_segments for k in range(1, self.n_segments)]
-            cuts = [s0] + [c for c in interior if s0 < c < s1] + [s1]
-        else:
-            cuts = [s0, s1]
+            inner = np.concatenate((np.arange(1, self.n_segments) / self.n_segments, inner))
+        cuts = np.unique(np.concatenate(([s0, s1], inner[(inner > s0) & (inner < s1)])))
+        speeds = lambda ss: np.linalg.norm(self.tangents(ss), axis=1)
+        return _adaptive_lobatto(speeds, cuts[:-1], cuts[1:])
 
-        speed = lambda s: float(np.linalg.norm(self.tangent(s)))
-        total = 0.0
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            piece, _ = quad(speed, a, b, epsabs=1e-12, epsrel=ARC_LENGTH_REL_TOL, limit=200)
-            total += piece
-        return total
+    def _speed_kinks(self) -> np.ndarray:
+        """Global parameters where a coordinate of dP/ds changes sign.
+
+        |dP/ds| can only have a kink (a cusp of the curve) where every
+        coordinate of dP/ds is zero, and a narrow dip only near such a
+        zero, so splitting the quadrature here puts each kink and dip at
+        an interval end, where a Lobatto node samples it.
+        Catmull-rom coordinates are quadratics per segment, solved in
+        closed form; bezier coordinates are one polynomial of degree N-2,
+        interpolated at Chebyshev points and solved by its colleague
+        matrix.  Roots may be approximate: a cut near a kink is enough.
+        """
+        if self.kind == "catmull_rom":
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                # dP/du = a2*u^2 + a1*u + a0 on each segment, per coordinate.
+                a2 = 6.0 * (self._p0 - self._p1) + 3.0 * (self._m0 + self._m1)
+                a1 = 6.0 * (self._p1 - self._p0) - 4.0 * self._m0 - 2.0 * self._m1
+                a0 = self._m0
+                q = -0.5 * (a1 + np.copysign(np.sqrt(a1 * a1 - 4.0 * a2 * a0), a1))
+                u = np.where(a2 != 0.0, [q / a2, a0 / q], [-a0 / a1, np.full_like(a0, np.nan)])
+            segment = np.broadcast_to(np.arange(self.n_segments)[:, None], u.shape)
+            inside = (u > 0.0) & (u < 1.0)
+            return (segment[inside] + u[inside]) / self.n_segments
+        degree = len(self.keypoints) - 2
+        x = np.polynomial.chebyshev.chebpts1(degree + 1)
+        tan = self.tangents((x + 1.0) / 2.0)
+        if degree < 1 or not np.all(np.isfinite(tan)):
+            return np.empty(0)  # no roots, or a speed the quadrature rejects
+        roots = np.concatenate([  # each coordinate scaled to 1, so the fit cannot overflow
+            np.polynomial.Chebyshev.fit(x, coord / np.abs(coord).max(), degree,
+                                        domain=[-1.0, 1.0]).roots()
+            for coord in tan.T if coord.any()
+        ] + [np.empty(0)])
+        u = (roots.real[np.abs(roots.imag) <= 1e-6] + 1.0) / 2.0
+        return u[(u > 0.0) & (u < 1.0)]
 
     def __repr__(self):
         extra = f", tension={self.tension}" if self.kind == "catmull_rom" else ""
         return f"PathCurve({self.kind!r}, {len(self.keypoints)} keypoints{extra})"
 
 
+def _lobatto(speeds, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Gauss-Lobatto integrals of speeds over each interval [lo, hi].
+
+    All intervals are evaluated in one speeds call.  The end nodes are set
+    to lo and hi exactly, so rounding never takes a node out of [0, 1].
+    """
+    if len(lo) > ARC_LENGTH_MAX_INTERVALS:
+        raise ArcLengthError(
+            f"arc length needs more than {ARC_LENGTH_MAX_INTERVALS} quadrature intervals")
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _LOBATTO_NODES
+    nodes[:, 0], nodes[:, -1] = lo, hi
+    return half * (speeds(nodes.ravel()).reshape(nodes.shape) @ _LOBATTO_WEIGHTS)
+
+
+def _adaptive_lobatto(speeds, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Integral of speeds over the adjacent intervals [lo[i], hi[i]], summed.
+
+    Adaptive bisection after Guenter & Parent, "Computing the arc length of
+    parametric curves" (IEEE CG&A 1990), one level at a time.  Every
+    pending interval's estimate is compared with the sum of its two halves.
+    An interval of width w is accepted with the halves' sum when that
+    difference is at most max(ARC_LENGTH_ABS_TOL, ARC_LENGTH_REL_TOL * L)
+    * w / W, where L is the current estimate of the whole integral and W
+    the whole width, so the accepted differences add up to at most the
+    tolerance of the whole range; the rest are halved again.  Each level
+    costs one speeds call over all pending intervals.
+
+    The rule is Lobatto, not Gauss-Legendre, because its nodes include the
+    interval's ends.  Near-cusps sit at the cuts, so at interval ends, and
+    a Gauss-Legendre rule, whose outer nodes stop short of the ends, can
+    miss one in the whole and in both halves alike.
+    """
+    span = hi[-1] - lo[0]
+    whole = _lobatto(speeds, lo, hi)
+    total = 0.0
+    for _ in range(ARC_LENGTH_MAX_DEPTH):
+        mid = 0.5 * (lo + hi)
+        n = len(lo)
+        halves = _lobatto(speeds, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+        left, right = halves[:n], halves[n:]
+        both = left + right
+        estimate = total + float(both.sum())
+        if not math.isfinite(estimate):  # checked at once: NaN never converges
+            raise ArcLengthError("arc length: the curve speed overflows (coordinates too large)")
+        budget = max(ARC_LENGTH_ABS_TOL, ARC_LENGTH_REL_TOL * estimate) / span
+        done = np.abs(both - whole) <= budget * (hi - lo)
+        total += float(both[done].sum())
+        if done.all():
+            return total
+        todo = ~done
+        lo = np.concatenate((lo[todo], mid[todo]))
+        hi = np.concatenate((mid[todo], hi[todo]))
+        whole = np.concatenate((left[todo], right[todo]))
+    raise ArcLengthError(
+        f"arc length did not converge within {ARC_LENGTH_MAX_DEPTH} interval halvings")
+
+
 def _de_casteljau(control: np.ndarray, u: np.ndarray):
     """Evaluate a Bezier curve and its derivative by de Casteljau recursion.
 
     Returns (positions, derivatives), each (len(u), 3), for control points
-    of shape (n+1, 3) evaluated at parameters u in [0, 1].
+    of shape (n+1, 3) evaluated at parameters u in [0, 1].  The parameters
+    are processed in blocks of DE_CASTELJAU_ROWS; rows are independent, so
+    the blocking does not change any result bit.
     """
+    pos = np.empty((len(u), 3))
+    deriv = np.empty((len(u), 3))
+    for start in range(0, len(u), DE_CASTELJAU_ROWS):
+        block = slice(start, start + DE_CASTELJAU_ROWS)
+        pos[block], deriv[block] = _de_casteljau_block(control, u[block])
+    return pos, deriv
+
+
+def _de_casteljau_block(control: np.ndarray, u: np.ndarray):
+    """_de_casteljau on one block of parameters, all at once."""
     n = len(control) - 1
     b = np.broadcast_to(control, (len(u), n + 1, 3)).copy()
     w = u[:, None, None]

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, stdtr, stdtrit
 
 
 class UndefinedCorrelationError(ValueError):
@@ -88,6 +87,8 @@ class NormalityResult:
 
 
 def _t_two_sided_p(t_stat: float, dof: int) -> float:
+    from scipy.special import stdtr
+
     if math.isinf(t_stat):
         return 0.0
     return float(2.0 * stdtr(dof, -abs(t_stat)))
@@ -142,6 +143,8 @@ def spearman(x, y) -> CorrelationResult:
 
 def ks_statistic_normal(x) -> float:
     """Largest deviation between the sample ECDF and the fitted normal CDF."""
+    from scipy.special import ndtr
+
     x = _as_sample(x, 4)
     sd = x.std(ddof=1)
     if sd == 0.0:
@@ -160,6 +163,8 @@ def lilliefors_null(n: int, replicates: int = DEFAULT_KS_REPLICATES, seed: int =
     Simulates ``replicates`` standard-normal samples of size n and computes
     each one's statistic the same way ks_statistic_normal does.
     """
+    from scipy.special import ndtr
+
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     if replicates < 1:
@@ -227,6 +232,8 @@ def linear_fit_with_band(x, y, confidence: float = 0.95) -> RegressionFit:
     t_{1-alpha/2, n-2} * s * sqrt(1/n + (x - xbar)^2 / Sxx), narrowest at
     the predictor mean.
     """
+    from scipy.special import stdtrit
+
     x = _as_sample(x, 3, "x")
     y = _as_sample(y, 3, "y")
     if len(x) != len(y):

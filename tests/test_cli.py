@@ -191,6 +191,12 @@ def test_study_analyze_outputs(tmp_path):
     assert corr["engagement_vs_collisions"]["method"] == "spearman"
 
 
+def test_study_analyze_default_command_matches_golden(tmp_path):
+    out = tmp_path / "study"
+    assert main(["study", "analyze", str(STUDY), "--out", str(out)]) == 0
+    assert read_outputs(out) == read_outputs(GOLDEN_DIR / "study_demo")
+
+
 def test_study_analyze_insufficient_sample(tmp_path, capsys):
     small = tmp_path / "small.csv"
     small.write_text(

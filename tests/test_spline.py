@@ -1,12 +1,18 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import quad
 
+from searoam import spline
 from searoam.geo import PathTooShortError
 from searoam.spline import (
     DEFAULT_TENSION,
     KINDS,
+    ArcLengthError,
     PathCurve,
     build_segment,
     with_phantom_endpoints,
@@ -278,6 +284,155 @@ def test_arc_length_partial_ranges_match_chordal_oracle(demo_pts):
     for s0, s1 in ((0.0, 0.1), (0.13, 0.57), (0.9, 1.0)):
         oracle = chordal_arc_length(curve, s0, s1, n=200_000)
         assert curve.arc_length(s0, s1) == pytest.approx(oracle, rel=1e-6)
+
+
+def quad_arc_length(curve, s0=0.0, s1=1.0):
+    """Reference arc length: scipy's quad of |dP/ds|, as the seed shipped it.
+
+    Split at the catmull-rom knots, and at every root of every coordinate
+    of dP/ds (found by interpolating each piece's polynomial at Chebyshev
+    points), because |dP/ds| has a kink wherever the curve has a cusp and
+    quad cannot see a kink near the end of its interval.
+    """
+    pieces, degree = ((curve.n_segments, 2) if curve.kind == "catmull_rom"
+                      else (1, len(curve.keypoints) - 2))
+    x = np.cos(np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1))
+    cuts = {s0, s1}
+    for k in range(pieces):
+        a, b = k / pieces, (k + 1) / pieces
+        if b <= s0 or a >= s1:
+            continue
+        cuts.add(min(max(a, s0), s1))
+        ss = a + (b - a) * (x + 1.0) / 2.0
+        for coord in curve.tangents(ss).T:
+            if degree > 0 and coord.any():
+                roots = np.polynomial.Polynomial.fit(ss, coord, degree, domain=[a, b]).roots()
+                cuts.update(r for r in roots.real if s0 < r < s1)
+    cuts = sorted(cuts)
+    speed = lambda s: float(np.linalg.norm(curve.tangent(s)))
+    total = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            total += quad(speed, a, b, epsabs=1e-12, epsrel=1e-10, limit=200)[0]
+    return total
+
+
+coord = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def routes(draw, max_points, coords=coord):
+    """Keypoint arrays with repeated consecutive keypoints and, half the
+    time, all on the x axis, where reversals make cusps."""
+    pts = np.array(draw(st.lists(st.tuples(coords, coords, coords),
+                                 min_size=2, max_size=max_points)))
+    repeats = draw(st.lists(st.integers(1, 3), min_size=len(pts), max_size=len(pts)))
+    pts = np.repeat(pts, repeats, axis=0)[:max(max_points, 2)]
+    if draw(st.booleans()):
+        pts[:, 1:] = 0.0
+    return pts
+
+
+@st.composite
+def ranges(draw):
+    s0, s1 = sorted((draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))))
+    return draw(st.sampled_from([(0.0, 1.0), (s0, s1)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pts=routes(200), tension=st.sampled_from([0.0, 0.5, 1.0]), s=ranges())
+def test_catmull_arc_length_matches_quad_reference(pts, tension, s):
+    curve = PathCurve.catmull_rom(pts, tension)
+    assert curve.arc_length(*s) == pytest.approx(quad_arc_length(curve, *s), rel=1e-8, abs=1e-10)
+
+
+# A near-cusp at s = 0.309, where y and z cross zero 5e-5 apart and x is
+# small.  It sits at the ends of the intervals cut there, where a
+# Gauss-Legendre rule has no node: that rule came out 1e-8 short.
+NEAR_CUSP_BEZIER = np.array([(0, 988, 808)] + [(0, 0, 0)] * 5 + [(0, 988, 809)] * 3
+                            + [(254, 0, 0)], dtype=float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pts=routes(12), s=ranges())
+@example(pts=NEAR_CUSP_BEZIER, s=(0.0, 1.0))
+def test_bezier_arc_length_matches_quad_reference(pts, s):
+    curve = PathCurve.bezier(pts)
+    assert curve.arc_length(*s) == pytest.approx(quad_arc_length(curve, *s), rel=1e-8, abs=1e-10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pts=routes(30, st.floats(allow_nan=False, allow_infinity=False)),
+       kind=st.sampled_from(["bezier", "catmull_rom"]), tension=st.sampled_from([0.0, 0.5, 1.0]),
+       s=ranges())
+def test_arc_length_is_finite_or_named_error(pts, kind, tension, s):
+    with np.errstate(all="ignore"):
+        curve = PathCurve(kind, pts, tension)
+        try:
+            length = curve.arc_length(*s)
+        except ArcLengthError:
+            return
+    assert math.isfinite(length) and length >= 0.0
+
+
+def test_arc_length_speed_overflow_is_named_error():
+    pts = [(-1e308, 0, 0), (1e308, 0, 0), (-1e308, 1e308, 0), (1e308, -1e308, 1e308)]
+    tracemalloc.start()
+    try:
+        for kind in ("bezier", "catmull_rom"):
+            with np.errstate(all="ignore"), pytest.raises(ArcLengthError, match="overflows"):
+                PathCurve(kind, pts).arc_length()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # raised on the first quadrature pass
+
+
+def test_arc_length_subdivision_bounds(monkeypatch, demo_pts):
+    curve = PathCurve.catmull_rom(demo_pts)
+    monkeypatch.setattr(spline, "ARC_LENGTH_MAX_INTERVALS", 8)
+    with pytest.raises(ArcLengthError, match="more than 8 quadrature intervals"):
+        curve.arc_length()
+    monkeypatch.undo()
+    monkeypatch.setattr(spline, "ARC_LENGTH_MAX_DEPTH", 2)
+    with pytest.raises(ArcLengthError, match="within 2 interval halvings"):
+        curve.arc_length()
+
+
+@pytest.mark.parametrize("kind, xs, tension", [
+    ("catmull_rom", [3.8, -4.3, 3.3], 0.5),  # cusp at u = 0.0064 of segment 1
+    ("bezier", [0.0, 1.0, 0.99699], None),  # cusp at u = 0.997
+])
+def test_arc_length_counts_cusps_near_interval_ends(kind, xs, tension):
+    # Collinear keypoints that reverse: |dP/ds| has a kink so close to the
+    # end of its span that a quadrature over the span has no node beyond it.
+    curve = PathCurve(kind, [(x, 0.0, 0.0) for x in xs], tension or DEFAULT_TENSION)
+    assert curve.arc_length() == pytest.approx(chordal_arc_length(curve, n=10**6), rel=1e-9)
+
+
+def test_arc_length_tolerance_scales_with_the_curve():
+    # A near-collinear route has near-cusps on most segments.  The error
+    # budget is relative to the whole length, so scaling the keypoints by a
+    # power of two scales the result exactly, with no subdivision blow-up.
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-1.0, 1.0, size=(1000, 3))
+    pts[:, 1:] *= 1e-6
+    length = PathCurve.catmull_rom(pts).arc_length()
+    assert PathCurve.catmull_rom(pts * 2.0**332).arc_length() == length * 2.0**332
+
+
+@settings(max_examples=100, deadline=None)
+@given(control=st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=12),
+       u=st.lists(st.floats(0.0, 1.0), max_size=20), rows=st.integers(1, 3))
+def test_de_casteljau_blocks_match_single_block(control, u, rows):
+    control, u = np.array(control, dtype=float), np.array(u, dtype=float)
+    single = spline._de_casteljau(control, u)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spline, "DE_CASTELJAU_ROWS", rows)
+        blocked = spline._de_casteljau(control, u)
+    np.testing.assert_array_equal(blocked[0], single[0])
+    np.testing.assert_array_equal(blocked[1], single[1])
 
 
 # --- whole-curve properties -----------------------------------------------
