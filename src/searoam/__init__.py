@@ -20,15 +20,14 @@ from .spline import (
     DEFAULT_TENSION,
     KINDS,
     ArcLengthError,
-    CatmullRomSegment,
     PathCurve,
-    build_segment,
     with_phantom_endpoints,
 )
 from .camera import (
     VIEW_MODELS,
     DegenerateViewError,
     SmoothnessReport,
+    ViewOverflowError,
     smoothness,
     view_direction,
 )
@@ -67,7 +66,6 @@ from .stats import (
 )
 from .report import (
     FigureSpec,
-    metrics_csv,
     render_path_compare,
     render_scatter_band,
     smoothness_csv,
@@ -78,15 +76,15 @@ __version__ = "0.1.0"
 __all__ = [
     "KeyPoint", "KeypointParseError", "PathTooShortError", "Point3", "Projection",
     "load_keypoints", "project", "serialize_keypoints",
-    "DEFAULT_TENSION", "KINDS", "ArcLengthError", "CatmullRomSegment", "PathCurve",
-    "build_segment", "with_phantom_endpoints",
-    "VIEW_MODELS", "DegenerateViewError", "SmoothnessReport", "smoothness", "view_direction",
+    "DEFAULT_TENSION", "KINDS", "ArcLengthError", "PathCurve", "with_phantom_endpoints",
+    "VIEW_MODELS", "DegenerateViewError", "SmoothnessReport", "ViewOverflowError",
+    "smoothness", "view_direction",
     "SceneSpec", "SimResult", "SimTooLargeError", "SpeedProfile", "Sphere", "Target", "Trajectory",
     "cast_ray", "perturb_direction", "run_ray_task", "sample_trajectory", "simulate", "traverse",
     "CorrelationResult", "DegenerateSampleError", "NormalityResult", "RegressionFit",
     "StatsReport", "StudyRecord", "UndefinedCorrelationError", "UndefinedFitError",
     "analyze_study", "ks_normality", "linear_fit_with_band", "load_study",
     "pearson", "serialize_study", "spearman", "synthesize_study",
-    "FigureSpec", "metrics_csv", "render_path_compare", "render_scatter_band", "smoothness_csv",
+    "FigureSpec", "render_path_compare", "render_scatter_band", "smoothness_csv",
     "__version__",
 ]

@@ -22,10 +22,21 @@ class DegenerateViewError(ValueError):
     """Raised when a view direction has zero length (position equals target)."""
 
 
+class ViewOverflowError(ValueError):
+    """Raised when a view direction's length overflows (coordinates too large)."""
+
+
+def _check_norms(norms) -> None:
+    """Reject view directions whose lengths overflowed or are zero."""
+    if not np.all(np.isfinite(norms)):
+        raise ViewOverflowError("view direction length overflows (coordinates too large)")
+    if np.any(norms == 0.0):
+        raise DegenerateViewError("view direction has zero length")
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise DegenerateViewError("view direction has zero length")
+    _check_norms(norm)
     return v / norm
 
 
@@ -123,22 +134,17 @@ def smoothness(curve: PathCurve, model: str, samples: int = 64) -> SmoothnessRep
 
     nseg = curve.n_segments
     ds = 1.0 / (samples * nseg)
-    speeds = []
-    for i in range(nseg):
-        u = np.arange(samples) / samples
-        ss = (i + u) / nseg
-        if model == "tangent":
-            dirs = curve.tangents(ss)
-        else:
-            dirs = curve.keypoints[i + 1] - curve.positions(ss)
-        norms = np.linalg.norm(dirs, axis=1)
-        if np.any(norms == 0.0):
-            raise DegenerateViewError("view direction has zero length")
-        dirs = dirs / norms[:, None]
-        cross = np.linalg.norm(np.cross(dirs[:-1], dirs[1:]), axis=1)
-        dot = np.sum(dirs[:-1] * dirs[1:], axis=1)
-        speeds.append(np.arctan2(cross, dot) / ds)
-    all_speeds = np.concatenate(speeds)
+    ss = curve.grid(samples)[:-1]
+    if model == "tangent":
+        dirs = curve.tangents(ss)
+    else:
+        dirs = np.repeat(curve.keypoints[1:], samples, axis=0) - curve.positions(ss)
+    norms = np.linalg.norm(dirs, axis=1)
+    _check_norms(norms)
+    dirs = (dirs / norms[:, None]).reshape(nseg, samples, 3)
+    cross = np.linalg.norm(np.cross(dirs[:, :-1], dirs[:, 1:]), axis=2)
+    dot = np.sum(dirs[:, :-1] * dirs[:, 1:], axis=2)
+    all_speeds = np.arctan2(cross, dot) / ds
 
     return SmoothnessReport(
         corner_angles=corners,

@@ -90,17 +90,6 @@ def _frame(m: _Mapper) -> str:
     )
 
 
-def _sample_grid(n_segments: int, samples: int) -> np.ndarray:
-    """Global s grid with ``samples`` points per segment plus the endpoint.
-
-    Knots land exactly on the grid, so interpolating curves visibly pass
-    through their keypoint markers.
-    """
-    u = np.arange(samples) / samples
-    grid = ((np.arange(n_segments)[:, None] + u[None, :]) / n_segments).ravel()
-    return np.append(grid, 1.0)
-
-
 def render_path_compare(keypoints, tension: float = 0.5, samples: int = 64,
                         spec: FigureSpec | None = None) -> str:
     """Three-panel comparison figure (polyline, bezier, catmull-rom).
@@ -117,8 +106,7 @@ def render_path_compare(keypoints, tension: float = 0.5, samples: int = 64,
         kind: PathCurve(kind, pts, tension) if kind == "catmull_rom" else PathCurve(kind, pts)
         for kind in ("polyline", "bezier", "catmull_rom")
     }
-    grid = _sample_grid(len(pts) - 1, samples)
-    sampled = {kind: c.positions(grid) for kind, c in curves.items()}
+    sampled = {kind: c.positions(c.grid(samples)) for kind, c in curves.items()}
 
     all_xy = np.vstack([p[:, :2] for p in sampled.values()] + [pts[:, :2]])
     x_range = _bounds(all_xy[:, 0])
@@ -219,20 +207,6 @@ def render_scatter_band(x, y, fit: RegressionFit, x_label: str = "x", y_label: s
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def metrics_csv(rows: list[tuple[str, list[float]]]) -> str:
-    """Summary table ``variable,mean,sd`` over the given value lists."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["variable", "mean", "sd"])
-    for name, values in rows:
-        arr = np.asarray(values, dtype=float)
-        if arr.size == 0:
-            raise ValueError(f"variable {name!r} has no values")
-        sd = arr.std(ddof=1) if arr.size > 1 else 0.0
-        writer.writerow([name, _fmt(arr.mean()), _fmt(sd)])
-    return out.getvalue()
 
 
 def smoothness_csv(entries: list[tuple[str, str, SmoothnessReport]]) -> str:

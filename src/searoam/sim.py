@@ -15,11 +15,11 @@ import json
 import math
 import numbers
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .spline import PathCurve
+from .spline import ArcLengthError, PathCurve
 
 DEFAULT_ENERGY_BUDGET = 300.0
 DEFAULT_AGENT_RADIUS = 1.0
@@ -243,7 +243,6 @@ class Trajectory:
     times: np.ndarray
     s_values: np.ndarray
     positions: np.ndarray
-    view_directions: np.ndarray | None = None
 
 
 # Arc-length table resolution used by the traversal stepper.
@@ -252,10 +251,7 @@ ARC_TABLE_SAMPLES = 2048
 
 def _arc_length_table(curve: PathCurve) -> tuple[np.ndarray, np.ndarray]:
     """Dense (s, cumulative length) table for arc-length parameterization."""
-    per_seg = np.arange(ARC_TABLE_SAMPLES) / ARC_TABLE_SAMPLES
-    nseg = curve.n_segments
-    grid = ((np.arange(nseg)[:, None] + per_seg[None, :]) / nseg).ravel()
-    grid = np.append(grid, 1.0)
+    grid = curve.grid(ARC_TABLE_SAMPLES)
     points = curve.positions(grid)
     chords = np.linalg.norm(np.diff(points, axis=0), axis=1)
     return grid, np.concatenate([[0.0], np.cumsum(chords)])
@@ -296,7 +292,8 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
     precomputed arc-length table (speed is read at the step's start); the
     final step is shortened to land exactly on the path end or on the
     budget.  Returns (times, s_values, completed), starting at t=0.  Raises
-    SimTooLargeError when the estimated step count exceeds MAX_STEPS.
+    ArcLengthError when the path length overflows and SimTooLargeError when
+    the estimated step count exceeds MAX_STEPS.
     """
     if len(profile.speeds) != len(curve.keypoints):
         raise ValueError(
@@ -308,6 +305,8 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
 
     s_grid, lengths = _arc_length_table(curve)
     total = float(lengths[-1])
+    if not math.isfinite(total):
+        raise ArcLengthError("path length overflows (keypoint coordinates too large)")
     # No step is slower than the slowest keypoint speed, so this bounds the
     # step count; ceil(x) > MAX_STEPS exactly when x > MAX_STEPS.
     estimate = min(budget, total / float(profile.speeds.min())) / dt
@@ -347,18 +346,11 @@ def sample_trajectory(
     profile: SpeedProfile,
     dt: float,
     energy_budget: float = math.inf,
-    view_model: str | None = None,
 ) -> Trajectory:
-    """Time-sample positions (and optionally view directions) along a curve."""
+    """Time-sample positions along a curve."""
     times, s_values, _ = _step_states(curve, profile, dt, energy_budget)
     ss = np.array(s_values)
-    positions = curve.positions(ss)
-    view = None
-    if view_model is not None:
-        from .camera import view_direction
-
-        view = np.stack([view_direction(curve, view_model, s) for s in ss])
-    return Trajectory(np.array(times), ss, positions, view)
+    return Trajectory(np.array(times), ss, curve.positions(ss))
 
 
 def _entry_blocks(points: np.ndarray, centers: np.ndarray, reach):
@@ -407,22 +399,22 @@ def _count_collisions(positions: np.ndarray, scene: SceneSpec) -> int:
     )
 
 
+def _traverse(curve: PathCurve, profile: SpeedProfile, scene: SceneSpec, dt: float):
+    """traverse's result plus the sampled positions it counted collisions over."""
+    times, s_values, completed = _step_states(curve, profile, dt, scene.energy_budget)
+    positions = curve.positions(np.array(s_values))
+    result = SimResult(time_used=times[-1], collisions=_count_collisions(positions, scene),
+                       ray_attempts=0, ray_hits=0, accuracy=0.0, completed=completed)
+    return result, positions
+
+
 def traverse(curve: PathCurve, profile: SpeedProfile, scene: SceneSpec, dt: float) -> SimResult:
     """Run one traversal and report time, collisions and completion.
 
     Ray metrics are zero here; combine with run_ray_task (or use simulate)
     for the full task metrics.
     """
-    times, s_values, completed = _step_states(curve, profile, dt, scene.energy_budget)
-    positions = curve.positions(np.array(s_values))
-    return SimResult(
-        time_used=times[-1],
-        collisions=_count_collisions(positions, scene),
-        ray_attempts=0,
-        ray_hits=0,
-        accuracy=0.0,
-        completed=completed,
-    )
+    return _traverse(curve, profile, scene, dt)[0]
 
 
 # Prefilter slack in cast_ray, relative to |oc|^2 + r^2 (see there).
@@ -600,17 +592,9 @@ def simulate(
     and > 0; both are checked before stepping, with or without targets.
     """
     _check_ray_args(sigma, trigger_distance)
-    times, s_values, completed = _step_states(curve, profile, dt, scene.energy_budget)
-    positions = curve.positions(np.array(s_values))
-    collisions = _count_collisions(positions, scene)
-    attempts, hits = 0, 0
-    if scene.targets:
-        attempts, hits = run_ray_task(positions, sigma, seed, scene, trigger_distance)
-    return SimResult(
-        time_used=times[-1],
-        collisions=collisions,
-        ray_attempts=attempts,
-        ray_hits=hits,
-        accuracy=hits / attempts if attempts else 0.0,
-        completed=completed,
-    )
+    result, positions = _traverse(curve, profile, scene, dt)
+    if not scene.targets:
+        return result
+    attempts, hits = run_ray_task(positions, sigma, seed, scene, trigger_distance)
+    return replace(result, ray_attempts=attempts, ray_hits=hits,
+                   accuracy=hits / attempts if attempts else 0.0)

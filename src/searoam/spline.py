@@ -23,7 +23,6 @@ numpy alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,70 +120,11 @@ def _hermite_weights_deriv(u):
     return qd, 3.0 * u2 - 4.0 * u + 1.0, -qd, 3.0 * u2 - 2.0 * u
 
 
-def _check_unit_interval(u, what: str):
-    u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)) or np.any(u < 0.0) or np.any(u > 1.0):
-        raise ValueError(f"{what} must lie in [0, 1]")
-    return u
-
-
-@dataclass(frozen=True)
-class CatmullRomSegment:
-    """One cubic segment from p0 to p1 with neighbor points p_minus1, p2.
-
-    Stores the end tangents m0, m1 and the cached coefficients of
-    P(u) = a*u^3 + b*u^2 + c*u + d.  Evaluation goes through the Hermite
-    basis, which reproduces p0, p1, m0, m1 exactly at the ends.
-    """
-
-    p_minus1: np.ndarray
-    p0: np.ndarray
-    p1: np.ndarray
-    p2: np.ndarray
-    tension: float
-    m0: np.ndarray
-    m1: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-
-    def point(self, u):
-        """Position at local parameter u in [0, 1]; u may be an array."""
-        u = _check_unit_interval(u, "segment parameter u")
-        h00, h10, h01, h11 = _hermite_weights(u)
-        return (
-            np.multiply.outer(h00, self.p0)
-            + np.multiply.outer(h10, self.m0)
-            + np.multiply.outer(h01, self.p1)
-            + np.multiply.outer(h11, self.m1)
-        )
-
-    def derivative(self, u):
-        """dP/du at local parameter u in [0, 1]; u may be an array."""
-        u = _check_unit_interval(u, "segment parameter u")
-        h00, h10, h01, h11 = _hermite_weights_deriv(u)
-        return (
-            np.multiply.outer(h00, self.p0)
-            + np.multiply.outer(h10, self.m0)
-            + np.multiply.outer(h01, self.p1)
-            + np.multiply.outer(h11, self.m1)
-        )
-
-
-def build_segment(p_minus1, p0, p1, p2, tension: float = DEFAULT_TENSION) -> CatmullRomSegment:
-    """Build one Catmull-Rom segment from p0 to p1 with the given neighbors."""
-    tension = check_tension(tension)
-    pts = as_point_array([p_minus1, p0, p1, p2])
-    pm1, q0, q1, q2 = pts
-    m0 = tension * (q1 - pm1)
-    m1 = tension * (q2 - q0)
-    a = 2.0 * q0 - 2.0 * q1 + m0 + m1
-    b = -3.0 * q0 + 3.0 * q1 - 2.0 * m0 - m1
-    return CatmullRomSegment(
-        p_minus1=pm1, p0=q0, p1=q1, p2=q2, tension=tension,
-        m0=m0, m1=m1, a=a, b=b, c=m0.copy(), d=q0.copy(),
-    )
+def _check_parameters(ss) -> np.ndarray:
+    ss = np.atleast_1d(np.asarray(ss, dtype=float))
+    if not np.all(np.isfinite(ss)) or np.any(ss < 0.0) or np.any(ss > 1.0):
+        raise ValueError("curve parameter s must lie in [0, 1]")
+    return ss
 
 
 class PathCurve:
@@ -206,24 +146,16 @@ class PathCurve:
         self.tension = check_tension(tension) if kind == "catmull_rom" else None
 
         if kind == "catmull_rom":
+            # Segment i runs from padded[i+1] to padded[i+2], with end
+            # tangents m0 = t*(P[i+2] - P[i]) and m1 = t*(P[i+3] - P[i+1]).
             padded = with_phantom_endpoints(pts)
-            self.segments = tuple(
-                build_segment(padded[i], padded[i + 1], padded[i + 2], padded[i + 3], self.tension)
-                for i in range(self.n_segments)
-            )
-            # Stacked per-segment Hermite data for vectorized evaluation;
-            # rows are the very arrays the segments cache, so scalar and
-            # vectorized paths agree bit for bit.
-            self._p0 = np.stack([s.p0 for s in self.segments])
-            self._m0 = np.stack([s.m0 for s in self.segments])
-            self._p1 = np.stack([s.p1 for s in self.segments])
-            self._m1 = np.stack([s.m1 for s in self.segments])
+            self._p0, self._p1 = padded[1:-2], padded[2:-1]
+            self._m0 = self.tension * (padded[2:-1] - padded[:-3])
+            self._m1 = self.tension * (padded[3:] - padded[1:-2])
         elif kind == "polyline":
-            self.segments = ()
             self._starts = pts[:-1]
             self._diffs = pts[1:] - pts[:-1]
         else:  # bezier
-            self.segments = ()
             self._control = pts
 
     @classmethod
@@ -238,9 +170,14 @@ class PathCurve:
     def catmull_rom(cls, keypoints, tension: float = DEFAULT_TENSION) -> "PathCurve":
         return cls("catmull_rom", keypoints, tension)
 
-    def knot_parameters(self) -> np.ndarray:
-        """Global s values of the keypoints (for bezier, the target-switch grid)."""
-        return np.linspace(0.0, 1.0, len(self.keypoints))
+    def grid(self, samples: int) -> np.ndarray:
+        """Global s at u = j/samples (j = 0..samples-1) in every segment, then 1.
+
+        Knots land exactly on the grid.  The bezier curve is divided like
+        a polyline over the same keypoints.
+        """
+        u = np.arange(samples) / samples
+        return np.append(((np.arange(self.n_segments)[:, None] + u) / self.n_segments).ravel(), 1.0)
 
     def _locate(self, ss: np.ndarray):
         """Map global parameters to (segment index, local u)."""
@@ -250,7 +187,7 @@ class PathCurve:
 
     def positions(self, ss) -> np.ndarray:
         """Evaluate the curve at an array of global parameters in [0, 1]."""
-        ss = _check_unit_interval(np.atleast_1d(ss), "curve parameter s")
+        ss = _check_parameters(ss)
         if self.kind == "bezier":
             pos, _ = _de_casteljau(self._control, ss)
             return pos
@@ -275,7 +212,7 @@ class PathCurve:
         At polyline knots the right-hand segment direction wins (the final
         knot s=1 belongs to the last segment).
         """
-        ss = _check_unit_interval(np.atleast_1d(ss), "curve parameter s")
+        ss = _check_parameters(ss)
         if self.kind == "bezier":
             _, deriv = _de_casteljau(self._control, ss)
             return deriv
@@ -294,10 +231,6 @@ class PathCurve:
         """Unnormalized derivative dP/ds at one global parameter."""
         return self.tangents(float(s))[0]
 
-    def parametric_speed(self, s: float) -> float:
-        """|dP/ds| at one global parameter."""
-        return float(np.linalg.norm(self.tangent(s)))
-
     def one_sided_tangents(self, knot: int) -> tuple[np.ndarray, np.ndarray]:
         """Left/right dP/ds limits at interior knot index (1..N-2).
 
@@ -309,8 +242,8 @@ class PathCurve:
             return (self.n_segments * self._diffs[knot - 1],
                     self.n_segments * self._diffs[knot])
         if self.kind == "catmull_rom":
-            return (self.n_segments * self.segments[knot - 1].m1,
-                    self.n_segments * self.segments[knot].m0)
+            return (self.n_segments * self._m1[knot - 1],
+                    self.n_segments * self._m0[knot])
         t = self.tangent(knot / self.n_segments)
         return t, t
 

@@ -9,7 +9,7 @@ from scipy.special import ndtr
 
 from searoam.camera import smoothness
 from searoam.cli import main
-from searoam.spline import PathCurve, build_segment
+from searoam.spline import PathCurve
 from searoam.stats import (
     analyze_study,
     lilliefors_null,
@@ -60,19 +60,23 @@ def test_03_view_continuity_vs_polyline_corners():
 
 
 def test_04_segment_boundary_conditions():
+    # The middle segment of a four-point catmull-rom curve runs from P1 to
+    # P2 over s = (1 + u) / 3, so its end tangents are dP/ds = 3 m0, 3 m1.
     rng = np.random.default_rng(1001)
+    ends = np.array([1.0, 2.0]) / 3.0
     worst = 0.0
     for _ in range(1000):
         pts = rng.uniform(-10.0, 10.0, size=(4, 3))
         tension = rng.uniform(0.0, 1.0)
-        seg = build_segment(*pts, tension)
+        curve = PathCurve.catmull_rom(pts, tension)
         m0 = tension * (pts[2] - pts[0])
         m1 = tension * (pts[3] - pts[1])
+        (start, end), (d_start, d_end) = curve.positions(ends), curve.tangents(ends)
         for actual, expected in (
-            (seg.point(0.0), pts[1]),
-            (seg.point(1.0), pts[2]),
-            (seg.derivative(0.0), m0),
-            (seg.derivative(1.0), m1),
+            (start, pts[1]),
+            (end, pts[2]),
+            (d_start, 3.0 * m0),
+            (d_end, 3.0 * m1),
         ):
             rel = np.linalg.norm(actual - expected) / max(1.0, np.linalg.norm(expected))
             worst = max(worst, rel)
@@ -82,13 +86,13 @@ def test_04_segment_boundary_conditions():
 
 def test_05_zero_tension_chord_degeneration():
     rng = np.random.default_rng(1002)
-    u = np.linspace(0.0, 1.0, 21)
+    ss = (1.0 + np.linspace(0.0, 1.0, 21)) / 3.0  # the middle segment of four points
     worst = 0.0
     for _ in range(1000):
         pts = rng.uniform(-10.0, 10.0, size=(4, 3))
-        seg = build_segment(*pts, 0.0)
+        curve = PathCurve.catmull_rom(pts, 0.0)
         chord = pts[2] - pts[1]
-        rel = seg.point(u) - pts[1]
+        rel = curve.positions(ss) - pts[1]
         cross = np.linalg.norm(np.cross(rel, chord), axis=1) / np.linalg.norm(chord)
         worst = max(worst, float(cross.max()))
     report(5, "zero-tension segments collapse onto their chords", worst <= 1e-12)

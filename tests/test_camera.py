@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from searoam import camera
 from searoam.camera import (
+    VIEW_MODELS,
     DegenerateViewError,
+    ViewOverflowError,
     angle_between,
     smoothness,
     view_direction,
 )
-from searoam.spline import PathCurve
+from searoam.spline import KINDS, PathCurve
 
 
 def test_straight_two_point_path_both_modes():
@@ -128,3 +132,93 @@ def test_degenerate_view_propagates_from_zero_tension_knots():
     curve = PathCurve.catmull_rom([(0, 0, 0), (1, 0, 0), (1, 1, 0)], tension=0.0)
     with pytest.raises(DegenerateViewError):
         smoothness(curve, "tangent", 4)
+
+
+HUGE_ZIGZAG = [(1e300, 0, 0), (-1e300, 1, 0), (1e300, 2, 5)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("model", VIEW_MODELS)
+def test_overflowing_view_lengths_raise(kind, model):
+    # The view directions are finite, but their squared lengths overflow.
+    curve = PathCurve(kind, HUGE_ZIGZAG)
+    with pytest.raises(ViewOverflowError), np.errstate(over="ignore"):
+        smoothness(curve, model, 8)
+    with pytest.raises(ViewOverflowError), np.errstate(over="ignore"):
+        view_direction(curve, model, 0.25)
+
+
+def test_sampled_view_lengths_overflow_without_corners():
+    # Two keypoints: no corner to check, so only the sampled norms can fail.
+    curve = PathCurve.polyline(HUGE_ZIGZAG[:2])
+    with pytest.raises(ViewOverflowError), np.errstate(over="ignore"):
+        smoothness(curve, "next_node", 8)
+
+
+# --- reference implementation -------------------------------------------------
+
+def reference_smoothness(curve, model, samples):
+    """The per-segment loop smoothness replaced; the property below requires
+    smoothness to equal it bit for bit."""
+    corners = tuple(
+        angle_between(*camera._one_sided_directions(curve, model, k))
+        for k in range(1, len(curve.keypoints) - 1)
+    )
+    nseg = curve.n_segments
+    ds = 1.0 / (samples * nseg)
+    speeds = []
+    for i in range(nseg):
+        u = np.arange(samples) / samples
+        ss = (i + u) / nseg
+        if model == "tangent":
+            dirs = curve.tangents(ss)
+        else:
+            dirs = curve.keypoints[i + 1] - curve.positions(ss)
+        norms = np.linalg.norm(dirs, axis=1)
+        if np.any(norms == 0.0):
+            raise DegenerateViewError("view direction has zero length")
+        dirs = dirs / norms[:, None]
+        cross = np.linalg.norm(np.cross(dirs[:-1], dirs[1:]), axis=1)
+        dot = np.sum(dirs[:-1] * dirs[1:], axis=1)
+        speeds.append(np.arctan2(cross, dot) / ds)
+    all_speeds = np.concatenate(speeds)
+    return camera.SmoothnessReport(
+        corner_angles=corners,
+        max_angular_jump=max(corners, default=0.0),
+        mean_angular_speed=float(all_speeds.mean()),
+        max_angular_speed=float(all_speeds.max()),
+    )
+
+
+def outcome(fn, *args):
+    """repr of fn's result, or of the error it raised: equal reprs mean
+    equal float bits, including the sign of zero."""
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+coord = st.one_of(st.integers(-3, 3).map(float), st.floats(-10, 10, allow_nan=False))
+point3 = st.tuples(coord, coord, coord)
+
+
+@st.composite
+def routes(draw):
+    """2-10 keypoints, often with repeats (consecutive or not) from a small pool."""
+    pool = draw(st.lists(point3, min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool) | point3, min_size=2, max_size=10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    route=routes(),
+    kind=st.sampled_from(KINDS),
+    model=st.sampled_from(VIEW_MODELS),
+    tension=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    samples=st.integers(2, 70),
+)
+def test_smoothness_matches_per_segment_loop(route, kind, model, tension, samples):
+    curve = PathCurve(kind, route, tension)
+    assert (outcome(smoothness, curve, model, samples)
+            == outcome(reference_smoothness, curve, model, samples))

@@ -32,6 +32,28 @@ def test_path_compare_writes_svg_and_smoothness(tmp_path, capsys):
     assert float(by_kind["polyline"]["max_angular_jump"]) > 0.1
 
 
+def test_path_compare_readme_command_matches_golden(tmp_path):
+    out = tmp_path / "compare"
+    assert main(["path", "compare", str(ROUTE), "--tension", "0.5", "--out", str(out)]) == 0
+    files = read_outputs(out)
+    assert files["smoothness.csv"] == (GOLDEN_DIR / "compare_demo" / "smoothness.csv").read_bytes()
+    assert files["compare.svg"] == (GOLDEN_DIR / "compare_demo_route.svg").read_bytes()
+
+
+# Finite keypoints whose squared distances overflow.
+HUGE_ROWS = ["1e300,0,0", "-1e300,1,0", "1e300,2,5"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_path_compare_overflowing_keypoints(tmp_path, capsys):
+    route = tmp_path / "huge.csv"
+    route.write_text("longitude,latitude,height\n" + "\n".join(HUGE_ROWS) + "\n")
+    out = tmp_path / "out"
+    assert main(["path", "compare", str(route), "--out", str(out)]) == 1
+    assert "error: view direction length overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_path_compare_missing_file(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["path", "compare", str(tmp_path / "nope.csv"), "--out", str(out)]) == 1
@@ -156,6 +178,17 @@ def test_sim_run_tiny_dt_hits_step_limit(tmp_path, capsys):
     assert code == 1
     assert "time steps" in capsys.readouterr().err
     assert elapsed < 1.0
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_sim_run_overflowing_keypoints(tmp_path, capsys):
+    route = tmp_path / "huge.csv"
+    route.write_text("longitude,latitude,height,speed\n"
+                     + "".join(row + ",1\n" for row in HUGE_ROWS))
+    out = tmp_path / "out"
+    assert main(["sim", "run", str(route), str(SCENE), "--out", str(out)]) == 1
+    assert "error: path length overflows" in capsys.readouterr().err
     assert not out.exists()
 
 

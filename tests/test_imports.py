@@ -4,8 +4,10 @@ Each check runs in a fresh interpreter, because this test process has
 long since imported scipy.
 """
 
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,3 +56,25 @@ def test_scipy_is_loaded_only_by_study_analyze(tmp_path):
     assert report["import"] == []  # no scipy*, xml.sax* or urllib* module
     assert report["path_sim"] == []
     assert "scipy.special" in report["study"]  # the lazy import does run
+
+
+def test_all_names_resolve():
+    missing = [name for name in searoam.__all__ if not hasattr(searoam, name)]
+    assert missing == []
+
+
+def test_readme_library_table_names_exist():
+    """Every backticked name in the README's library table is in its module."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(searoam\.\w+)` *\|(.*)\|$", readme, flags=re.MULTILINE)
+    assert len(rows) == 7
+    missing = []
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        for name in re.findall(r"`([^`]+)`", contents):
+            obj = module
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            if obj is None:
+                missing.append(f"{module_name}: {name}")
+    assert missing == []

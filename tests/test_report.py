@@ -6,7 +6,6 @@ import pytest
 from searoam.geo import PathTooShortError
 from searoam.report import (
     FigureSpec,
-    metrics_csv,
     render_path_compare,
     render_scatter_band,
     smoothness_csv,
@@ -151,22 +150,6 @@ def test_figure_spec_validation():
         FigureSpec(width=0)
     with pytest.raises(ValueError):
         FigureSpec(width=100, height=100, margin=60)
-
-
-def test_metrics_csv_layout():
-    text = metrics_csv([
-        ("time_used", [10.0, 12.0, 14.0]),
-        ("collisions", [1, 2, 3, 2]),
-    ])
-    lines = text.splitlines()
-    assert lines[0] == "variable,mean,sd"
-    assert lines[1] == "time_used,12,2"
-    assert lines[2].startswith("collisions,2,")
-
-
-def test_metrics_csv_rejects_empty_variable():
-    with pytest.raises(ValueError):
-        metrics_csv([("empty", [])])
 
 
 def test_smoothness_csv_layout(demo_pts):

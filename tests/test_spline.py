@@ -14,7 +14,6 @@ from searoam.spline import (
     KINDS,
     ArcLengthError,
     PathCurve,
-    build_segment,
     with_phantom_endpoints,
 )
 
@@ -34,45 +33,42 @@ def rel_err(actual, expected):
 
 
 # --- single segment -------------------------------------------------------
+# The catmull-rom curve through four points P0..P3 has the segment from P1
+# to P2 with end tangents t*(P2 - P0) and t*(P3 - P1) in the middle: local
+# u there is global s = (1 + u) / 3, so dP/ds = 3 dP/du.
+
+def middle_s(u):
+    return (1.0 + np.asarray(u, dtype=float)) / 3.0
+
 
 def test_segment_midpoint_matches_hand_oracle():
     # m0 = m1 = (1, 0.5, 0); basis at u=0.5 is (0.5, 0.125, 0.5, -0.125),
     # giving (1.5, 0.5, 0) by direct evaluation.
-    seg = build_segment((0, 0, 0), (1, 0, 0), (2, 1, 0), (3, 1, 0), 0.5)
-    assert np.allclose(seg.point(0.5), [1.5, 0.5, 0.0], atol=1e-12)
+    curve = PathCurve.catmull_rom([(0, 0, 0), (1, 0, 0), (2, 1, 0), (3, 1, 0)], 0.5)
+    assert np.allclose(curve.position(middle_s(0.5)), [1.5, 0.5, 0.0], atol=1e-12)
 
 
 def test_segment_interpolates_endpoints():
-    seg = build_segment((0, 1, 2), (3, -1, 4), (5, 5, 5), (9, 0, 1), 0.7)
-    assert np.array_equal(seg.point(0.0), np.array([3.0, -1.0, 4.0]))
-    assert np.array_equal(seg.point(1.0), np.array([5.0, 5.0, 5.0]))
+    curve = PathCurve.catmull_rom([(0, 1, 2), (3, -1, 4), (5, 5, 5), (9, 0, 1)], 0.7)
+    assert np.array_equal(curve.position(middle_s(0.0)), np.array([3.0, -1.0, 4.0]))
+    assert np.array_equal(curve.position(middle_s(1.0)), np.array([5.0, 5.0, 5.0]))
 
 
 def test_segment_boundary_conditions_random():
     rng = np.random.default_rng(42)
+    ends = middle_s([0.0, 1.0])
     for _ in range(1000):
         pts = rng.uniform(-10, 10, size=(4, 3))
         tension = rng.uniform(0.0, 1.0)
-        seg = build_segment(*pts, tension)
+        curve = PathCurve.catmull_rom(pts, tension)
         m0 = tension * (pts[2] - pts[0])
         m1 = tension * (pts[3] - pts[1])
-        assert rel_err(seg.point(0.0), pts[1]) <= 1e-12
-        assert rel_err(seg.point(1.0), pts[2]) <= 1e-12
-        assert rel_err(seg.derivative(0.0), m0) <= 1e-12
-        assert rel_err(seg.derivative(1.0), m1) <= 1e-12
-
-
-def test_segment_coefficients_match_hermite_conditions():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        pts = rng.uniform(-5, 5, size=(4, 3))
-        t = rng.uniform(0.0, 1.0)
-        seg = build_segment(*pts, t)
-        # P(u) = a u^3 + b u^2 + c u + d must satisfy the end conditions.
-        assert rel_err(seg.d, pts[1]) <= 1e-12
-        assert rel_err(seg.a + seg.b + seg.c + seg.d, pts[2]) <= 1e-12
-        assert rel_err(seg.c, t * (pts[2] - pts[0])) <= 1e-12
-        assert rel_err(3 * seg.a + 2 * seg.b + seg.c, t * (pts[3] - pts[1])) <= 1e-12
+        start, end = curve.positions(ends)
+        d_start, d_end = curve.tangents(ends)
+        assert rel_err(start, pts[1]) <= 1e-12
+        assert rel_err(end, pts[2]) <= 1e-12
+        assert rel_err(d_start, 3.0 * m0) <= 1e-12
+        assert rel_err(d_end, 3.0 * m1) <= 1e-12
 
 
 def dist_to_chord(p, a, b):
@@ -83,22 +79,22 @@ def dist_to_chord(p, a, b):
 
 def test_zero_tension_collapses_to_chord():
     rng = np.random.default_rng(7)
-    u = np.linspace(0.0, 1.0, 33)
+    ss = middle_s(np.linspace(0.0, 1.0, 33))
     for _ in range(1000):
         pts = rng.uniform(-10, 10, size=(4, 3))
-        seg = build_segment(*pts, 0.0)
-        for p in seg.point(u):
+        curve = PathCurve.catmull_rom(pts, 0.0)
+        for p in curve.positions(ss):
             assert dist_to_chord(p, pts[1], pts[2]) <= 1e-12
 
 
 def test_segment_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        build_segment((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), 1.5)
+        PathCurve.catmull_rom([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)], 1.5)
     with pytest.raises(ValueError):
-        build_segment((0, 0, math.nan), (1, 0, 0), (2, 0, 0), (3, 0, 0), 0.5)
-    seg = build_segment((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), 0.5)
+        PathCurve.catmull_rom([(0, 0, math.nan), (1, 0, 0), (2, 0, 0), (3, 0, 0)], 0.5)
+    curve = PathCurve.catmull_rom([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)], 0.5)
     with pytest.raises(ValueError):
-        seg.point(1.1)
+        curve.positions(1.1)
 
 
 # --- endpoint policy ------------------------------------------------------
