@@ -35,7 +35,8 @@ def _check_norms(norms) -> None:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(v)
+    with np.errstate(over="ignore"):  # an overflow is reported as a named error
+        norm = np.linalg.norm(v)
     _check_norms(norm)
     return v / norm
 
@@ -139,7 +140,8 @@ def smoothness(curve: PathCurve, model: str, samples: int = 64) -> SmoothnessRep
         dirs = curve.tangents(ss)
     else:
         dirs = np.repeat(curve.keypoints[1:], samples, axis=0) - curve.positions(ss)
-    norms = np.linalg.norm(dirs, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(dirs, axis=1)
     _check_norms(norms)
     dirs = (dirs / norms[:, None]).reshape(nseg, samples, 3)
     cross = np.linalg.norm(np.cross(dirs[:, :-1], dirs[:, 1:]), axis=2)

@@ -253,7 +253,8 @@ def _arc_length_table(curve: PathCurve) -> tuple[np.ndarray, np.ndarray]:
     """Dense (s, cumulative length) table for arc-length parameterization."""
     grid = curve.grid(ARC_TABLE_SAMPLES)
     points = curve.positions(grid)
-    chords = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    with np.errstate(over="ignore"):  # _step_states rejects an overflowing total
+        chords = np.linalg.norm(np.diff(points, axis=0), axis=1)
     return grid, np.concatenate([[0.0], np.cumsum(chords)])
 
 
@@ -353,37 +354,79 @@ def sample_trajectory(
     return Trajectory(np.array(times), ss, curve.positions(ss))
 
 
-def _entry_blocks(points: np.ndarray, centers: np.ndarray, reach):
-    """Yield (first_row, dist, entries) over blocks of consecutive points.
+# Slack of the bounding-box filter in _entry_blocks, relative to the box's
+# coordinate scale plus the largest reach (see there).
+_BOX_SLACK = 2.0 ** -40
+# Absolute slack on top, for offsets whose squares are subnormal.
+_BOX_FLOOR = 2.0 ** -499
 
-    dist[i, j] is the distance from points[first_row + i] to centers[j],
-    summed as sqrt((dx*dx + dy*dy) + dz*dz): the order np.linalg.norm uses
-    over a last axis of length 3, so the values equal it bit for bit.
-    entries[i, j] is True where that point is within reach[j] (inclusive)
-    of center j and the point before it was not; a first point within reach
-    counts as an entry.  A block holds at most DISTANCE_BLOCK distances, or
-    a single row when there are more centers than that.
+
+def _entry_blocks(points: np.ndarray, centers: np.ndarray, reach):
+    """Yield (first_row, cols, dist, entries) over blocks of consecutive points.
+
+    cols are the indices, ascending, of the centers inside the block's
+    bounding box grown by the largest reach; no other center is within
+    reach of any point of the block.  dist[i, j] is the distance from
+    points[first_row + i] to centers[cols[j]], summed as
+    sqrt((dx*dx + dy*dy) + dz*dz): the order np.linalg.norm uses over a
+    last axis of length 3, so the values equal it bit for bit.
+    entries[i, j] is True where that point is within reach[cols[j]]
+    (inclusive) of the center and the point before it was not; a first
+    point within reach counts as an entry.  A block spans at most
+    DISTANCE_BLOCK point-center pairs of the whole scene, or a single row
+    when there are more centers than that; blocks without a candidate
+    center are skipped.
     """
-    rows = max(1, DISTANCE_BLOCK // max(1, len(centers)))
+    if not len(centers):
+        return
+    reach = np.broadcast_to(np.asarray(reach, dtype=float), (len(centers),))
+    grow = float(reach.max())
+    axes = [np.ascontiguousarray(centers[:, a]) for a in range(3)]
+    rows = max(1, DISTANCE_BLOCK // len(centers))
     before = np.zeros(len(centers), dtype=bool)
     for start in range(0, len(points), rows):
         block = points[start:start + rows]
+        # The box keeps every center whose computed distance is <= reach:
+        # with u = 2^-53, rounding (monotone, relatively within u) makes
+        # that distance at least (1 - 4u) |p_a - c_a| on each axis a when
+        # |p_a - c_a| >= 2^-500, so the center lies within (1 + 5u) reach,
+        # or 2^-500 (1 + 2u), of the block on every axis.  The margin
+        # exceeds the largest reach by 2^-40 (|bound| + reach) + 2^-499,
+        # more than that plus the rounding of the margin and the bounds.
+        # Overflowing bounds only widen the box; a NaN bound (a NaN point)
+        # leaves its axis unfiltered.  Column reductions, because
+        # block.min(axis=0) is about 10x slower.
+        keep = np.ones(len(centers), dtype=bool)
+        for a in range(3):
+            column = block[:, a]
+            lo, hi = float(column.min()), float(column.max())
+            margin = grow + _BOX_SLACK * (max(abs(lo), abs(hi)) + grow) + _BOX_FLOOR
+            lo, hi = lo - margin, hi + margin
+            if lo <= hi:
+                keep &= (axes[a] >= lo) & (axes[a] <= hi)
+        cols = np.flatnonzero(keep)
+        carried = before[cols]
+        # Centers left out of this block are out of reach at its last row.
+        before = np.zeros(len(centers), dtype=bool)
+        if not len(cols):
+            continue
+        near = centers[cols]
         # In place, to keep to two block-sized float arrays.
-        dist = block[:, 0, None] - centers[:, 0]
+        dist = block[:, 0, None] - near[:, 0]
         dist *= dist
-        part = block[:, 1, None] - centers[:, 1]
+        part = block[:, 1, None] - near[:, 1]
         part *= part
         dist += part
-        np.subtract(block[:, 2, None], centers[:, 2], out=part)
+        np.subtract(block[:, 2, None], near[:, 2], out=part)
         part *= part
         dist += part
         np.sqrt(dist, out=dist)
-        within = dist <= reach
+        within = dist <= reach[cols]
         entries = within.copy()
-        entries[0] &= ~before
+        entries[0] &= ~carried
         entries[1:] &= ~within[:-1]
-        before = within[-1]
-        yield start, dist, entries
+        before[cols] = within[-1]
+        yield start, cols, dist, entries
 
 
 def _count_collisions(positions: np.ndarray, scene: SceneSpec) -> int:
@@ -394,8 +437,8 @@ def _count_collisions(positions: np.ndarray, scene: SceneSpec) -> int:
     """
     return sum(
         int(np.count_nonzero(entries))
-        for _, _, entries in _entry_blocks(positions, scene.obstacle_centers,
-                                           scene.obstacle_reach)
+        for _, _, _, entries in _entry_blocks(positions, scene.obstacle_centers,
+                                              scene.obstacle_reach)
     )
 
 
@@ -417,43 +460,54 @@ def traverse(curve: PathCurve, profile: SpeedProfile, scene: SceneSpec, dt: floa
     return _traverse(curve, profile, scene, dt)[0]
 
 
-# Prefilter slack in cast_ray, relative to |oc|^2 + r^2 (see there).
+# Prefilter slack in _ray_candidates, relative to |oc|^2 + r^2 (see there).
 _DISC_SLACK = 2.0 ** -40
 # Absolute slack on top, for discriminants whose terms underflow.
 _DISC_FLOOR = 2.0 ** -1000
 
 
-def cast_ray(origin, direction, scene: SceneSpec) -> str | None:
-    """Intersect a ray with the scene's targets; nearest hit wins.
-
-    Boundary contact is inclusive: a ray exactly tangent to a sphere hits
-    it.  Returns the hit target's id, or None on a miss.  Obstacles do not
-    block rays.
-    """
-    origin = np.asarray(origin, dtype=float)
+def _ray_unit(direction) -> np.ndarray:
     direction = np.asarray(direction, dtype=float)
     norm = np.linalg.norm(direction)
     if norm == 0.0:
         raise ValueError("ray direction must be nonzero")
-    d = direction / norm
+    return direction / norm
 
-    # Vectorized prefilter: keep every target whose discriminant might be
-    # >= 0.  The scalar test below and this estimate compute the same
-    # b*b - |oc|^2 + r^2 from the same oc and d, rounded in different orders
-    # (np.dot may use FMA).  As |d| = 1, b*b <= |oc|^2, so each result is
-    # within about 13 * 2^-53 * (|oc|^2 + r^2) of the exact discriminant
-    # and the two differ by under 2^-48 * (|oc|^2 + r^2).  The slack is
-    # 2^-40 of that scale plus a floor for underflow, so no target the
-    # scalar test accepts is dropped; NaN estimates are kept too.  The
-    # scalar test then decides, in target order, exactly as a loop over all
-    # targets would.
-    oc = origin - scene.target_centers
-    b = oc @ d
-    oc2 = np.einsum("ij,ij->i", oc, oc)
+
+def _ray_candidates(origins: np.ndarray, directions: np.ndarray, scene: SceneSpec):
+    """Yield, per ray (origins[k], unit directions[k]), the indices of the
+    targets it may hit, ascending.
+
+    Keeps every target whose discriminant might be >= 0.  _nearest_hit and
+    this estimate compute the same b*b - |oc|^2 + r^2 from the same oc and d,
+    rounded in different orders (np.dot may use FMA).  As |d| = 1,
+    b*b <= |oc|^2, so each result is within about 13 * 2^-53 * (|oc|^2 + r^2)
+    of the exact discriminant and the two differ by under
+    2^-48 * (|oc|^2 + r^2).  The slack is 2^-40 of that scale plus a floor
+    for underflow, so no target the scalar test accepts is dropped; NaN
+    estimates are kept too.  Rays are tested a block of at most
+    DISTANCE_BLOCK ray-target pairs at a time.
+    """
+    centers = scene.target_centers
     r2 = scene.target_radii * scene.target_radii
-    disc = b * b - oc2 + r2
-    candidates = np.flatnonzero(~(disc < -(_DISC_SLACK * (oc2 + r2) + _DISC_FLOOR)))
+    rows = max(1, DISTANCE_BLOCK // max(1, len(centers)))
+    for start in range(0, len(origins), rows):
+        o, d = origins[start:start + rows], directions[start:start + rows]
+        ox = o[:, 0, None] - centers[:, 0]
+        oy = o[:, 1, None] - centers[:, 1]
+        oz = o[:, 2, None] - centers[:, 2]
+        b = ox * d[:, 0, None] + oy * d[:, 1, None] + oz * d[:, 2, None]
+        oc2 = ox * ox + oy * oy + oz * oz
+        disc = b * b - oc2 + r2
+        keep = ~(disc < -(_DISC_SLACK * (oc2 + r2) + _DISC_FLOOR))
+        yield from (np.flatnonzero(row) for row in keep)
 
+
+def _nearest_hit(origin: np.ndarray, d: np.ndarray, scene: SceneSpec, candidates):
+    """The id of the nearest candidate target the ray hits, or None.
+
+    Decides in target order, exactly as a loop over all targets would.
+    """
     best_t = math.inf
     best_id = None
     for i in candidates.tolist():
@@ -471,6 +525,19 @@ def cast_ray(origin, direction, scene: SceneSpec) -> str | None:
             best_t = t_hit
             best_id = target.id
     return best_id
+
+
+def cast_ray(origin, direction, scene: SceneSpec) -> str | None:
+    """Intersect a ray with the scene's targets; nearest hit wins.
+
+    Boundary contact is inclusive: a ray exactly tangent to a sphere hits
+    it.  Returns the hit target's id, or None on a miss.  Obstacles do not
+    block rays.
+    """
+    origin = np.asarray(origin, dtype=float)
+    d = _ray_unit(direction)
+    candidates = next(_ray_candidates(origin.reshape(1, 3), d.reshape(1, 3), scene))
+    return _nearest_hit(origin, d, scene, candidates)
 
 
 def _check_sigma(sigma: float) -> None:
@@ -559,22 +626,32 @@ def run_ray_task(
     centers = scene.target_centers
     triggers = (TRIGGER_RADIUS_FACTOR * scene.target_radii
                 if trigger_distance is None else trigger_distance)
-    rng = np.random.default_rng(seed)
-    attempts = 0
-    hits = 0
-    for start, dist, entries in _entry_blocks(points, centers, triggers):
+    # The attempts, in order: the point each fires from and the nearest
+    # target it aims at.  That target is never farther than the entered
+    # one, so it is among the block's candidate columns.
+    origin_rows, aimed = [], []
+    for start, cols, dist, entries in _entry_blocks(points, centers, triggers):
         # One row index per (point, target) entry, in row-major order.
         rows = np.nonzero(entries)[0]
-        nearest = np.argmin(dist[rows], axis=1)
-        for k, i in zip((rows + start).tolist(), nearest.tolist()):
-            aim = centers[i] - points[k]
-            if np.linalg.norm(aim) == 0.0:
-                raise ValueError("ray origin coincides with the target center")
-            direction = perturb_direction(rng, aim, sigma)
-            attempts += 1
-            if cast_ray(points[k], direction, scene) == scene.targets[i].id:
-                hits += 1
-    return attempts, hits
+        origin_rows += (rows + start).tolist()
+        aimed += cols[np.argmin(dist[rows], axis=1)].tolist()
+
+    # Hits never feed back into the rng, so every direction is drawn first.
+    rng = np.random.default_rng(seed)
+    origins = points[origin_rows]
+    directions = np.empty((len(aimed), 3))
+    for n, (origin, i) in enumerate(zip(origins, aimed)):
+        aim = centers[i] - origin
+        if np.linalg.norm(aim) == 0.0:
+            raise ValueError("ray origin coincides with the target center")
+        directions[n] = _ray_unit(perturb_direction(rng, aim, sigma))
+
+    hits = sum(
+        _nearest_hit(origin, d, scene, candidates) == scene.targets[i].id
+        for origin, d, i, candidates in zip(
+            origins, directions, aimed, _ray_candidates(origins, directions, scene))
+    )
+    return len(aimed), hits
 
 
 def simulate(

@@ -58,9 +58,10 @@ def _lobatto_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 _LOBATTO_NODES, _LOBATTO_WEIGHTS = _lobatto_rule(ARC_LENGTH_NODES)
 
-# Parameter values per de Casteljau block: a bezier evaluation holds at
-# most a (DE_CASTELJAU_ROWS, N, 3) array at once.
-DE_CASTELJAU_ROWS = 1 << 15
+# Parameter values per de Casteljau block: a bezier evaluation holds two
+# arrays of at most N x DE_CASTELJAU_ROWS x 3 floats at once, 96 KB per
+# control point, small enough to stay in cache.
+DE_CASTELJAU_ROWS = 1 << 12
 
 
 class ArcLengthError(ValueError):
@@ -264,7 +265,7 @@ class PathCurve:
             return 0.0
 
         if self.kind == "polyline":
-            chord = np.linalg.norm(self._diffs, axis=1)
+            chord = _row_norms(self._diffs)
             x0, x1 = s0 * self.n_segments, s1 * self.n_segments
             i0 = min(int(math.floor(x0)), self.n_segments - 1)
             i1 = min(int(math.floor(x1)), self.n_segments - 1)
@@ -278,7 +279,7 @@ class PathCurve:
         if self.kind == "catmull_rom":
             inner = np.concatenate((np.arange(1, self.n_segments) / self.n_segments, inner))
         cuts = np.unique(np.concatenate(([s0, s1], inner[(inner > s0) & (inner < s1)])))
-        speeds = lambda ss: np.linalg.norm(self.tangents(ss), axis=1)
+        speeds = lambda ss: _row_norms(self.tangents(ss))
         return _adaptive_lobatto(speeds, cuts[:-1], cuts[1:])
 
     def _speed_kinks(self) -> np.ndarray:
@@ -320,6 +321,24 @@ class PathCurve:
     def __repr__(self):
         extra = f", tension={self.tension}" if self.kind == "catmull_rom" else ""
         return f"PathCurve({self.kind!r}, {len(self.keypoints)} keypoints{extra})"
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of v, finite whenever the norm is.
+
+    Rows whose plain norm overflows (its squares do beyond about 1e154) are
+    recomputed scaled by their largest |component|; every other row keeps
+    np.linalg.norm's bits.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(v, axis=1)
+    big = ~np.isfinite(norms)
+    if big.any():
+        rows = v[big]
+        scale = np.abs(rows).max(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms[big] = scale * np.linalg.norm(rows / scale[:, None], axis=1)
+    return norms
 
 
 def _lobatto(speeds, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -397,17 +416,29 @@ def _de_casteljau(control: np.ndarray, u: np.ndarray):
 
 
 def _de_casteljau_block(control: np.ndarray, u: np.ndarray):
-    """_de_casteljau on one block of parameters, all at once."""
+    """_de_casteljau on one block of parameters, all at once.
+
+    The working array is point-major, (n+1, len(u), 3), and each recursion
+    step overwrites it with (1-w)*a + w*b, computed as w*b into a scratch
+    array, then a *= (1-w) and a += w*b: the same products and sum, so the
+    same bits.
+    """
     n = len(control) - 1
-    b = np.broadcast_to(control, (len(u), n + 1, 3)).copy()
-    w = u[:, None, None]
+    b = np.repeat(control[:, None, :], len(u), axis=1)
+    # Weights as full (len(u), 3) rows: broadcasting them over a length-3
+    # axis is several times slower.
+    w = np.repeat(u[:, None], 3, axis=1)
+    one_minus_w = 1.0 - w
+    scratch = np.empty((n, len(u), 3))
     for step in range(n - 1):
         m = n - step
-        b[:, :m, :] = (1.0 - w) * b[:, :m, :] + w * b[:, 1:m + 1, :]
+        np.multiply(w, b[1:m + 1], out=scratch[:m])
+        b[:m] *= one_minus_w
+        b[:m] += scratch[:m]
     if n >= 1:
-        deriv = n * (b[:, 1, :] - b[:, 0, :])
-        pos = (1.0 - u[:, None]) * b[:, 0, :] + u[:, None] * b[:, 1, :]
+        deriv = n * (b[1] - b[0])
+        pos = one_minus_w * b[0] + w * b[1]
     else:
         deriv = np.zeros((len(u), 3))
-        pos = b[:, 0, :].copy()
+        pos = b[0].copy()
     return pos, deriv

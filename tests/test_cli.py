@@ -1,6 +1,7 @@
 import csv
 import json
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -44,13 +45,22 @@ def test_path_compare_readme_command_matches_golden(tmp_path):
 HUGE_ROWS = ["1e300,0,0", "-1e300,1,0", "1e300,2,5"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+def main_without_warnings(argv) -> int:
+    """main(argv), failing on any warning it emits (numpy overflow included)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    return code
+
+
 def test_path_compare_overflowing_keypoints(tmp_path, capsys):
     route = tmp_path / "huge.csv"
     route.write_text("longitude,latitude,height\n" + "\n".join(HUGE_ROWS) + "\n")
     out = tmp_path / "out"
-    assert main(["path", "compare", str(route), "--out", str(out)]) == 1
-    assert "error: view direction length overflows" in capsys.readouterr().err
+    assert main_without_warnings(["path", "compare", str(route), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: view direction length overflows (coordinates too large)\n")
     assert not out.exists()
 
 
@@ -181,14 +191,14 @@ def test_sim_run_tiny_dt_hits_step_limit(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_sim_run_overflowing_keypoints(tmp_path, capsys):
     route = tmp_path / "huge.csv"
     route.write_text("longitude,latitude,height,speed\n"
                      + "".join(row + ",1\n" for row in HUGE_ROWS))
     out = tmp_path / "out"
-    assert main(["sim", "run", str(route), str(SCENE), "--out", str(out)]) == 1
-    assert "error: path length overflows" in capsys.readouterr().err
+    assert main_without_warnings(["sim", "run", str(route), str(SCENE), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: path length overflows (keypoint coordinates too large)\n")
     assert not out.exists()
 
 
@@ -198,6 +208,18 @@ def test_sim_run_readme_command_matches_golden(tmp_path):
                  "--seed", "11", "--sigma", "0.1", "--out", str(out)])
     assert code == 0
     assert read_outputs(out) == read_outputs(GOLDEN_DIR / "sim_readme")
+
+
+@pytest.mark.parametrize("sigma", ["0", "0.05"])
+def test_sim_run_spread_scene_matches_golden(tmp_path, sigma):
+    # Spheres spread over the route's whole bounding box: the scene tests
+    # skip most of them for most blocks of positions.
+    golden = GOLDEN_DIR / "sim_spread"
+    out = tmp_path / "sim"
+    code = main(["sim", "run", str(golden / "route.csv"), str(golden / "scene.json"),
+                 "--dt", "0.02", "--seed", "5", "--sigma", sigma, "--out", str(out)])
+    assert code == 0
+    assert read_outputs(out) == read_outputs(golden / f"sigma_{sigma}")
 
 
 # --- study analyze -----------------------------------------------------------

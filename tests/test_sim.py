@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from searoam import sim
+from searoam import geo, sim
 from searoam.sim import (
     SceneSpec,
     SimTooLargeError,
@@ -22,7 +22,7 @@ from searoam.sim import (
 )
 from searoam.spline import ArcLengthError, PathCurve
 
-from conftest import chordal_arc_length
+from conftest import GOLDEN_DIR, chordal_arc_length
 
 STRAIGHT_10 = PathCurve.polyline([(0, 0, 0), (10, 0, 0)])
 
@@ -629,3 +629,95 @@ def test_run_ray_task_equals_reference(scene, steps, start_inside, sigma, seed, 
     with mock.patch.object(sim, "DISTANCE_BLOCK", block):
         new = outcome(run_ray_task, points, sigma, seed, scene, trigger)
     assert new == outcome(reference_run_ray_task, points, sigma, seed, scene, trigger)
+
+
+# --- pruned scene tests --------------------------------------------------------
+# _entry_blocks tests each block of positions only against the spheres in
+# its bounding box grown by the largest reach.  These scenes make that box
+# drop most spheres and let spheres leave and re-enter the candidate sets.
+
+AGENT = 0.5
+SPREAD_RADII = [0.25, 0.5, 1.0, 2.5, 6.0]  # dyadic: every reach below is exact
+
+
+@st.composite
+def spread_scenes(draw, targets=False):
+    """(positions, centers, radii, trigger) over a walk spanning +-100 units.
+
+    The positions are a random walk of small steps on a 1/16 grid, scaled
+    to span +-100 units on its widest axis.  Half the spheres lie anywhere
+    in that range, half near the walk, and some exactly one reach (radius
+    + AGENT, or the trigger distance for targets) from a position along an
+    axis, touching, or one ulp farther or nearer.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_points = draw(st.integers(2, 400))
+    walk = np.cumsum(rng.normal(0.0, 1.0, (n_points, 3)), axis=0)
+    walk -= walk.mean(axis=0)
+    positions = np.round(walk * (1600.0 / max(np.abs(walk).max(), 1e-9))) / 16.0
+    n = draw(st.integers(20, 300))
+    radii = rng.choice(SPREAD_RADII, n)
+    trigger = draw(st.sampled_from([None, 2.0, 7.5])) if targets else None
+    if not targets:
+        reach = radii + AGENT
+    else:
+        reach = sim.TRIGGER_RADIUS_FACTOR * radii if trigger is None else np.full(n, trigger)
+    centers = rng.uniform(positions.min(axis=0), positions.max(axis=0), (n, 3))
+    near = rng.random(n) < 0.5
+    centers[near] = (positions[rng.integers(0, n_points, near.sum())]
+                     + rng.normal(0.0, 3.0, (near.sum(), 3)))
+    touch = np.flatnonzero(rng.random(n) < 0.3)
+    axis = rng.integers(0, 3, len(touch))
+    sign = rng.choice([-1.0, 1.0], len(touch))
+    centers[touch] = positions[rng.integers(0, n_points, len(touch))]
+    centers[touch, axis] += sign * reach[touch]
+    nudge = rng.integers(-1, 2, len(touch))  # one ulp nearer, touching, or farther
+    for j, a, s, k in zip(touch, axis, sign, nudge):
+        if k:
+            centers[j, a] = np.nextafter(centers[j, a], s * k * np.inf)
+    return positions, centers, radii, trigger
+
+
+# Rounds into reach: |2^-53 - (1 + 2^-52)| rounds to exactly 1.0, outside a
+# box bound 2^-53 + 1.0 that rounds to 1.0 as well.
+ROUNDING_TOUCH = (np.array([[0.0, 0.0, 0.0], [2.0**-53, 0.0, 0.0]]),
+                  np.array([[1.0 + 2.0**-52, 0.0, 0.0]]), np.array([0.5]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scene=spread_scenes(), rows=st.sampled_from([1, 2, 5]) | st.integers(1, 60))
+@example(scene=ROUNDING_TOUCH + (None,), rows=2)
+def test_count_collisions_on_spread_scene_equals_reference(scene, rows):
+    positions, centers, radii, _ = scene
+    spec = SceneSpec(obstacles=tuple(Sphere(c, r) for c, r in zip(centers, radii)),
+                     agent_radius=AGENT)
+    with mock.patch.object(sim, "DISTANCE_BLOCK", rows * len(centers)):
+        count = sim._count_collisions(positions, spec)
+    assert count == reference_count_collisions(positions, spec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scene=spread_scenes(targets=True), rows=st.sampled_from([1, 2, 5]) | st.integers(1, 60),
+       sigma=st.sampled_from([0.0, 0.05, 0.5]), seed=st.integers(0, 1000))
+@example(scene=(ROUNDING_TOUCH[0], ROUNDING_TOUCH[1], np.array([0.25]), 1.0),
+         rows=2, sigma=0.0, seed=0)
+def test_run_ray_task_on_spread_scene_equals_reference(scene, rows, sigma, seed):
+    positions, centers, radii, trigger = scene
+    spec = SceneSpec(targets=tuple(Target(f"t{i}", c, r)
+                                   for i, (c, r) in enumerate(zip(centers, radii))))
+    with mock.patch.object(sim, "DISTANCE_BLOCK", rows * len(centers)):
+        new = outcome(run_ray_task, positions, sigma, seed, spec, trigger)
+    assert new == outcome(reference_run_ray_task, positions, sigma, seed, spec, trigger)
+
+
+def test_entry_blocks_skip_far_spheres():
+    # On the spread golden's route most obstacles are outside every
+    # block's box and are never measured.
+    golden = GOLDEN_DIR / "sim_spread"
+    keypoints = geo.load_keypoints((golden / "route.csv").read_text())
+    route = PathCurve.catmull_rom([(k.longitude, k.latitude, k.height) for k in keypoints])
+    scene = SceneSpec.from_json((golden / "scene.json").read_text())
+    positions = sample_trajectory(route, SpeedProfile.from_keypoints(keypoints), 0.02).positions
+    measured = sum(dist.size for _, _, dist, _ in sim._entry_blocks(
+        positions, scene.obstacle_centers, scene.obstacle_reach))
+    assert 0 < measured < 0.1 * len(positions) * len(scene.obstacles)

@@ -385,6 +385,20 @@ def test_arc_length_speed_overflow_is_named_error():
     assert peak < 1_000_000  # raised on the first quadrature pass
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k", [0, 3, 8])
+def test_arc_length_of_huge_finite_curve(kind, k):
+    # Squares of these coordinates overflow, the length does not.
+    unit = np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0.5, 2, 1)], dtype=float)
+    scale = 2.0**k * 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        length = PathCurve(kind, unit * scale).arc_length()
+    expected = PathCurve(kind, unit).arc_length() * scale
+    assert math.isfinite(length)
+    assert length == pytest.approx(expected, rel=spline.ARC_LENGTH_REL_TOL)
+
+
 def test_arc_length_subdivision_bounds(monkeypatch, demo_pts):
     curve = PathCurve.catmull_rom(demo_pts)
     monkeypatch.setattr(spline, "ARC_LENGTH_MAX_INTERVALS", 8)
@@ -429,6 +443,39 @@ def test_de_casteljau_blocks_match_single_block(control, u, rows):
         blocked = spline._de_casteljau(control, u)
     np.testing.assert_array_equal(blocked[0], single[0])
     np.testing.assert_array_equal(blocked[1], single[1])
+
+
+def reference_de_casteljau(control, u):
+    """The unblocked (len(u), n+1, 3) recursion _de_casteljau_block replaced."""
+    n = len(control) - 1
+    b = np.broadcast_to(control, (len(u), n + 1, 3)).copy()
+    w = u[:, None, None]
+    for step in range(n - 1):
+        m = n - step
+        b[:, :m, :] = (1.0 - w) * b[:, :m, :] + w * b[:, 1:m + 1, :]
+    if n >= 1:
+        deriv = n * (b[:, 1, :] - b[:, 0, :])
+        pos = (1.0 - u[:, None]) * b[:, 0, :] + u[:, None] * b[:, 1, :]
+    else:
+        deriv = np.zeros((len(u), 3))
+        pos = b[:, 0, :].copy()
+    return pos, deriv
+
+
+@settings(max_examples=40, deadline=None)
+@given(control=st.lists(st.tuples(coord, coord, coord), min_size=2, max_size=40),
+       n_params=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1),
+       rows=st.sampled_from([7, 512, 4096]))
+def test_de_casteljau_equals_reference(control, n_params, seed, rows):
+    control = np.array(control, dtype=float)
+    u = np.random.default_rng(seed).uniform(0.0, 1.0, n_params)
+    u[0], u[-1] = 0.0, 1.0
+    ref = reference_de_casteljau(control, u)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spline, "DE_CASTELJAU_ROWS", rows)
+        new = spline._de_casteljau(control, u)
+    assert new[0].tobytes() == ref[0].tobytes()
+    assert new[1].tobytes() == ref[1].tobytes()
 
 
 # --- whole-curve properties -----------------------------------------------
