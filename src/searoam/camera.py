@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spline import PathCurve
+from .spline import PathCurve, _row_norms
 
 VIEW_MODELS = ("next_node", "tangent")
 
@@ -35,8 +35,12 @@ def _check_norms(norms) -> None:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):  # an overflow is reported as a named error
+    with np.errstate(over="ignore"):
         norm = np.linalg.norm(v)
+    if not np.isfinite(norm):
+        # Squares overflow beyond about 1e154; only then rescale, since the
+        # row norm may round differently.  A norm still infinite is an error.
+        norm = _row_norms(v[None])[0]
     _check_norms(norm)
     return v / norm
 
@@ -140,8 +144,7 @@ def smoothness(curve: PathCurve, model: str, samples: int = 64) -> SmoothnessRep
         dirs = curve.tangents(ss)
     else:
         dirs = np.repeat(curve.keypoints[1:], samples, axis=0) - curve.positions(ss)
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(dirs, axis=1)
+    norms = _row_norms(dirs)
     _check_norms(norms)
     dirs = (dirs / norms[:, None]).reshape(nseg, samples, 3)
     cross = np.linalg.norm(np.cross(dirs[:, :-1], dirs[:, 1:]), axis=2)

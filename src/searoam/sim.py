@@ -292,9 +292,12 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
     Each step moves speed*dt units of arc length, resolved through a dense
     precomputed arc-length table (speed is read at the step's start); the
     final step is shortened to land exactly on the path end or on the
-    budget.  Returns (times, s_values, completed), starting at t=0.  Raises
-    ArcLengthError when the path length overflows and SimTooLargeError when
-    the estimated step count exceeds MAX_STEPS.
+    budget.  Both lookups, speed at s and s at a length, are forward
+    cursors over their tables, so a step costs the same whatever the table
+    size; the values equal np.interp's bit for bit.  Returns (times,
+    s_values, completed), starting at t=0.  Raises ArcLengthError when the
+    path length overflows and SimTooLargeError when the estimated step
+    count exceeds MAX_STEPS.
     """
     if len(profile.speeds) != len(curve.keypoints):
         raise ValueError(
@@ -318,16 +321,43 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
         )
 
     # Python floats: one step is a few scalar operations, which numpy calls
-    # would dominate.  _interp reproduces np.interp bit for bit.
+    # would dominate.  Each lookup keeps a cursor on one interval (lo, hi) =
+    # (xp[j], xp[j + 1]) of its table, with the left value y = fp[j] and the
+    # slope computed once when the cursor moves there: k_* over the speed
+    # knots (s -> speed), a_* over the arc-length table (ell -> s).  For
+    # lo < x < hi, j is the interval np.interp picks and slope * (x - lo) + y
+    # are its operations, so the bits are the same.  A cursor only moves
+    # forward, to the interval holding x.  Every other case goes to _interp,
+    # which reproduces np.interp bit for bit: x on a knot, x behind the
+    # cursor (a line can overshoot a table knot by an ulp, so s may step
+    # back), x at or past the last knot, NaN, and a NaN line.  Each cursor
+    # starts on the empty interval (xp[0], xp[0]).
     s_grid, lengths = s_grid.tolist(), lengths.tolist()
     knots, speeds = profile.knots.tolist(), profile.speeds.tolist()
+    last_knot = knots[-1]
+    kj, k_lo, k_hi, k_y, k_slope = -1, knots[0], knots[0], speeds[0], 0.0
+    aj, a_lo, a_hi, a_y, a_slope = -1, lengths[0], lengths[0], s_grid[0], 0.0
     times = [0.0]
     s_values = [0.0]
     t, s, ell = 0.0, 0.0, 0.0
     completed = total == 0.0
     while not completed and t < budget:
-        step = min(dt, budget - t)
-        d_ell = _interp(s, knots, speeds) * step
+        rest = budget - t
+        step = rest if rest < dt else dt  # min(dt, rest), the same float
+        if k_lo < s < k_hi:
+            speed = k_slope * (s - k_lo) + k_y
+        elif k_hi <= s < last_knot:
+            while k_hi <= s:
+                kj += 1
+                k_lo, k_hi = k_hi, knots[kj + 1]
+            k_y = speeds[kj]
+            k_slope = (speeds[kj + 1] - k_y) / (k_hi - k_lo)
+            speed = k_slope * (s - k_lo) + k_y if k_lo < s else _interp(s, knots, speeds)
+        else:
+            speed = _interp(s, knots, speeds)
+        if speed != speed:
+            speed = _interp(s, knots, speeds)
+        d_ell = speed * step
         if ell + d_ell >= total:
             step *= (total - ell) / d_ell
             ell = total
@@ -335,7 +365,19 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
             completed = True
         else:
             ell += d_ell
-            s = _interp(ell, lengths, s_grid)
+            if a_lo < ell < a_hi:
+                s = a_slope * (ell - a_lo) + a_y
+            elif a_hi <= ell < total:
+                while a_hi <= ell:
+                    aj += 1
+                    a_lo, a_hi = a_hi, lengths[aj + 1]
+                a_y = s_grid[aj]
+                a_slope = (s_grid[aj + 1] - a_y) / (a_hi - a_lo)
+                s = a_slope * (ell - a_lo) + a_y if a_lo < ell else _interp(ell, lengths, s_grid)
+            else:
+                s = _interp(ell, lengths, s_grid)
+            if s != s:
+                s = _interp(ell, lengths, s_grid)
         t += step
         times.append(t)
         s_values.append(s)

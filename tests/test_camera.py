@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,25 +135,53 @@ def test_degenerate_view_propagates_from_zero_tension_knots():
         smoothness(curve, "tangent", 4)
 
 
-HUGE_ZIGZAG = [(1e300, 0, 0), (-1e300, 1, 0), (1e300, 2, 5)]
+# Finite keypoints whose differences overflow.
+HUGE_ZIGZAG = [(1.5e308, 0, 0), (-1.5e308, 1, 0), (1.5e308, 2, 5)]
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("model", VIEW_MODELS)
 def test_overflowing_view_lengths_raise(kind, model):
-    # The view directions are finite, but their squared lengths overflow.
-    curve = PathCurve(kind, HUGE_ZIGZAG)
-    with pytest.raises(ViewOverflowError), np.errstate(over="ignore"):
-        smoothness(curve, model, 8)
-    with pytest.raises(ViewOverflowError), np.errstate(over="ignore"):
-        view_direction(curve, model, 0.25)
+    # The view directions themselves overflow (to inf, or NaN from inf - inf).
+    with np.errstate(over="ignore", invalid="ignore"):
+        curve = PathCurve(kind, HUGE_ZIGZAG)
+        with pytest.raises(ViewOverflowError):
+            smoothness(curve, model, 8)
+        with pytest.raises(ViewOverflowError):
+            view_direction(curve, model, 0.25)
 
 
 def test_sampled_view_lengths_overflow_without_corners():
     # Two keypoints: no corner to check, so only the sampled norms can fail.
-    curve = PathCurve.polyline(HUGE_ZIGZAG[:2])
-    with pytest.raises(ViewOverflowError), np.errstate(over="ignore"):
-        smoothness(curve, "next_node", 8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        curve = PathCurve.polyline(HUGE_ZIGZAG[:2])
+        with pytest.raises(ViewOverflowError):
+            smoothness(curve, "next_node", 8)
+
+
+# Keypoints whose squared distances overflow (beyond about 1e154) while the
+# distances do not; a power-of-two scale maps them exactly to coordinates
+# near 1.
+HUGE_FINITE = np.array([(1e200, 0, 0), (-1e200, 1e200, 0), (1e200, 2e200, 5)])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("model", VIEW_MODELS)
+def test_smoothness_of_huge_finite_route_is_scale_free(kind, model):
+    def fields(points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = smoothness(PathCurve(kind, points), model)
+        return [*report.corner_angles, report.max_angular_jump,
+                report.mean_angular_speed, report.max_angular_speed]
+
+    # Straight segments turn by 0 up to rounding, hence the absolute floor.
+    assert fields(HUGE_FINITE) == pytest.approx(fields(HUGE_FINITE * 2.0 ** -664),
+                                                rel=1e-12, abs=1e-12)
+    for s in (0.25, 0.5, 0.9):
+        big = view_direction(PathCurve(kind, HUGE_FINITE), model, s)
+        assert big == pytest.approx(
+            view_direction(PathCurve(kind, HUGE_FINITE * 2.0 ** -664), model, s), rel=1e-12)
 
 
 # --- reference implementation -------------------------------------------------

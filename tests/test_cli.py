@@ -54,11 +54,25 @@ def main_without_warnings(argv) -> int:
     return code
 
 
-def test_path_compare_overflowing_keypoints(tmp_path, capsys):
+@pytest.mark.parametrize("rows", [
+    ["1e200,0,0", "-1e200,1e200,0", "1e200,2e200,5"],
+    HUGE_ROWS,
+])
+def test_path_compare_huge_finite_keypoints(tmp_path, capsys, rows):
     route = tmp_path / "huge.csv"
-    route.write_text("longitude,latitude,height\n" + "\n".join(HUGE_ROWS) + "\n")
+    route.write_text("longitude,latitude,height\n" + "\n".join(rows) + "\n")
     out = tmp_path / "out"
-    assert main_without_warnings(["path", "compare", str(route), "--out", str(out)]) == 1
+    assert main_without_warnings(["path", "compare", str(route), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in out.iterdir()) == ["compare.svg", "smoothness.csv"]
+
+
+def test_path_compare_overflowing_keypoints(tmp_path, capsys):
+    # Keypoint differences overflow, so the view directions do too.
+    route = tmp_path / "huge.csv"
+    route.write_text("longitude,latitude,height\n1.5e308,0,0\n-1.5e308,1,0\n1.5e308,2,5\n")
+    out = tmp_path / "out"
+    assert main(["path", "compare", str(route), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         "error: view direction length overflows (coordinates too large)\n")
     assert not out.exists()

@@ -22,7 +22,7 @@ from searoam.sim import (
 )
 from searoam.spline import ArcLengthError, PathCurve
 
-from conftest import GOLDEN_DIR, chordal_arc_length
+from conftest import DATA_DIR, GOLDEN_DIR, chordal_arc_length
 
 STRAIGHT_10 = PathCurve.polyline([(0, 0, 0), (10, 0, 0)])
 
@@ -549,23 +549,45 @@ def test_interp_equals_numpy(xp, fp, pick, x, at_knot):
     assert same_float(sim._interp(x, xp, fp), float(np.interp(x, xp, fp)))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     kind=st.sampled_from(["polyline", "bezier", "catmull_rom"]),
     # keypoints drawn from a pool of three, so consecutive duplicates
     # (zero-length chords, repeated arc-table lengths) are common
     picks=st.lists(st.integers(0, 2), min_size=2, max_size=5),
     pool=st.lists(st.tuples(grid, grid, grid), min_size=3, max_size=3),
-    speeds=st.lists(st.sampled_from([0.5, 1.0, 2.5, 7.0]), min_size=5, max_size=5),
-    dt=st.sampled_from([0.05, 0.1, 0.37]),
-    budget=st.sampled_from([3.0, 300.0]),
+    speeds=(st.lists(st.sampled_from([0.5, 1.0, 2.5, 7.0]), min_size=5, max_size=5)
+            | st.sampled_from([0.5, 1.0, 2.5, 7.0]).map(lambda v: [v] * 5)),
+    # half of the runs take small steps, which cross every arc-table
+    # interval many times over
+    dt=st.sampled_from([0.005, 0.001]) | st.sampled_from([0.05, 0.1, 0.37]),
+    # arbitrary budgets run out with s inside a table interval
+    budget=st.sampled_from([3.0, 300.0]) | st.floats(0.01, 10.0),
 )
+# The first step ends one ulp below the arc-table knot at s = 2/3, where
+# the line already reaches 2/3: a speed knot, which the speed lookup of the
+# next step leaves to _interp.
+@example(kind="polyline", picks=[1, 2, 0, 1],
+         pool=[(-3.0, 4.0, 2.0), (1.0, 0.0, -2.0), (0.0, 2.0, -2.0)],
+         speeds=[1.0, 2.5, 0.5, 7.0, 1.0], dt=7.621232784633843, budget=300.0)
 def test_step_states_equal_reference(kind, picks, pool, speeds, dt, budget):
     curve = PathCurve(kind, [pool[i] for i in picks])
     profile = SpeedProfile(np.array(speeds[:len(picks)]))
     new = sim._step_states(curve, profile, dt, budget)
     ref = reference_step_states(curve, profile, dt, budget)
     assert new == ref
+
+
+@pytest.mark.parametrize("kind", ["polyline", "bezier", "catmull_rom"])
+def test_step_states_search_only_off_the_cursors(kind):
+    # The cursors resolve the demo's ~10k steps; _interp sees only the
+    # lookups on a knot (s = 0 at the start among them).
+    keypoints = geo.load_keypoints((DATA_DIR / "demo_route_speeds.csv").read_text())
+    curve = PathCurve(kind, [(k.longitude, k.latitude, k.height) for k in keypoints])
+    with mock.patch.object(sim, "_interp", side_effect=sim._interp) as counted:
+        times, _, _ = sim._step_states(curve, SpeedProfile.from_keypoints(keypoints), 0.005, 300.0)
+    assert len(times) > 10_000
+    assert counted.call_count <= 30
 
 
 @settings(max_examples=150, deadline=None)
