@@ -10,7 +10,6 @@ from .geo import (
     KeyPoint,
     KeypointParseError,
     PathTooShortError,
-    Point3,
     Projection,
     load_keypoints,
     project,
@@ -65,7 +64,6 @@ from .stats import (
     synthesize_study,
 )
 from .report import (
-    FigureSpec,
     render_path_compare,
     render_scatter_band,
     smoothness_csv,
@@ -74,7 +72,7 @@ from .report import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "KeyPoint", "KeypointParseError", "PathTooShortError", "Point3", "Projection",
+    "KeyPoint", "KeypointParseError", "PathTooShortError", "Projection",
     "load_keypoints", "project", "serialize_keypoints",
     "DEFAULT_TENSION", "KINDS", "ArcLengthError", "PathCurve", "with_phantom_endpoints",
     "VIEW_MODELS", "DegenerateViewError", "SmoothnessReport", "ViewOverflowError",
@@ -85,6 +83,6 @@ __all__ = [
     "StatsReport", "StudyRecord", "UndefinedCorrelationError", "UndefinedFitError",
     "analyze_study", "ks_normality", "linear_fit_with_band", "load_study",
     "pearson", "serialize_study", "spearman", "synthesize_study",
-    "FigureSpec", "render_path_compare", "render_scatter_band", "smoothness_csv",
+    "render_path_compare", "render_scatter_band", "smoothness_csv",
     "__version__",
 ]

@@ -86,12 +86,8 @@ def _read_text(path: Path) -> str:
 
 def _projected_points(args) -> tuple[np.ndarray, list[geo.KeyPoint]]:
     keypoints = geo.load_keypoints(_read_text(args.keypoints))
-    if args.projection == "scaled":
-        proj = geo.Projection.scaled(*args.scale)
-    else:
-        proj = geo.Projection.raw()
-    pts = np.array([tuple(geo.project(kp, proj)) for kp in keypoints])
-    return pts, keypoints
+    proj = geo.Projection(args.scale) if args.projection == "scaled" else geo.Projection.raw()
+    return np.array([geo.project(kp, proj) for kp in keypoints]), keypoints
 
 
 def _write_all(out_dir: Path, files: dict[str, str]) -> None:
@@ -110,12 +106,10 @@ def _cmd_path_compare(args) -> int:
     pts, _ = _projected_points(args)
     svg = report.render_path_compare(pts, tension=args.tension, samples=args.samples)
     entries = [
-        ("polyline", "next_node",
-         camera.smoothness(spline.PathCurve.polyline(pts), "next_node", args.samples)),
-        ("bezier", "tangent",
-         camera.smoothness(spline.PathCurve.bezier(pts), "tangent", args.samples)),
-        ("catmull_rom", "tangent",
-         camera.smoothness(spline.PathCurve.catmull_rom(pts, args.tension), "tangent", args.samples)),
+        (kind, model,
+         camera.smoothness(spline.PathCurve(kind, pts, args.tension), model, args.samples))
+        for kind, model in (("polyline", "next_node"), ("bezier", "tangent"),
+                            ("catmull_rom", "tangent"))
     ]
     _write_all(args.out, {
         "compare.svg": svg,
@@ -132,10 +126,8 @@ def _cmd_sim_run(args) -> int:
 
     files = {}
     for kind in kinds:
-        curve = (spline.PathCurve.catmull_rom(pts, args.tension)
-                 if kind == "catmull_rom" else spline.PathCurve(kind, pts))
         result = sim.simulate(
-            curve, profile, scene, dt=args.dt, seed=args.seed,
+            spline.PathCurve(kind, pts, args.tension), profile, scene, dt=args.dt, seed=args.seed,
             sigma=args.sigma, trigger_distance=args.trigger_distance,
         )
         doc = {"kind": kind, "dt": args.dt, "seed": args.seed, "sigma": args.sigma}

@@ -63,41 +63,17 @@ class KeyPoint:
 
 
 @dataclass(frozen=True)
-class Point3:
-    """A working-space point with finite x, y, z components."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _require_finite("x", self.x))
-        object.__setattr__(self, "y", _require_finite("y", self.y))
-        object.__setattr__(self, "z", _require_finite("z", self.z))
-
-    def __iter__(self):
-        yield self.x
-        yield self.y
-        yield self.z
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
-
-@dataclass(frozen=True)
 class Projection:
     """Componentwise map from keypoint coordinates into working space.
 
-    ``raw`` is the identity on (longitude, latitude, height); ``scaled``
-    multiplies each component by a strictly positive scale factor.
+    Multiplies (longitude, latitude, height) by strictly positive scale
+    factors.  ``raw`` is the scale (1, 1, 1), the identity: x * 1.0 == x
+    for every finite float.
     """
 
-    mode: str = "raw"
     scale: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        if self.mode not in ("raw", "scaled"):
-            raise ValueError(f"unknown projection mode {self.mode!r}")
         scale = tuple(float(v) for v in self.scale)
         if len(scale) != 3:
             raise ValueError("scale must have exactly three factors")
@@ -108,23 +84,21 @@ class Projection:
 
     @classmethod
     def raw(cls) -> "Projection":
-        return cls(mode="raw")
+        return cls()
 
     @classmethod
     def scaled(cls, sx: float, sy: float, sz: float) -> "Projection":
-        return cls(mode="scaled", scale=(sx, sy, sz))
+        return cls((sx, sy, sz))
 
 
-def project(kp: KeyPoint, proj: Projection = Projection.raw()) -> Point3:
-    """Map a keypoint into working space.
+def project(kp: KeyPoint, proj: Projection = Projection.raw()) -> tuple[float, float, float]:
+    """Map a keypoint into working space: (longitude, latitude, height)
+    times the projection's scale factors, componentwise.
 
-    Raw mode returns (longitude, latitude, height) unchanged; scaled mode
-    multiplies componentwise by the projection's scale factors.
+    Raises ValueError when a product overflows.
     """
-    if proj.mode == "raw":
-        return Point3(kp.longitude, kp.latitude, kp.height)
-    sx, sy, sz = proj.scale
-    return Point3(kp.longitude * sx, kp.latitude * sy, kp.height * sz)
+    return tuple(_require_finite(name, v * s) for name, v, s in zip(
+        "xyz", (kp.longitude, kp.latitude, kp.height), proj.scale))
 
 
 _HEADER_BASE = ["longitude", "latitude", "height"]

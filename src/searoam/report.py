@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import io
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,19 +25,9 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-@dataclass(frozen=True)
-class FigureSpec:
-    """Pixel geometry of an emitted figure."""
-
-    width: int = 960
-    height: int = 340
-    margin: int = 34
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("figure dimensions must be positive")
-        if self.margin < 0 or 2 * self.margin >= min(self.width, self.height):
-            raise ValueError("margin leaves no drawing area")
+# Figure sizes in pixels: (width, height, margin around the drawing area).
+_COMPARE_SIZE = (960, 340, 34)
+_SCATTER_SIZE = (460, 360, 46)
 
 
 def _fmt(v: float) -> str:
@@ -73,12 +62,12 @@ class _Mapper:
         return self.top + (self.y1 - np.asarray(v)) / (self.y1 - self.y0) * self.height
 
 
-def _svg_open(spec: FigureSpec) -> list[str]:
+def _svg_open(width: int, height: int) -> list[str]:
     return [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
-        f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">',
-        f'<rect x="0" y="0" width="{spec.width}" height="{spec.height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
 
 
@@ -90,36 +79,32 @@ def _frame(m: _Mapper) -> str:
     )
 
 
-def render_path_compare(keypoints, tension: float = 0.5, samples: int = 64,
-                        spec: FigureSpec | None = None) -> str:
+def render_path_compare(keypoints, tension: float = 0.5, samples: int = 64) -> str:
     """Three-panel comparison figure (polyline, bezier, catmull-rom).
 
     All panels share identical axes (longitude on x, latitude on y; height
     is ignored) and mark the keypoints.  ``samples`` is the per-segment
     sampling density (at least 16).
     """
-    spec = spec or FigureSpec()
     if samples < 16:
         raise ValueError(f"need at least 16 samples per segment, got {samples}")
     pts = as_point_array(keypoints)
-    curves = {
-        kind: PathCurve(kind, pts, tension) if kind == "catmull_rom" else PathCurve(kind, pts)
-        for kind in ("polyline", "bezier", "catmull_rom")
-    }
+    curves = {kind: PathCurve(kind, pts, tension) for kind in ("polyline", "bezier", "catmull_rom")}
     sampled = {kind: c.positions(c.grid(samples)) for kind, c in curves.items()}
 
     all_xy = np.vstack([p[:, :2] for p in sampled.values()] + [pts[:, :2]])
     x_range = _bounds(all_xy[:, 0])
     y_range = _bounds(all_xy[:, 1])
 
+    width, height, margin = _COMPARE_SIZE
     gap = 18
-    panel_w = (spec.width - 2 * spec.margin - 2 * gap) / 3
-    panel_h = spec.height - 2 * spec.margin
+    panel_w = (width - 2 * margin - 2 * gap) / 3
+    panel_h = height - 2 * margin
 
-    parts = _svg_open(spec)
+    parts = _svg_open(width, height)
     for i, kind in enumerate(("polyline", "bezier", "catmull_rom")):
-        left = spec.margin + i * (panel_w + gap)
-        m = _Mapper(x_range, y_range, left, spec.margin, panel_w, panel_h)
+        left = margin + i * (panel_w + gap)
+        m = _Mapper(x_range, y_range, left, margin, panel_w, panel_h)
         parts.append(f'<g class="panel" id="panel-{kind}">')
         parts.append(_frame(m))
         xs = m.x(sampled[kind][:, 0])
@@ -137,7 +122,7 @@ def render_path_compare(keypoints, tension: float = 0.5, samples: int = 64,
             )
         parts.append("</g>")
         parts.append(
-            f'<text class="label" x="{_fmt(left + 4)}" y="{_fmt(spec.margin - 8)}" '
+            f'<text class="label" x="{_fmt(left + 4)}" y="{_fmt(margin - 8)}" '
             f'font-family="sans-serif" font-size="12">{escape(PANEL_LABELS[kind])}</text>'
         )
         parts.append("</g>")
@@ -145,14 +130,13 @@ def render_path_compare(keypoints, tension: float = 0.5, samples: int = 64,
     return "\n".join(parts) + "\n"
 
 
-def render_scatter_band(x, y, fit: RegressionFit, x_label: str = "x", y_label: str = "y",
-                        spec: FigureSpec | None = None) -> str:
+def render_scatter_band(x, y, fit: RegressionFit, x_label: str = "x", y_label: str = "y") -> str:
     """Scatter plot with the fitted line and its confidence band boundaries.
 
     Emits four series: the points, the fitted line, and the lower and upper
     band polylines (the two gray lines).
     """
-    spec = spec or FigureSpec(width=460, height=360, margin=46)
+    width, height, margin = _SCATTER_SIZE
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size == 0 or y.size == 0:
@@ -168,10 +152,9 @@ def render_scatter_band(x, y, fit: RegressionFit, x_label: str = "x", y_label: s
 
     x_range = _bounds(x)
     y_range = _bounds(np.concatenate([y, lower, upper]))
-    m = _Mapper(x_range, y_range, spec.margin, spec.margin,
-                spec.width - 2 * spec.margin, spec.height - 2 * spec.margin)
+    m = _Mapper(x_range, y_range, margin, margin, width - 2 * margin, height - 2 * margin)
 
-    parts = _svg_open(spec)
+    parts = _svg_open(width, height)
     parts.append(_frame(m))
     for name, values, color in (("band-lower", lower, "#999999"), ("band-upper", upper, "#999999")):
         parts.append(
@@ -187,22 +170,22 @@ def render_scatter_band(x, y, fit: RegressionFit, x_label: str = "x", y_label: s
         parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="2.5" fill="#1f77b4"/>')
     parts.append("</g>")
     parts.append(
-        f'<text class="label" x="{_fmt(spec.width / 2)}" y="{_fmt(spec.height - 10)}" '
+        f'<text class="label" x="{_fmt(width / 2)}" y="{_fmt(height - 10)}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="12">{escape(x_label)}</text>'
     )
     parts.append(
-        f'<text class="label" x="14" y="{_fmt(spec.height / 2)}" '
-        f'transform="rotate(-90 14 {_fmt(spec.height / 2)})" text-anchor="middle" '
+        f'<text class="label" x="14" y="{_fmt(height / 2)}" '
+        f'transform="rotate(-90 14 {_fmt(height / 2)})" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12">{escape(y_label)}</text>'
     )
     for vx in x_range:
         parts.append(
-            f'<text class="tick" x="{_fmt(m.x(vx))}" y="{_fmt(spec.height - spec.margin + 14)}" '
+            f'<text class="tick" x="{_fmt(m.x(vx))}" y="{_fmt(height - margin + 14)}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="10">{_fmt(vx)}</text>'
         )
     for vy in y_range:
         parts.append(
-            f'<text class="tick" x="{_fmt(spec.margin - 6)}" y="{_fmt(m.y(vy) + 3)}" '
+            f'<text class="tick" x="{_fmt(margin - 6)}" y="{_fmt(m.y(vy) + 3)}" '
             f'text-anchor="end" font-family="sans-serif" font-size="10">{_fmt(vy)}</text>'
         )
     parts.append("</svg>")

@@ -45,7 +45,7 @@ class SimTooLargeError(ValueError):
 def _as_center(value, what: str) -> np.ndarray:
     try:
         center = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond 1.8e308
         center = None
     if center is None or center.shape != (3,) or not np.all(np.isfinite(center)):
         raise ValueError(f"{what} center must be three finite numbers")
@@ -53,8 +53,12 @@ def _as_center(value, what: str) -> np.ndarray:
 
 
 def _check_radius(radius, what: str) -> None:
-    if (isinstance(radius, bool) or not isinstance(radius, numbers.Real)
-            or not (math.isfinite(radius) and radius > 0)):
+    try:
+        valid = (not isinstance(radius, bool) and isinstance(radius, numbers.Real)
+                 and math.isfinite(radius) and radius > 0)
+    except OverflowError:  # an int too large for a float
+        valid = False
+    if not valid:
         raise ValueError(f"{what} radius must be a number > 0, got {radius!r}")
 
 
@@ -102,7 +106,7 @@ def _scene_number(doc: dict, key: str, default: float) -> float:
     value = doc.get(key, default)
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond 1.8e308
         raise ValueError(f"scene {key!r} must be a number, got {value!r}") from None
 
 
@@ -253,7 +257,7 @@ def _arc_length_table(curve: PathCurve) -> tuple[np.ndarray, np.ndarray]:
     """Dense (s, cumulative length) table for arc-length parameterization."""
     grid = curve.grid(ARC_TABLE_SAMPLES)
     points = curve.positions(grid)
-    with np.errstate(over="ignore"):  # _step_states rejects an overflowing total
+    with np.errstate(over="ignore", invalid="ignore"):  # _step_states rejects the total
         chords = np.linalg.norm(np.diff(points, axis=0), axis=1)
     return grid, np.concatenate([[0.0], np.cumsum(chords)])
 
@@ -549,14 +553,16 @@ def _nearest_hit(origin: np.ndarray, d: np.ndarray, scene: SceneSpec, candidates
     """The id of the nearest candidate target the ray hits, or None.
 
     Decides in target order, exactly as a loop over all targets would.
+    Reads the stacked float centers and radii: a radius given as a huge
+    int would otherwise be squared as an int.
     """
     best_t = math.inf
     best_id = None
     for i in candidates.tolist():
-        target = scene.targets[i]
-        oc = origin - target.center
+        oc = origin - scene.target_centers[i]
         b = float(np.dot(d, oc))
-        disc = b * b - float(np.dot(oc, oc)) + target.radius * target.radius
+        r = float(scene.target_radii[i])
+        disc = b * b - float(np.dot(oc, oc)) + r * r
         if disc < 0.0:
             continue
         root = math.sqrt(disc)
@@ -565,7 +571,7 @@ def _nearest_hit(origin: np.ndarray, d: np.ndarray, scene: SceneSpec, candidates
             t_hit = -b + root
         if 0.0 <= t_hit < best_t:
             best_t = t_hit
-            best_id = target.id
+            best_id = scene.targets[i].id
     return best_id
 
 

@@ -77,11 +77,8 @@ def check_tension(tension: float) -> float:
 
 
 def as_point_array(points) -> np.ndarray:
-    """Coerce a sequence of Point3 / triples / an (N, 3) array to float64."""
-    if isinstance(points, np.ndarray):
-        arr = points.astype(float, copy=True)
-    else:
-        arr = np.array([tuple(p) for p in points], dtype=float)
+    """Copy a sequence of triples or an (N, 3) array to a float64 array."""
+    arr = np.array(points, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError(f"expected an (N, 3) point array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -146,18 +143,21 @@ class PathCurve:
         self.n_segments = len(pts) - 1
         self.tension = check_tension(tension) if kind == "catmull_rom" else None
 
-        if kind == "catmull_rom":
-            # Segment i runs from padded[i+1] to padded[i+2], with end
-            # tangents m0 = t*(P[i+2] - P[i]) and m1 = t*(P[i+3] - P[i+1]).
-            padded = with_phantom_endpoints(pts)
-            self._p0, self._p1 = padded[1:-2], padded[2:-1]
-            self._m0 = self.tension * (padded[2:-1] - padded[:-3])
-            self._m1 = self.tension * (padded[3:] - padded[1:-2])
-        elif kind == "polyline":
-            self._starts = pts[:-1]
-            self._diffs = pts[1:] - pts[:-1]
-        else:  # bezier
-            self._control = pts
+        # Differences of finite keypoints may overflow; the callers' named
+        # checks (ArcLengthError, ViewOverflowError) reject such curves.
+        with np.errstate(over="ignore"):
+            if kind == "catmull_rom":
+                # Segment i runs from padded[i+1] to padded[i+2], with end
+                # tangents m0 = t*(P[i+2] - P[i]) and m1 = t*(P[i+3] - P[i+1]).
+                padded = with_phantom_endpoints(pts)
+                self._p0, self._p1 = padded[1:-2], padded[2:-1]
+                self._m0 = self.tension * (padded[2:-1] - padded[:-3])
+                self._m1 = self.tension * (padded[3:] - padded[1:-2])
+            elif kind == "polyline":
+                self._starts = pts[:-1]
+                self._diffs = pts[1:] - pts[:-1]
+            else:  # bezier
+                self._control = pts
 
     @classmethod
     def polyline(cls, keypoints) -> "PathCurve":
@@ -186,22 +186,33 @@ class PathCurve:
         idx = np.minimum(np.floor(x).astype(int), self.n_segments - 1)
         return idx, x - idx
 
+    def _evaluate(self, ss, deriv: bool) -> np.ndarray:
+        """Positions (deriv False) or dP/ds (deriv True) at global parameters.
+
+        Overflowing curve data gives inf and NaN rows (0 * inf) without a
+        warning; the callers' named checks reject them.
+        """
+        ss = _check_parameters(ss)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind == "bezier":
+                return _de_casteljau(self._control, ss)[deriv]
+            idx, u = self._locate(ss)
+            if self.kind == "polyline":
+                if deriv:
+                    return self.n_segments * self._diffs[idx]
+                return self._starts[idx] + u[:, None] * self._diffs[idx]
+            h00, h10, h01, h11 = (_hermite_weights_deriv if deriv else _hermite_weights)(u)
+            p = (
+                h00[:, None] * self._p0[idx]
+                + h10[:, None] * self._m0[idx]
+                + h01[:, None] * self._p1[idx]
+                + h11[:, None] * self._m1[idx]
+            )
+            return self.n_segments * p if deriv else p
+
     def positions(self, ss) -> np.ndarray:
         """Evaluate the curve at an array of global parameters in [0, 1]."""
-        ss = _check_parameters(ss)
-        if self.kind == "bezier":
-            pos, _ = _de_casteljau(self._control, ss)
-            return pos
-        idx, u = self._locate(ss)
-        if self.kind == "polyline":
-            return self._starts[idx] + u[:, None] * self._diffs[idx]
-        h00, h10, h01, h11 = _hermite_weights(u)
-        return (
-            h00[:, None] * self._p0[idx]
-            + h10[:, None] * self._m0[idx]
-            + h01[:, None] * self._p1[idx]
-            + h11[:, None] * self._m1[idx]
-        )
+        return self._evaluate(ss, False)
 
     def position(self, s: float) -> np.ndarray:
         """Evaluate the curve at one global parameter in [0, 1]."""
@@ -213,20 +224,7 @@ class PathCurve:
         At polyline knots the right-hand segment direction wins (the final
         knot s=1 belongs to the last segment).
         """
-        ss = _check_parameters(ss)
-        if self.kind == "bezier":
-            _, deriv = _de_casteljau(self._control, ss)
-            return deriv
-        idx, u = self._locate(ss)
-        if self.kind == "polyline":
-            return self.n_segments * self._diffs[idx]
-        h00, h10, h01, h11 = _hermite_weights_deriv(u)
-        return self.n_segments * (
-            h00[:, None] * self._p0[idx]
-            + h10[:, None] * self._m0[idx]
-            + h01[:, None] * self._p1[idx]
-            + h11[:, None] * self._m1[idx]
-        )
+        return self._evaluate(ss, True)
 
     def tangent(self, s: float) -> np.ndarray:
         """Unnormalized derivative dP/ds at one global parameter."""

@@ -86,6 +86,15 @@ class NormalityResult:
         }
 
 
+def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Two paired samples of at least 3 observations each, equally long."""
+    x = _as_sample(x, 3, "x")
+    y = _as_sample(y, 3, "y")
+    if len(x) != len(y):
+        raise ValueError(f"x and y lengths differ: {len(x)} vs {len(y)}")
+    return x, y
+
+
 def _t_two_sided_p(t_stat: float, dof: int) -> float:
     from scipy.special import stdtr
 
@@ -96,10 +105,7 @@ def _t_two_sided_p(t_stat: float, dof: int) -> float:
 
 def pearson(x, y) -> CorrelationResult:
     """Pearson correlation with two-sided p from the t distribution (n-2 df)."""
-    x = _as_sample(x, 3, "x")
-    y = _as_sample(y, 3, "y")
-    if len(x) != len(y):
-        raise ValueError(f"x and y lengths differ: {len(x)} vs {len(y)}")
+    x, y = _as_pair(x, y)
     n = len(x)
     dx = x - x.mean()
     dy = y - y.mean()
@@ -133,28 +139,30 @@ def average_ranks(x) -> np.ndarray:
 
 def spearman(x, y) -> CorrelationResult:
     """Spearman rank correlation (average ranks for ties), t-approximated p."""
-    x = _as_sample(x, 3, "x")
-    y = _as_sample(y, 3, "y")
-    if len(x) != len(y):
-        raise ValueError(f"x and y lengths differ: {len(x)} vs {len(y)}")
+    x, y = _as_pair(x, y)
     result = pearson(average_ranks(x), average_ranks(y))
     return CorrelationResult("spearman", result.r, result.p_value, result.n)
 
 
-def ks_statistic_normal(x) -> float:
-    """Largest deviation between the sample ECDF and the fitted normal CDF."""
+def _ks_rows(z: np.ndarray) -> np.ndarray:
+    """K-S statistic of each row of z against the normal fitted to that row."""
     from scipy.special import ndtr
 
-    x = _as_sample(x, 4)
-    sd = x.std(ddof=1)
-    if sd == 0.0:
-        raise DegenerateSampleError("normality test undefined for zero-variance sample")
-    z = np.sort((x - x.mean()) / sd)
-    n = len(z)
+    n = z.shape[1]
+    z = (z - z.mean(axis=1, keepdims=True)) / z.std(axis=1, ddof=1, keepdims=True)
+    z.sort(axis=1)
     cdf = ndtr(z)
-    d_plus = (np.arange(1, n + 1) / n - cdf).max()
-    d_minus = (cdf - np.arange(0, n) / n).max()
-    return float(max(d_plus, d_minus))
+    hi = np.arange(1, n + 1) / n
+    lo = np.arange(0, n) / n
+    return np.maximum((hi - cdf).max(axis=1), (cdf - lo).max(axis=1))
+
+
+def ks_statistic_normal(x) -> float:
+    """Largest deviation between the sample ECDF and the fitted normal CDF."""
+    x = _as_sample(x, 4)
+    if x.std(ddof=1) == 0.0:
+        raise DegenerateSampleError("normality test undefined for zero-variance sample")
+    return float(_ks_rows(x[None, :])[0])
 
 
 def lilliefors_null(n: int, replicates: int = DEFAULT_KS_REPLICATES, seed: int = 0) -> np.ndarray:
@@ -163,20 +171,12 @@ def lilliefors_null(n: int, replicates: int = DEFAULT_KS_REPLICATES, seed: int =
     Simulates ``replicates`` standard-normal samples of size n and computes
     each one's statistic the same way ks_statistic_normal does.
     """
-    from scipy.special import ndtr
-
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     if replicates < 1:
         raise ValueError(f"need at least 1 replicate, got {replicates}")
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((replicates, n))
-    z = (z - z.mean(axis=1, keepdims=True)) / z.std(axis=1, ddof=1, keepdims=True)
-    z.sort(axis=1)
-    cdf = ndtr(z)
-    hi = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
-    d = np.maximum((hi - cdf).max(axis=1), (cdf - lo).max(axis=1))
+    d = _ks_rows(rng.standard_normal((replicates, n)))
     d.sort()
     return d
 
@@ -234,10 +234,7 @@ def linear_fit_with_band(x, y, confidence: float = 0.95) -> RegressionFit:
     """
     from scipy.special import stdtrit
 
-    x = _as_sample(x, 3, "x")
-    y = _as_sample(y, 3, "y")
-    if len(x) != len(y):
-        raise ValueError(f"x and y lengths differ: {len(x)} vs {len(y)}")
+    x, y = _as_pair(x, y)
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
     n = len(x)

@@ -43,6 +43,8 @@ def test_path_compare_readme_command_matches_golden(tmp_path):
 
 # Finite keypoints whose squared distances overflow.
 HUGE_ROWS = ["1e300,0,0", "-1e300,1,0", "1e300,2,5"]
+# Finite keypoints whose differences overflow.
+ZIGZAG_ROWS = ["1.5e308,0,0", "-1.5e308,1,0", "1.5e308,2,5"]
 
 
 def main_without_warnings(argv) -> int:
@@ -70,9 +72,9 @@ def test_path_compare_huge_finite_keypoints(tmp_path, capsys, rows):
 def test_path_compare_overflowing_keypoints(tmp_path, capsys):
     # Keypoint differences overflow, so the view directions do too.
     route = tmp_path / "huge.csv"
-    route.write_text("longitude,latitude,height\n1.5e308,0,0\n-1.5e308,1,0\n1.5e308,2,5\n")
+    route.write_text("longitude,latitude,height\n" + "\n".join(ZIGZAG_ROWS) + "\n")
     out = tmp_path / "out"
-    assert main(["path", "compare", str(route), "--out", str(out)]) == 1
+    assert main_without_warnings(["path", "compare", str(route), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         "error: view direction length overflows (coordinates too large)\n")
     assert not out.exists()
@@ -107,7 +109,22 @@ def test_path_compare_scaled_projection(tmp_path):
         "--scale", "1", "1", "0.001", "--out", str(out),
     ])
     assert code == 0
-    assert (out / "compare.svg").exists()
+    assert read_outputs(out) == read_outputs(GOLDEN_DIR / "compare_scaled")
+
+
+@pytest.mark.parametrize("argv", [
+    ["path", "compare", str(ROUTE)],
+    ["sim", "run", str(ROUTE_SPEEDS), str(SCENE), "--dt", "0.01", "--seed", "3", "--sigma", "0.1"],
+], ids=["path_compare", "sim_run"])
+def test_unit_scale_and_ignored_scale_match_default(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path / "default")]) == 0
+    expected = read_outputs(tmp_path / "default")
+    unit = ["--projection", "scaled", "--scale", "1", "1", "1"]
+    assert main(argv + unit + ["--out", str(tmp_path / "unit")]) == 0
+    assert read_outputs(tmp_path / "unit") == expected
+    # --scale alone leaves the raw projection, even with a factor it would refuse
+    assert main(argv + ["--scale", "0", "5", "5", "--out", str(tmp_path / "raw")]) == 0
+    assert read_outputs(tmp_path / "raw") == expected
 
 
 # --- sim run -----------------------------------------------------------------
@@ -206,14 +223,58 @@ def test_sim_run_tiny_dt_hits_step_limit(tmp_path, capsys):
 
 
 def test_sim_run_overflowing_keypoints(tmp_path, capsys):
-    route = tmp_path / "huge.csv"
-    route.write_text("longitude,latitude,height,speed\n"
-                     + "".join(row + ",1\n" for row in HUGE_ROWS))
+    for rows in (HUGE_ROWS, ZIGZAG_ROWS):
+        route = tmp_path / "huge.csv"
+        route.write_text("longitude,latitude,height,speed\n"
+                         + "".join(row + ",1\n" for row in rows))
+        out = tmp_path / "out"
+        assert main_without_warnings(["sim", "run", str(route), str(SCENE), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: path length overflows (keypoint coordinates too large)\n")
+        assert not out.exists()
+
+
+def scene_with(tmp_path, edit) -> Path:
+    """The demo scene with edit(doc) applied, written to tmp_path."""
+    doc = json.loads(SCENE.read_text())
+    edit(doc)
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    return scene
+
+
+# 401 digits: beyond the largest float, so float() raises OverflowError.
+BEYOND_FLOAT = 10 ** 400
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["obstacles"][0].update(radius=BEYOND_FLOAT),
+    lambda doc: doc["targets"][0].update(radius=BEYOND_FLOAT),
+    lambda doc: doc["obstacles"][0].update(center=[BEYOND_FLOAT, 0, 0]),
+    lambda doc: doc["targets"][0].update(center=[0, 0, -BEYOND_FLOAT]),
+    lambda doc: doc.update(agent_radius=BEYOND_FLOAT),
+    lambda doc: doc.update(energy_budget=BEYOND_FLOAT),
+], ids=["obstacle_radius", "target_radius", "obstacle_center", "target_center",
+        "agent_radius", "energy_budget"])
+def test_sim_run_scene_integer_beyond_float(tmp_path, capsys, edit):
     out = tmp_path / "out"
-    assert main_without_warnings(["sim", "run", str(route), str(SCENE), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "error: path length overflows (keypoint coordinates too large)\n")
+    code = main_without_warnings(["sim", "run", str(ROUTE_SPEEDS), str(scene_with(tmp_path, edit)),
+                                  "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+
+
+def test_sim_run_integer_target_radius_equals_its_float(tmp_path):
+    # 10**200 fits a float, but its square as an int does not.
+    outputs = []
+    for radius in (10 ** 200, 1e200):
+        scene = scene_with(tmp_path, lambda doc: doc["targets"][1].update(radius=radius))
+        out = tmp_path / f"out{len(outputs)}"
+        assert main(["sim", "run", str(ROUTE_SPEEDS), str(scene), "--out", str(out)]) == 0
+        outputs.append(read_outputs(out))
+    assert outputs[0] == outputs[1]
 
 
 def test_sim_run_readme_command_matches_golden(tmp_path):

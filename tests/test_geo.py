@@ -7,7 +7,6 @@ from searoam.geo import (
     KeyPoint,
     KeypointParseError,
     PathTooShortError,
-    Point3,
     Projection,
     load_keypoints,
     project,
@@ -26,16 +25,20 @@ DEMO_CSV = """longitude,latitude,height
 
 def test_project_raw_is_identity():
     kp = KeyPoint(121.47, 31.23, 10000.0)
-    assert project(kp, Projection.raw()) == Point3(121.47, 31.23, 10000.0)
+    assert project(kp, Projection.raw()) == (121.47, 31.23, 10000.0)
+    # bit for bit, signed zero and subnormals included
+    kp = KeyPoint(-0.0, 5e-324, 1.7976931348623157e308)
+    assert [math.copysign(1.0, v) for v in project(kp)] == [-1.0, 1.0, 1.0]
+    assert project(kp) == (-0.0, 5e-324, 1.7976931348623157e308)
 
 
 def test_project_origin():
-    assert project(KeyPoint(0.0, 0.0, 0.0)) == Point3(0.0, 0.0, 0.0)
+    assert project(KeyPoint(0.0, 0.0, 0.0)) == (0.0, 0.0, 0.0)
 
 
 def test_project_scaled_componentwise():
     kp = KeyPoint(123.0, 20.0, 50000.0)
-    assert project(kp, Projection.scaled(1, 1, 0.001)) == Point3(123.0, 20.0, 50.0)
+    assert project(kp, Projection.scaled(1, 1, 0.001)) == (123.0, 20.0, 50.0)
 
 
 def test_projection_rejects_nonpositive_scale():
@@ -52,8 +55,8 @@ def test_keypoint_invariants():
         KeyPoint(0.0, 0.0, 0.0, speed=0.0)
     with pytest.raises(ValueError):
         KeyPoint(math.nan, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        Point3(math.inf, 0.0, 0.0)
+    with pytest.raises(ValueError, match="x must be finite"):
+        project(KeyPoint(1e308, 0.0, 0.0), Projection.scaled(10.0, 1.0, 1.0))
 
 
 def test_load_demo_route():

@@ -5,7 +5,6 @@ import pytest
 
 from searoam.geo import PathTooShortError
 from searoam.report import (
-    FigureSpec,
     render_path_compare,
     render_scatter_band,
     smoothness_csv,
@@ -143,13 +142,6 @@ def test_scatter_rejects_mismatched_fit():
     x, y, fit = scatter_inputs()
     with pytest.raises(ValueError):
         render_scatter_band(x[:-1], y[:-1], fit)
-
-
-def test_figure_spec_validation():
-    with pytest.raises(ValueError):
-        FigureSpec(width=0)
-    with pytest.raises(ValueError):
-        FigureSpec(width=100, height=100, margin=60)
 
 
 def test_smoothness_csv_layout(demo_pts):
