@@ -13,14 +13,12 @@ from .geo import (
     Projection,
     load_keypoints,
     project,
-    serialize_keypoints,
 )
 from .spline import (
     DEFAULT_TENSION,
     KINDS,
     ArcLengthError,
     PathCurve,
-    with_phantom_endpoints,
 )
 from .camera import (
     VIEW_MODELS,
@@ -73,8 +71,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "KeyPoint", "KeypointParseError", "PathTooShortError", "Projection",
-    "load_keypoints", "project", "serialize_keypoints",
-    "DEFAULT_TENSION", "KINDS", "ArcLengthError", "PathCurve", "with_phantom_endpoints",
+    "load_keypoints", "project",
+    "DEFAULT_TENSION", "KINDS", "ArcLengthError", "PathCurve",
     "VIEW_MODELS", "DegenerateViewError", "SmoothnessReport", "ViewOverflowError",
     "smoothness", "view_direction",
     "SceneSpec", "SimResult", "SimTooLargeError", "SpeedProfile", "Sphere", "Target", "Trajectory",

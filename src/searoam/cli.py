@@ -103,14 +103,15 @@ def _json_text(doc: dict) -> str:
 
 
 def _cmd_path_compare(args) -> int:
+    if not 0.0 < args.tension <= 1.0:
+        raise ValueError(
+            f"--tension must be in (0, 1] for path compare, got {args.tension!r}: "
+            "at tension 0 the catmull-rom tangent vanishes at every knot")
     pts, _ = _projected_points(args)
-    svg = report.render_path_compare(pts, tension=args.tension, samples=args.samples)
-    entries = [
-        (kind, model,
-         camera.smoothness(spline.PathCurve(kind, pts, args.tension), model, args.samples))
-        for kind, model in (("polyline", "next_node"), ("bezier", "tangent"),
-                            ("catmull_rom", "tangent"))
-    ]
+    curves = [spline.PathCurve(kind, pts, args.tension) for kind in spline.KINDS]
+    svg = report.render_path_compare(curves, args.samples)
+    entries = [(curve.kind, model, camera.smoothness(curve, model, args.samples))
+               for curve, model in zip(curves, ("next_node", "tangent", "tangent"))]
     _write_all(args.out, {
         "compare.svg": svg,
         "smoothness.csv": report.smoothness_csv(entries),

@@ -86,10 +86,6 @@ class Projection:
     def raw(cls) -> "Projection":
         return cls()
 
-    @classmethod
-    def scaled(cls, sx: float, sy: float, sz: float) -> "Projection":
-        return cls((sx, sy, sz))
-
 
 def project(kp: KeyPoint, proj: Projection = Projection.raw()) -> tuple[float, float, float]:
     """Map a keypoint into working space: (longitude, latitude, height)
@@ -159,16 +155,3 @@ def load_keypoints(source: str) -> list[KeyPoint]:
             f"a path needs at least 2 keypoints, got {len(points)}"
         )
     return points
-
-
-def serialize_keypoints(keypoints: list[KeyPoint]) -> str:
-    """Write keypoints back to CSV (always including the speed column).
-
-    Floats are written with repr so that load_keypoints round-trips exactly.
-    """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_HEADER_FULL)
-    for kp in keypoints:
-        writer.writerow([repr(kp.longitude), repr(kp.latitude), repr(kp.height), repr(kp.speed)])
-    return out.getvalue()

@@ -13,7 +13,6 @@ import csv
 import numpy as np
 
 from .camera import SmoothnessReport
-from .spline import PathCurve, as_point_array
 from .stats import RegressionFit
 
 PANEL_LABELS = {"polyline": "(a) polyline", "bezier": "(b) bezier", "catmull_rom": "(c) catmull-rom"}
@@ -79,8 +78,9 @@ def _frame(m: _Mapper) -> str:
     )
 
 
-def render_path_compare(keypoints, tension: float = 0.5, samples: int = 64) -> str:
-    """Three-panel comparison figure (polyline, bezier, catmull-rom).
+def render_path_compare(curves, samples: int = 64) -> str:
+    """Three-panel comparison figure of the polyline, bezier and catmull-rom
+    curves over one set of keypoints, given in that (spline.KINDS) order.
 
     All panels share identical axes (longitude on x, latitude on y; height
     is ignored) and mark the keypoints.  ``samples`` is the per-segment
@@ -88,9 +88,8 @@ def render_path_compare(keypoints, tension: float = 0.5, samples: int = 64) -> s
     """
     if samples < 16:
         raise ValueError(f"need at least 16 samples per segment, got {samples}")
-    pts = as_point_array(keypoints)
-    curves = {kind: PathCurve(kind, pts, tension) for kind in ("polyline", "bezier", "catmull_rom")}
-    sampled = {kind: c.positions(c.grid(samples)) for kind, c in curves.items()}
+    pts = curves[0].keypoints
+    sampled = {c.kind: c.positions(c.grid(samples)) for c in curves}
 
     all_xy = np.vstack([p[:, :2] for p in sampled.values()] + [pts[:, :2]])
     x_range = _bounds(all_xy[:, 0])
@@ -102,7 +101,7 @@ def render_path_compare(keypoints, tension: float = 0.5, samples: int = 64) -> s
     panel_h = height - 2 * margin
 
     parts = _svg_open(width, height)
-    for i, kind in enumerate(("polyline", "bezier", "catmull_rom")):
+    for i, kind in enumerate(sampled):
         left = margin + i * (panel_w + gap)
         m = _Mapper(x_range, y_range, left, margin, panel_w, panel_h)
         parts.append(f'<g class="panel" id="panel-{kind}">')

@@ -174,20 +174,6 @@ class SceneSpec:
             energy_budget=_scene_number(doc, "energy_budget", DEFAULT_ENERGY_BUDGET),
         )
 
-    def to_json(self) -> str:
-        doc = {
-            "obstacles": [
-                {"center": list(o.center), "radius": o.radius} for o in self.obstacles
-            ],
-            "targets": [
-                {"id": t.id, "center": list(t.center), "radius": t.radius}
-                for t in self.targets
-            ],
-            "agent_radius": self.agent_radius,
-            "energy_budget": self.energy_budget,
-        }
-        return json.dumps(doc, indent=2) + "\n"
-
 
 @dataclass(frozen=True)
 class SpeedProfile:
@@ -209,13 +195,6 @@ class SpeedProfile:
     @classmethod
     def from_keypoints(cls, keypoints) -> "SpeedProfile":
         return cls(np.array([kp.speed for kp in keypoints], dtype=float))
-
-    @classmethod
-    def constant(cls, speed: float, n_keypoints: int) -> "SpeedProfile":
-        return cls(np.full(n_keypoints, float(speed)))
-
-    def speed_at(self, s: float) -> float:
-        return float(np.interp(s, self.knots, self.speeds))
 
 
 @dataclass(frozen=True)
@@ -535,7 +514,8 @@ def _ray_candidates(origins: np.ndarray, directions: np.ndarray, scene: SceneSpe
     DISTANCE_BLOCK ray-target pairs at a time.
     """
     centers = scene.target_centers
-    r2 = scene.target_radii * scene.target_radii
+    with np.errstate(over="ignore"):  # an infinite discriminant is kept
+        r2 = scene.target_radii * scene.target_radii
     rows = max(1, DISTANCE_BLOCK // max(1, len(centers)))
     for start in range(0, len(origins), rows):
         o, d = origins[start:start + rows], directions[start:start + rows]
@@ -563,9 +543,14 @@ def _nearest_hit(origin: np.ndarray, d: np.ndarray, scene: SceneSpec, candidates
         b = float(np.dot(d, oc))
         r = float(scene.target_radii[i])
         disc = b * b - float(np.dot(oc, oc)) + r * r
+        k = 1.0
+        if not math.isfinite(disc):  # a square overflowed: the same test scaled by 1/k
+            k = max(r, float(np.abs(oc).max()))
+            oc_k, b_k, r_k = oc / k, b / k, r / k
+            disc = b_k * b_k - float(np.dot(oc_k, oc_k)) + r_k * r_k
         if disc < 0.0:
             continue
-        root = math.sqrt(disc)
+        root = k * math.sqrt(disc)
         t_hit = -b - root
         if t_hit < 0.0:
             t_hit = -b + root

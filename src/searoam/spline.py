@@ -76,28 +76,6 @@ def check_tension(tension: float) -> float:
     return tension
 
 
-def as_point_array(points) -> np.ndarray:
-    """Copy a sequence of triples or an (N, 3) array to a float64 array."""
-    arr = np.array(points, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError(f"expected an (N, 3) point array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("points must be finite")
-    return arr
-
-
-def with_phantom_endpoints(points) -> np.ndarray:
-    """Duplicate the first and last keypoints as phantom neighbors.
-
-    An N-point path becomes an (N+2)-point list whose windows
-    (P[i-1], P[i], P[i+1], P[i+2]) supply the N-1 segment neighborhoods.
-    """
-    arr = as_point_array(points)
-    if len(arr) < 2:
-        raise PathTooShortError(f"a path needs at least 2 keypoints, got {len(arr)}")
-    return np.vstack([arr[:1], arr, arr[-1:]])
-
-
 def _hermite_weights(u):
     """Cubic Hermite basis (h00, h10, h01, h11) at u.
 
@@ -134,7 +112,11 @@ class PathCurve:
     def __init__(self, kind: str, keypoints, tension: float = DEFAULT_TENSION):
         if kind not in KINDS:
             raise ValueError(f"unknown curve kind {kind!r}; expected one of {KINDS}")
-        pts = as_point_array(keypoints)
+        pts = np.array(keypoints, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise ValueError(f"expected an (N, 3) point array, got shape {pts.shape}")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
         if len(pts) < 2:
             raise PathTooShortError(f"a path needs at least 2 keypoints, got {len(pts)}")
         self.kind = kind
@@ -149,7 +131,7 @@ class PathCurve:
             if kind == "catmull_rom":
                 # Segment i runs from padded[i+1] to padded[i+2], with end
                 # tangents m0 = t*(P[i+2] - P[i]) and m1 = t*(P[i+3] - P[i+1]).
-                padded = with_phantom_endpoints(pts)
+                padded = np.vstack([pts[:1], pts, pts[-1:]])
                 self._p0, self._p1 = padded[1:-2], padded[2:-1]
                 self._m0 = self.tension * (padded[2:-1] - padded[:-3])
                 self._m1 = self.tension * (padded[3:] - padded[1:-2])

@@ -95,6 +95,20 @@ def test_path_compare_rejects_bad_tension(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_path_compare_rejects_zero_tension(tmp_path, capsys):
+    # At tension 0 every catmull-rom knot tangent vanishes, so the tangent
+    # view is undefined there; sim run still accepts it.
+    out = tmp_path / "out"
+    assert main_without_warnings(
+        ["path", "compare", str(ROUTE), "--tension", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "--tension" in err[0] and "tangent vanishes" in err[0]
+    assert not out.exists()
+    assert main(["sim", "run", str(ROUTE_SPEEDS), str(SCENE), "--kind", "catmull_rom",
+                 "--tension", "0", "--out", str(out)]) == 0
+
+
 def test_path_compare_malformed_row_diagnostics(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("longitude,latitude,height\n1,2,3\n4,5,6\nabc,8,9\n")
@@ -267,12 +281,13 @@ def test_sim_run_scene_integer_beyond_float(tmp_path, capsys, edit):
 
 
 def test_sim_run_integer_target_radius_equals_its_float(tmp_path):
-    # 10**200 fits a float, but its square as an int does not.
+    # 10**200 fits a float, but its square as an int does not, nor as a float.
     outputs = []
     for radius in (10 ** 200, 1e200):
         scene = scene_with(tmp_path, lambda doc: doc["targets"][1].update(radius=radius))
         out = tmp_path / f"out{len(outputs)}"
-        assert main(["sim", "run", str(ROUTE_SPEEDS), str(scene), "--out", str(out)]) == 0
+        assert main_without_warnings(
+            ["sim", "run", str(ROUTE_SPEEDS), str(scene), "--out", str(out)]) == 0
         outputs.append(read_outputs(out))
     assert outputs[0] == outputs[1]
 

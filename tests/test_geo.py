@@ -10,7 +10,6 @@ from searoam.geo import (
     Projection,
     load_keypoints,
     project,
-    serialize_keypoints,
 )
 
 DEMO_CSV = """longitude,latitude,height
@@ -38,14 +37,14 @@ def test_project_origin():
 
 def test_project_scaled_componentwise():
     kp = KeyPoint(123.0, 20.0, 50000.0)
-    assert project(kp, Projection.scaled(1, 1, 0.001)) == (123.0, 20.0, 50.0)
+    assert project(kp, Projection((1, 1, 0.001))) == (123.0, 20.0, 50.0)
 
 
 def test_projection_rejects_nonpositive_scale():
     with pytest.raises(ValueError):
-        Projection.scaled(1.0, 0.0, 1.0)
+        Projection((1.0, 0.0, 1.0))
     with pytest.raises(ValueError):
-        Projection.scaled(1.0, -2.0, 1.0)
+        Projection((1.0, -2.0, 1.0))
 
 
 def test_keypoint_invariants():
@@ -56,7 +55,7 @@ def test_keypoint_invariants():
     with pytest.raises(ValueError):
         KeyPoint(math.nan, 0.0, 0.0)
     with pytest.raises(ValueError, match="x must be finite"):
-        project(KeyPoint(1e308, 0.0, 0.0), Projection.scaled(10.0, 1.0, 1.0))
+        project(KeyPoint(1e308, 0.0, 0.0), Projection((10.0, 1.0, 1.0)))
 
 
 def test_load_demo_route():
@@ -120,14 +119,27 @@ finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
         max_size=12,
     )
 )
-def test_serialize_load_round_trip(rows):
-    kps = [KeyPoint(*row) for row in rows]
-    assert load_keypoints(serialize_keypoints(kps)) == kps
+def test_repr_csv_load_round_trip(rows):
+    text = "longitude,latitude,height,speed\n" + "".join(
+        ",".join(repr(v) for v in row) + "\n" for row in rows)
+    assert load_keypoints(text) == [KeyPoint(*row) for row in rows]
+
+
+def test_load_reads_repr_floats_exactly():
+    kps = load_keypoints(
+        "longitude,latitude,height,speed\n"
+        "0.1,-179.99999999999997,5e-324,0.001\n"
+        "1.7976931348623157e+308,-33.333333333333336,123456.78901234567,1000.0\n"
+    )
+    assert [(kp.longitude, kp.latitude, kp.height, kp.speed) for kp in kps] == [
+        (0.1, -179.99999999999997, 5e-324, 0.001),
+        (1.7976931348623157e308, -33.333333333333336, 123456.78901234567, 1000.0),
+    ]
 
 
 @given(finite_coord, finite_coord, st.floats(min_value=0, max_value=1e6, allow_nan=False))
 def test_project_injective_on_distinct_inputs(lon, lat, h):
-    proj = Projection.scaled(2.0, 3.0, 0.5)
+    proj = Projection((2.0, 3.0, 0.5))
     base = project(KeyPoint(lon, lat, h), proj)
     shifted = project(KeyPoint(lon + 1.0, lat, h), proj)
     assert base != shifted

@@ -10,12 +10,17 @@ from searoam.report import (
     smoothness_csv,
 )
 from searoam.camera import smoothness
-from searoam.spline import PathCurve
+from searoam.spline import KINDS, PathCurve
 from searoam.stats import linear_fit_with_band, synthesize_study
 
 from conftest import GOLDEN_DIR
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+
+
+def compare(keypoints, tension=0.5, samples=64):
+    """render_path_compare over the three curve kinds, as path compare builds them."""
+    return render_path_compare([PathCurve(kind, keypoints, tension) for kind in KINDS], samples)
 
 
 def series_elements(svg_text):
@@ -24,20 +29,20 @@ def series_elements(svg_text):
 
 
 def test_compare_golden_bytes(demo_pts):
-    svg = render_path_compare(demo_pts, tension=0.5, samples=64)
+    svg = compare(demo_pts)
     golden = (GOLDEN_DIR / "compare_demo_route.svg").read_text()
     assert svg == golden
 
 
 def test_compare_is_well_formed_with_three_series(demo_pts):
-    svg = render_path_compare(demo_pts, tension=0.5, samples=64)
+    svg = compare(demo_pts)
     assert len(series_elements(svg)) == 3
     root = ET.fromstring(svg)
     assert root.tag == f"{SVG_NS}svg"
 
 
 def test_compare_catmull_panel_passes_through_markers(demo_pts):
-    svg = render_path_compare(demo_pts, tension=0.5, samples=64)
+    svg = compare(demo_pts)
     root = ET.fromstring(svg)
     panel = next(g for g in root.iter(f"{SVG_NS}g") if g.get("id") == "panel-catmull_rom")
     polyline = next(el for el in panel.iter(f"{SVG_NS}polyline"))
@@ -55,7 +60,7 @@ def test_compare_catmull_panel_passes_through_markers(demo_pts):
 
 
 def test_compare_two_collinear_keypoints_gives_identical_straight_panels():
-    svg = render_path_compare([(0, 0, 0), (10, 5, 0)], samples=16)
+    svg = compare([(0, 0, 0), (10, 5, 0)], samples=16)
     root = ET.fromstring(svg)
     endpoints = []
     for el in root.iter(f"{SVG_NS}polyline"):
@@ -83,17 +88,17 @@ def el_offset(xy):
 
 def test_compare_rejects_single_keypoint():
     with pytest.raises(PathTooShortError):
-        render_path_compare([(0, 0, 0)])
+        compare([(0, 0, 0)])
 
 
 def test_compare_rejects_low_sampling(demo_pts):
     with pytest.raises(ValueError):
-        render_path_compare(demo_pts, samples=8)
+        compare(demo_pts, samples=8)
 
 
 def test_compare_deterministic(demo_pts):
-    a = render_path_compare(demo_pts, tension=0.3, samples=32)
-    b = render_path_compare(demo_pts, tension=0.3, samples=32)
+    a = compare(demo_pts, tension=0.3, samples=32)
+    b = compare(demo_pts, tension=0.3, samples=32)
     assert a == b
 
 

@@ -14,7 +14,6 @@ from searoam.spline import (
     KINDS,
     ArcLengthError,
     PathCurve,
-    with_phantom_endpoints,
 )
 
 from conftest import chordal_arc_length
@@ -100,14 +99,24 @@ def test_segment_rejects_bad_inputs():
 # --- endpoint policy ------------------------------------------------------
 
 def test_phantom_endpoints_minimal_path():
-    out = with_phantom_endpoints([(0, 0, 0), (1, 2, 3)])
-    assert np.array_equal(out, [[0, 0, 0], [0, 0, 0], [1, 2, 3], [1, 2, 3]])
+    # The end keypoints are their own phantom neighbors, so the end tangents
+    # are n_segments * t * (P1 - P0) and n_segments * t * (P[N-1] - P[N-2]).
+    pts = np.array([(0.0, 0.0, 0.0), (1.0, 2.0, 3.0)])
+    curve = PathCurve.catmull_rom(pts, 0.5)
+    assert curve.n_segments == 1
+    assert np.array_equal(curve.positions([0.0, 1.0]), pts)
+    start, end = curve.tangents([0.0, 1.0])
+    assert np.array_equal(start, 1 * (0.5 * (pts[1] - pts[0])))
+    assert np.array_equal(end, 1 * (0.5 * (pts[1] - pts[0])))
 
 
 def test_phantom_endpoints_counting():
-    out = with_phantom_endpoints([(0, 0, 0), (1, 0, 0), (2, 0, 0)])
-    assert len(out) == 5
-    assert PathCurve.catmull_rom([(0, 0, 0), (1, 0, 0), (2, 0, 0)]).n_segments == 2
+    pts = np.array([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 3.0, 0.0)])
+    curve = PathCurve.catmull_rom(pts, 0.3)
+    assert curve.n_segments == 2
+    start, end = curve.tangents([0.0, 1.0])
+    assert np.array_equal(start, 2 * (0.3 * (pts[1] - pts[0])))
+    assert np.array_equal(end, 2 * (0.3 * (pts[2] - pts[1])))
 
 
 def test_demo_route_has_five_segments(demo_pts):
@@ -116,7 +125,7 @@ def test_demo_route_has_five_segments(demo_pts):
 
 def test_phantom_endpoints_too_short():
     with pytest.raises(PathTooShortError):
-        with_phantom_endpoints([(0, 0, 0)])
+        PathCurve.catmull_rom([(0, 0, 0)])
     with pytest.raises(PathTooShortError):
         PathCurve.polyline([(0, 0, 0)])
 
