@@ -36,6 +36,9 @@ MAX_STEPS = 2_000_000
 # positions are tested against all sphere centers a block of rows at a time,
 # so memory does not grow with positions x spheres.
 DISTANCE_BLOCK = 1 << 16
+# Points per block at most, so that a scene of a few spheres does not test
+# the whole path in one block whose arrays are as large as the positions.
+_ENTRY_BLOCK_ROWS = DISTANCE_BLOCK // 16
 
 
 class SimTooLargeError(ValueError):
@@ -83,23 +86,66 @@ class Target:
         _check_radius(self.radius, "target")
 
 
-def _scene_entries(doc: dict, key: str, build) -> tuple:
-    """Build each entry of the scene list doc[key], naming it in any error."""
+_JSON_NUMBERS = (float, int)
+
+
+def _plain_center(value) -> bool:
+    """Whether value is a list of three finite JSON numbers, the common case
+    that needs no numpy call to check."""
+    if type(value) is not list or len(value) != 3:
+        return False
+    x, y, z = value
+    try:
+        return (type(x) in _JSON_NUMBERS and type(y) in _JSON_NUMBERS
+                and type(z) in _JSON_NUMBERS
+                and math.isfinite(x) and math.isfinite(y) and math.isfinite(z))
+    except OverflowError:  # an int beyond 1.8e308
+        return False
+
+
+def _prechecked(cls, **fields):
+    """An instance of the frozen dataclass cls from fields already checked,
+    built without running __post_init__ again."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _scene_entries(doc: dict, key: str, cls) -> tuple:
+    """Check each entry of the scene list doc[key], naming it in any error,
+    and build the Sphere or Target objects from one stacked center array.
+
+    Checks run in the order the constructors run them: id, center and
+    radius present, then the center, then the radius.  Centers that are
+    not three plain finite numbers go through _as_center, which gives the
+    error or the same floats as before.
+    """
     items = doc.get(key, [])
     if not isinstance(items, list):
         raise ValueError(f"scene {key!r} must be a list, got {type(items).__name__}")
     what = key[:-1]
-    built = []
+    kind = "target" if cls is Target else "sphere"
+    ids, centers, radii = [], [], []
     for i, item in enumerate(items):
         if not isinstance(item, dict):
             raise ValueError(f"{what} {i}: expected an object, got {type(item).__name__}")
         try:
-            built.append(build(item))
+            if cls is Target:
+                ids.append(str(item["id"]))
+            center, radius = item["center"], item["radius"]
+            centers.append(center if _plain_center(center) else _as_center(center, kind))
+            if not (type(radius) is float and 0.0 < radius < math.inf):
+                _check_radius(radius, kind)
         except KeyError as exc:
             raise ValueError(f"{what} {i}: missing {exc.args[0]!r}") from None
         except ValueError as exc:
             raise ValueError(f"{what} {i}: {exc}") from None
-    return tuple(built)
+        radii.append(radius)
+    rows = list(np.array(centers, dtype=float).reshape(-1, 3))
+    if cls is Target:
+        return tuple(_prechecked(Target, id=t, center=c, radius=r)
+                     for t, c, r in zip(ids, rows, radii))
+    return tuple(_prechecked(Sphere, center=c, radius=r) for c, r in zip(rows, radii))
 
 
 def _scene_number(doc: dict, key: str, default: float) -> float:
@@ -162,14 +208,9 @@ class SceneSpec:
             raise ValueError(f"scene is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise ValueError("scene JSON must be an object")
-        obstacles = _scene_entries(
-            doc, "obstacles", lambda o: Sphere(center=o["center"], radius=o["radius"]))
-        targets = _scene_entries(
-            doc, "targets",
-            lambda t: Target(id=str(t["id"]), center=t["center"], radius=t["radius"]))
         return cls(
-            obstacles=obstacles,
-            targets=targets,
+            obstacles=_scene_entries(doc, "obstacles", Sphere),
+            targets=_scene_entries(doc, "targets", Target),
             agent_radius=_scene_number(doc, "agent_radius", DEFAULT_AGENT_RADIUS),
             energy_budget=_scene_number(doc, "energy_budget", DEFAULT_ENERGY_BUDGET),
         )
@@ -233,12 +274,28 @@ ARC_TABLE_SAMPLES = 2048
 
 
 def _arc_length_table(curve: PathCurve) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (s, cumulative length) table for arc-length parameterization."""
+    """Dense (s, cumulative length) table for arc-length parameterization.
+
+    Each chord is summed in place as sqrt((dx*dx + dy*dy) + dz*dz), the
+    order np.linalg.norm uses over a last axis of length 3, and the table
+    is accumulated in place after its leading 0.0 (0.0 + c == c), so the
+    values equal the cumulative sum of np.linalg.norm's chords bit for bit.
+    """
     grid = curve.grid(ARC_TABLE_SAMPLES)
     points = curve.positions(grid)
+    lengths = np.empty(len(grid))
+    lengths[0] = 0.0
+    chords, part = lengths[1:], np.empty(len(grid) - 1)
     with np.errstate(over="ignore", invalid="ignore"):  # _step_states rejects the total
-        chords = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    return grid, np.concatenate([[0.0], np.cumsum(chords)])
+        np.subtract(points[1:, 0], points[:-1, 0], out=chords)
+        chords *= chords
+        for a in (1, 2):
+            np.subtract(points[1:, a], points[:-1, a], out=part)
+            part *= part
+            chords += part
+        np.sqrt(chords, out=chords)
+        np.cumsum(lengths, out=lengths)
+    return grid, lengths
 
 
 def _interp(x: float, xp: list, fp: list) -> float:
@@ -399,15 +456,15 @@ def _entry_blocks(points: np.ndarray, centers: np.ndarray, reach):
     (inclusive) of the center and the point before it was not; a first
     point within reach counts as an entry.  A block spans at most
     DISTANCE_BLOCK point-center pairs of the whole scene, or a single row
-    when there are more centers than that; blocks without a candidate
-    center are skipped.
+    when there are more centers than that, and at most _ENTRY_BLOCK_ROWS
+    points; blocks without a candidate center are skipped.
     """
     if not len(centers):
         return
     reach = np.broadcast_to(np.asarray(reach, dtype=float), (len(centers),))
     grow = float(reach.max())
     axes = [np.ascontiguousarray(centers[:, a]) for a in range(3)]
-    rows = max(1, DISTANCE_BLOCK // len(centers))
+    rows = max(1, min(_ENTRY_BLOCK_ROWS, DISTANCE_BLOCK // len(centers)))
     before = np.zeros(len(centers), dtype=bool)
     for start in range(0, len(points), rows):
         block = points[start:start + rows]
@@ -511,12 +568,13 @@ def _ray_candidates(origins: np.ndarray, directions: np.ndarray, scene: SceneSpe
     2^-48 * (|oc|^2 + r^2).  The slack is 2^-40 of that scale plus a floor
     for underflow, so no target the scalar test accepts is dropped; NaN
     estimates are kept too.  Rays are tested a block of at most
-    DISTANCE_BLOCK ray-target pairs at a time.
+    DISTANCE_BLOCK // 8 ray-target pairs (64 KB per float64 array) at a
+    time: the block holds several such arrays at once.
     """
     centers = scene.target_centers
     with np.errstate(over="ignore"):  # an infinite discriminant is kept
         r2 = scene.target_radii * scene.target_radii
-    rows = max(1, DISTANCE_BLOCK // max(1, len(centers)))
+    rows = max(1, DISTANCE_BLOCK // 8 // max(1, len(centers)))
     for start in range(0, len(origins), rows):
         o, d = origins[start:start + rows], directions[start:start + rows]
         ox = o[:, 0, None] - centers[:, 0]

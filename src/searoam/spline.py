@@ -58,9 +58,10 @@ def _lobatto_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 _LOBATTO_NODES, _LOBATTO_WEIGHTS = _lobatto_rule(ARC_LENGTH_NODES)
 
-# Parameter values per de Casteljau block: a bezier evaluation holds two
+# Parameter values per evaluation block: a bezier evaluation holds two
 # arrays of at most N x DE_CASTELJAU_ROWS x 3 floats at once, 96 KB per
-# control point, small enough to stay in cache.
+# control point, small enough to stay in cache; polyline and catmull_rom
+# temporaries stay at 96 KB whatever the number of parameters.
 DE_CASTELJAU_ROWS = 1 << 12
 
 
@@ -171,6 +172,8 @@ class PathCurve:
     def _evaluate(self, ss, deriv: bool) -> np.ndarray:
         """Positions (deriv False) or dP/ds (deriv True) at global parameters.
 
+        Evaluated DE_CASTELJAU_ROWS parameters at a time; rows are
+        independent, so the blocking does not change any result bit.
         Overflowing curve data gives inf and NaN rows (0 * inf) without a
         warning; the callers' named checks reject them.
         """
@@ -178,19 +181,38 @@ class PathCurve:
         with np.errstate(over="ignore", invalid="ignore"):
             if self.kind == "bezier":
                 return _de_casteljau(self._control, ss)[deriv]
-            idx, u = self._locate(ss)
-            if self.kind == "polyline":
-                if deriv:
-                    return self.n_segments * self._diffs[idx]
-                return self._starts[idx] + u[:, None] * self._diffs[idx]
-            h00, h10, h01, h11 = (_hermite_weights_deriv if deriv else _hermite_weights)(u)
-            p = (
-                h00[:, None] * self._p0[idx]
-                + h10[:, None] * self._m0[idx]
-                + h01[:, None] * self._p1[idx]
-                + h11[:, None] * self._m1[idx]
-            )
-            return self.n_segments * p if deriv else p
+            out = np.empty((len(ss), 3))
+            term = np.empty((min(len(ss), DE_CASTELJAU_ROWS), 3))
+            for start in range(0, len(ss), DE_CASTELJAU_ROWS):
+                block = slice(start, start + DE_CASTELJAU_ROWS)
+                self._evaluate_block(ss[block], deriv, out[block], term)
+            return out
+
+    def _evaluate_block(self, ss, deriv: bool, out: np.ndarray, term: np.ndarray) -> None:
+        """_evaluate for polyline and catmull_rom on one block, into out.
+
+        In place, with term as scratch: the same products as the plain
+        expressions, summed in the same order, so the same bits.
+        """
+        idx, u = self._locate(ss)
+        term = term[:len(ss)]
+        if self.kind == "polyline":
+            np.take(self._diffs, idx, axis=0, out=out)
+            if deriv:
+                out *= self.n_segments
+            else:
+                out *= u[:, None]
+                out += np.take(self._starts, idx, axis=0, out=term)
+            return
+        h00, h10, h01, h11 = (_hermite_weights_deriv if deriv else _hermite_weights)(u)
+        np.take(self._p0, idx, axis=0, out=out)
+        out *= h00[:, None]
+        for h, rows in ((h10, self._m0), (h01, self._p1), (h11, self._m1)):
+            np.take(rows, idx, axis=0, out=term)
+            term *= h[:, None]
+            out += term
+        if deriv:
+            out *= self.n_segments
 
     def positions(self, ss) -> np.ndarray:
         """Evaluate the curve at an array of global parameters in [0, 1]."""
@@ -386,39 +408,45 @@ def _de_casteljau(control: np.ndarray, u: np.ndarray):
     of shape (n+1, 3) evaluated at parameters u in [0, 1].  The parameters
     are processed in blocks of DE_CASTELJAU_ROWS; rows are independent, so
     the blocking does not change any result bit.
-    """
-    pos = np.empty((len(u), 3))
-    deriv = np.empty((len(u), 3))
-    for start in range(0, len(u), DE_CASTELJAU_ROWS):
-        block = slice(start, start + DE_CASTELJAU_ROWS)
-        pos[block], deriv[block] = _de_casteljau_block(control, u[block])
-    return pos, deriv
 
-
-def _de_casteljau_block(control: np.ndarray, u: np.ndarray):
-    """_de_casteljau on one block of parameters, all at once.
-
-    The working array is point-major, (n+1, len(u), 3), and each recursion
+    The working array is point-major, (n+1, rows, 3), and each recursion
     step overwrites it with (1-w)*a + w*b, computed as w*b into a scratch
     array, then a *= (1-w) and a += w*b: the same products and sum, so the
-    same bits.
+    same bits.  The working, scratch and weight arrays are allocated once
+    and reused by every block.
     """
     n = len(control) - 1
-    b = np.repeat(control[:, None, :], len(u), axis=1)
-    # Weights as full (len(u), 3) rows: broadcasting them over a length-3
+    pos = np.empty((len(u), 3))
+    deriv = np.empty((len(u), 3))
+    if n < 1:
+        pos[:] = control[0]
+        deriv[:] = 0.0
+        return pos, deriv
+    rows = max(1, min(len(u), DE_CASTELJAU_ROWS))
+    b_buf = np.empty((n + 1) * rows * 3)
+    scratch_buf = np.empty(n * rows * 3)
+    # Weights as full (rows, 3) rows: broadcasting them over a length-3
     # axis is several times slower.
-    w = np.repeat(u[:, None], 3, axis=1)
-    one_minus_w = 1.0 - w
-    scratch = np.empty((n, len(u), 3))
-    for step in range(n - 1):
-        m = n - step
-        np.multiply(w, b[1:m + 1], out=scratch[:m])
-        b[:m] *= one_minus_w
-        b[:m] += scratch[:m]
-    if n >= 1:
-        deriv = n * (b[1] - b[0])
-        pos = one_minus_w * b[0] + w * b[1]
-    else:
-        deriv = np.zeros((len(u), 3))
-        pos = b[0].copy()
+    w_buf = np.empty(rows * 3)
+    one_minus_w_buf = np.empty(rows * 3)
+    for start in range(0, len(u), rows):
+        block = slice(start, start + rows)
+        r = min(rows, len(u) - start)
+        b = b_buf[:(n + 1) * r * 3].reshape(n + 1, r, 3)
+        scratch = scratch_buf[:n * r * 3].reshape(n, r, 3)
+        w = w_buf[:r * 3].reshape(r, 3)
+        one_minus_w = one_minus_w_buf[:r * 3].reshape(r, 3)
+        b[:] = control[:, None, :]
+        w[:] = u[block, None]
+        np.subtract(1.0, w, out=one_minus_w)
+        for step in range(n - 1):
+            m = n - step
+            np.multiply(w, b[1:m + 1], out=scratch[:m])
+            b[:m] *= one_minus_w
+            b[:m] += scratch[:m]
+        np.subtract(b[1], b[0], out=deriv[block])
+        deriv[block] *= n
+        np.multiply(one_minus_w, b[0], out=pos[block])
+        np.multiply(w, b[1], out=scratch[0])
+        pos[block] += scratch[0]
     return pos, deriv

@@ -194,7 +194,18 @@ def test_sim_run_empty_scene(tmp_path):
     ('{"obstacles": [{"center": [0, 0, 0], "radius": "3"}]}',
      "obstacle 0: sphere radius must be a number"),
     ('{"obstacles": {"center": [0, 0, 0], "radius": 3}}', "'obstacles' must be a list"),
-], ids=["not_json", "missing_radius", "string_radius", "obstacles_object"])
+    ('{"obstacles": [{"radius": 3}]}', "obstacle 0: missing 'center'"),
+    ('{"targets": [{"center": [0, 0, 0], "radius": 3}]}', "target 0: missing 'id'"),
+    ('{"obstacles": [{"center": [0, 0], "radius": 3}]}',
+     "obstacle 0: sphere center must be three finite numbers"),
+    ('{"targets": [{"id": "a", "center": [0, 0, NaN], "radius": 3}]}',
+     "target 0: target center must be three finite numbers"),
+    ('{"obstacles": [{"center": [0, 0, 0], "radius": -3.0}]}',
+     "obstacle 0: sphere radius must be a number > 0"),
+    ('{"obstacles": [{"center": [0, 0, 0], "radius": true}]}',
+     "obstacle 0: sphere radius must be a number > 0"),
+], ids=["not_json", "missing_radius", "string_radius", "obstacles_object", "missing_center",
+        "missing_id", "short_center", "nan_center", "negative_radius", "bool_radius"])
 def test_sim_run_bad_scene_json(tmp_path, capsys, text, message):
     scene = tmp_path / "scene.json"
     scene.write_text(text)
@@ -364,6 +375,28 @@ def test_study_analyze_constant_column_diagnostic(tmp_path, capsys):
     assert main(["study", "analyze", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "engagement" in err and "zero variance" in err
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "2", "-1", "0", "1"])
+def test_study_analyze_rejects_alpha_outside_unit_interval(tmp_path, capsys, alpha):
+    out = tmp_path / "out"
+    assert main(["study", "analyze", str(STUDY), f"--alpha={alpha}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: alpha must be in (0, 1)")
+    assert not out.exists()
+
+
+def test_study_analyze_replicates_beyond_limit(tmp_path, capsys):
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    code = main(["study", "analyze", str(STUDY), "--replicates", "3000000000",
+                 "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "replicates" in err[0]
+    assert elapsed < 1.0
+    assert not out.exists()
 
 
 # --- study synth ---------------------------------------------------------------

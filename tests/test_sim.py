@@ -49,6 +49,35 @@ def test_scene_json_literal_document():
     assert scene.obstacles[0].radius == 4.0
 
 
+json_coord = (st.integers(-10**6, 10**6) | st.integers(-10**300, 10**300)
+              | st.floats(-1e300, 1e300) | st.booleans()
+              | st.floats(-1e3, 1e3).map(repr))
+
+
+@settings(max_examples=100, deadline=None)
+@given(obstacles=st.lists(st.tuples(st.lists(json_coord, min_size=3, max_size=3),
+                                    st.integers(1, 10**6) | st.floats(1e-300, 1e300)),
+                          max_size=8),
+       targets=st.lists(st.tuples(st.lists(json_coord, min_size=3, max_size=3),
+                                  st.integers(1, 10**6) | st.floats(1e-300, 1e300)),
+                        max_size=8))
+def test_scene_json_equals_per_entry_constructors(obstacles, targets):
+    # Integers, floats, booleans and numeric strings: from_json's stacked
+    # arrays and objects match the Sphere and Target constructors' bits.
+    doc = {"obstacles": [{"center": c, "radius": r} for c, r in obstacles],
+           "targets": [{"id": f"t{i}", "center": c, "radius": r}
+                       for i, (c, r) in enumerate(targets)]}
+    scene = SceneSpec.from_json(json.dumps(doc))
+    expected = SceneSpec(obstacles=tuple(Sphere(c, r) for c, r in obstacles),
+                         targets=tuple(Target(f"t{i}", c, r) for i, (c, r) in enumerate(targets)))
+    for name in ("obstacle_centers", "obstacle_reach", "target_centers", "target_radii"):
+        assert getattr(scene, name).tobytes() == getattr(expected, name).tobytes()
+    for got, want in zip(scene.obstacles + scene.targets, expected.obstacles + expected.targets):
+        assert type(got) is type(want) and got.radius == want.radius
+        assert got.center.tobytes() == want.center.tobytes()
+    assert [t.id for t in scene.targets] == [t.id for t in expected.targets]
+
+
 def test_scene_json_defaults():
     scene = SceneSpec.from_json('{"obstacles": [], "targets": []}')
     assert scene.agent_radius == 1.0
@@ -554,6 +583,22 @@ def grazing_rays(draw):
 
 
 # --- kernels against their references -----------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(pts=st.lists(point3, min_size=1, max_size=20).flatmap(
+           lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=40)),
+       kind=st.sampled_from(["polyline", "bezier", "catmull_rom"]),
+       tension=st.sampled_from([0.0, 0.5, 1.0]))
+def test_arc_length_table_equals_norm_cumsum(pts, kind, tension):
+    # Keypoints from a small pool, so duplicates and reversals occur; a
+    # bezier table costs O(N^2) per point, so its routes stay short.
+    curve = PathCurve(kind, pts[:8] if kind == "bezier" else pts, tension)
+    grid, lengths = sim._arc_length_table(curve)
+    p = curve.positions(curve.grid(sim.ARC_TABLE_SAMPLES))
+    expected = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(p, axis=0), axis=1))])
+    assert grid.tobytes() == curve.grid(sim.ARC_TABLE_SAMPLES).tobytes()
+    assert lengths.tobytes() == expected.tobytes()
+
 
 @settings(max_examples=300, deadline=None)
 @given(

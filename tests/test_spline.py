@@ -455,7 +455,7 @@ def test_de_casteljau_blocks_match_single_block(control, u, rows):
 
 
 def reference_de_casteljau(control, u):
-    """The unblocked (len(u), n+1, 3) recursion _de_casteljau_block replaced."""
+    """The unblocked (len(u), n+1, 3) recursion the blocked _de_casteljau replaced."""
     n = len(control) - 1
     b = np.broadcast_to(control, (len(u), n + 1, 3)).copy()
     w = u[:, None, None]
@@ -485,6 +485,37 @@ def test_de_casteljau_equals_reference(control, n_params, seed, rows):
         new = spline._de_casteljau(control, u)
     assert new[0].tobytes() == ref[0].tobytes()
     assert new[1].tobytes() == ref[1].tobytes()
+
+
+def reference_evaluate(curve, ss, deriv):
+    """The out-of-place polyline and catmull-rom expressions the in-place
+    PathCurve._evaluate replaced."""
+    idx, u = curve._locate(ss)
+    if curve.kind == "polyline":
+        if deriv:
+            return curve.n_segments * curve._diffs[idx]
+        return curve._starts[idx] + u[:, None] * curve._diffs[idx]
+    h00, h10, h01, h11 = (spline._hermite_weights_deriv if deriv
+                          else spline._hermite_weights)(u)
+    p = (h00[:, None] * curve._p0[idx] + h10[:, None] * curve._m0[idx]
+         + h01[:, None] * curve._p1[idx] + h11[:, None] * curve._m1[idx])
+    return curve.n_segments * p if deriv else p
+
+
+@settings(max_examples=80, deadline=None)
+@given(pts=routes(40), kind=st.sampled_from(["polyline", "catmull_rom"]),
+       tension=st.sampled_from([0.0, 0.5, 1.0]), samples=st.integers(1, 70),
+       extra=st.lists(st.floats(0.0, 1.0), max_size=30), rows=st.sampled_from([1, 7, 4096]),
+       scale=st.floats(0.1, 10.0))
+def test_in_place_evaluation_equals_reference(pts, kind, tension, samples, extra, rows, scale):
+    # The scale makes the keypoints inexact floats, so sums round.
+    curve = PathCurve(kind, pts * scale, tension)
+    ss = np.concatenate((curve.grid(samples), extra))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spline, "DE_CASTELJAU_ROWS", rows)
+        positions, tangents = curve.positions(ss), curve.tangents(ss)
+    assert positions.tobytes() == reference_evaluate(curve, ss, False).tobytes()
+    assert tangents.tobytes() == reference_evaluate(curve, ss, True).tobytes()
 
 
 # --- whole-curve properties -----------------------------------------------

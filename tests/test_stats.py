@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from searoam.stats import (
@@ -266,6 +267,57 @@ def test_lilliefors_null_is_seeded():
     c = lilliefors_null(20, replicates=500, seed=4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def reference_ks_rows(z):
+    """The row-wise K-S kernel the in-place _ks_rows replaced."""
+    from scipy.special import ndtr
+
+    n = z.shape[1]
+    z = (z - z.mean(axis=1, keepdims=True)) / z.std(axis=1, ddof=1, keepdims=True)
+    z.sort(axis=1)
+    cdf = ndtr(z)
+    hi = np.arange(1, n + 1) / n
+    lo = np.arange(0, n) / n
+    return np.maximum((hi - cdf).max(axis=1), (cdf - lo).max(axis=1))
+
+
+def reference_lilliefors_null(n, replicates, seed):
+    """The unblocked null: one (replicates, n) draw, reduced at once."""
+    d = reference_ks_rows(np.random.default_rng(seed).standard_normal((replicates, n)))
+    d.sort()
+    return d
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 200),
+       replicates=st.integers(1, 3000) | st.sampled_from([511, 512, 513, 1024, 1537]),
+       seed=st.integers(0, 2**64 - 1))
+def test_blocked_lilliefors_null_equals_reference(n, replicates, seed):
+    assert (lilliefors_null(n, replicates, seed).tobytes()
+            == reference_lilliefors_null(n, replicates, seed).tobytes())
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=300).filter(
+    lambda v: np.std(v, ddof=1) > 0.0))
+def test_ks_statistic_equals_reference_and_keeps_its_input(x):
+    x = np.array(x)
+    before = x.tobytes()
+    d = ks_statistic_normal(x)
+    assert x.tobytes() == before
+    assert d == float(reference_ks_rows(x[None, :].copy())[0])
+
+
+def test_lilliefors_null_memory_stays_below_a_megabyte():
+    lilliefors_null(50)  # imports scipy.special before tracing starts
+    tracemalloc.start()
+    try:
+        lilliefors_null(50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # --- regression --------------------------------------------------------------
