@@ -65,8 +65,22 @@ def _check_radius(radius, what: str) -> None:
         raise ValueError(f"{what} radius must be a number > 0, got {radius!r}")
 
 
-@dataclass(frozen=True)
-class Sphere:
+class _ByValue:
+    """Equality and hash over _key(), the fields' values.  The generated
+    dataclass methods would compare ndarray centers with ==, whose truth
+    value is ambiguous, and could not hash them."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class Sphere(_ByValue):
     center: np.ndarray
     radius: float
 
@@ -74,9 +88,12 @@ class Sphere:
         object.__setattr__(self, "center", _as_center(self.center, "sphere"))
         _check_radius(self.radius, "sphere")
 
+    def _key(self) -> tuple:
+        return tuple(self.center.tolist()), self.radius
 
-@dataclass(frozen=True)
-class Target:
+
+@dataclass(frozen=True, eq=False)
+class Target(_ByValue):
     id: str
     center: np.ndarray
     radius: float
@@ -84,6 +101,9 @@ class Target:
     def __post_init__(self):
         object.__setattr__(self, "center", _as_center(self.center, "target"))
         _check_radius(self.radius, "target")
+
+    def _key(self) -> tuple:
+        return self.id, tuple(self.center.tolist()), self.radius
 
 
 _JSON_NUMBERS = (float, int)
@@ -548,74 +568,131 @@ _DISC_SLACK = 2.0 ** -40
 _DISC_FLOOR = 2.0 ** -1000
 
 
-def _ray_unit(direction) -> np.ndarray:
-    direction = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:
-        raise ValueError("ray direction must be nonzero")
-    return direction / norm
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.dot(a[i], b[i]) for each row i of two (k, 3) arrays, bit for bit.
+
+    matmul's vector-vector loop is the kernel np.dot uses (a BLAS ddot,
+    which may fuse multiply-adds), so np.sqrt(_rowdot(v, v)) equals
+    np.linalg.norm(v[i]) too.  einsum and plain sums can round differently.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _unit_rows(v: np.ndarray, error: str) -> np.ndarray:
+    """Each row of the (k, 3) array v divided by its norm; a zero norm
+    raises ValueError(error)."""
+    norm = np.sqrt(_rowdot(v, v))
+    if not norm.all():
+        raise ValueError(error)
+    return v / norm[:, None]
+
+
+# np.cross's column order: (a x b)[j] = a[_NEXT[j]] * b[_PREV[j]] - a[_PREV[j]] * b[_NEXT[j]].
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of each row pair of two (k, 3) arrays: its products and
+    differences in its order, without its per-call overhead."""
+    return a[:, _NEXT] * b[:, _PREV] - a[:, _PREV] * b[:, _NEXT]
 
 
 def _ray_candidates(origins: np.ndarray, directions: np.ndarray, scene: SceneSpec):
-    """Yield, per ray (origins[k], unit directions[k]), the indices of the
-    targets it may hit, ascending.
+    """Yield (ray, target) index arrays of the targets each ray (origins[k],
+    unit directions[k]) may hit, in row-major order and in batches of whole
+    rays.  A batch ends at the first block that brings it to
+    DISTANCE_BLOCK // 8 pairs, so the caller's arrays stay bounded.
 
-    Keeps every target whose discriminant might be >= 0.  _nearest_hit and
-    this estimate compute the same b*b - |oc|^2 + r^2 from the same oc and d,
-    rounded in different orders (np.dot may use FMA).  As |d| = 1,
+    Keeps every target whose discriminant might be >= 0.  _nearest_targets
+    and this estimate compute the same b*b - |oc|^2 + r^2 from the same oc
+    and d, rounded in different orders (np.dot may use FMA).  As |d| = 1,
     b*b <= |oc|^2, so each result is within about 13 * 2^-53 * (|oc|^2 + r^2)
     of the exact discriminant and the two differ by under
     2^-48 * (|oc|^2 + r^2).  The slack is 2^-40 of that scale plus a floor
-    for underflow, so no target the scalar test accepts is dropped; NaN
+    for underflow, so no target the exact test accepts is dropped; NaN
     estimates are kept too.  Rays are tested a block of at most
     DISTANCE_BLOCK // 8 ray-target pairs (64 KB per float64 array) at a
-    time: the block holds several such arrays at once.
+    time, in four block buffers allocated once.
     """
     centers = scene.target_centers
     with np.errstate(over="ignore"):  # an infinite discriminant is kept
         r2 = scene.target_radii * scene.target_radii
     rows = max(1, DISTANCE_BLOCK // 8 // max(1, len(centers)))
+    shape = (min(rows, len(origins)), len(centers))
+    buffers = [np.empty(shape) for _ in range(4)]
+    rays, targets, pending = [], [], 0
     for start in range(0, len(origins), rows):
         o, d = origins[start:start + rows], directions[start:start + rows]
-        ox = o[:, 0, None] - centers[:, 0]
-        oy = o[:, 1, None] - centers[:, 1]
-        oz = o[:, 2, None] - centers[:, 2]
-        b = ox * d[:, 0, None] + oy * d[:, 1, None] + oz * d[:, 2, None]
-        oc2 = ox * ox + oy * oy + oz * oz
-        disc = b * b - oc2 + r2
-        keep = ~(disc < -(_DISC_SLACK * (oc2 + r2) + _DISC_FLOOR))
-        yield from (np.flatnonzero(row) for row in keep)
+        off, b, oc2, part = (buf[:len(o)] for buf in buffers)
+        # In place, as b = ox*dx + oy*dy + oz*dz and oc2 = ox*ox + oy*oy + oz*oz.
+        for a in range(3):
+            np.subtract(o[:, a, None], centers[:, a], out=off)
+            if a == 0:
+                np.multiply(off, d[:, 0, None], out=b)
+                np.multiply(off, off, out=oc2)
+            else:
+                np.multiply(off, d[:, a, None], out=part)
+                b += part
+                np.multiply(off, off, out=part)
+                oc2 += part
+        # disc = b*b - oc2 + r2 and bound = -(_DISC_SLACK * (oc2 + r2) + _DISC_FLOOR)
+        disc = np.multiply(b, b, out=part)
+        disc -= oc2
+        disc += r2
+        bound = np.add(oc2, r2, out=off)
+        bound *= _DISC_SLACK
+        bound += _DISC_FLOOR
+        np.negative(bound, out=bound)
+        ray, target = np.nonzero(~(disc < bound))
+        rays.append(ray + start)
+        targets.append(target)
+        pending += len(ray)
+        if pending >= DISTANCE_BLOCK // 8:
+            yield np.concatenate(rays), np.concatenate(targets)
+            rays, targets, pending = [], [], 0
+    if pending:
+        yield np.concatenate(rays), np.concatenate(targets)
 
 
-def _nearest_hit(origin: np.ndarray, d: np.ndarray, scene: SceneSpec, candidates):
-    """The id of the nearest candidate target the ray hits, or None.
+def _nearest_targets(origins: np.ndarray, directions: np.ndarray, scene: SceneSpec):
+    """Per ray (origins[k], unit directions[k]), the index of the nearest
+    target it hits, or -1.
 
-    Decides in target order, exactly as a loop over all targets would.
-    Reads the stacked float centers and radii: a radius given as a huge
-    int would otherwise be squared as an int.
+    Boundary contact is inclusive.  Equally near targets resolve to the
+    lowest index, as a loop over the targets in order that keeps only a
+    strictly nearer hit would.  Reads the stacked float centers and radii:
+    a radius given as a huge int would otherwise be squared as an int.
     """
-    best_t = math.inf
-    best_id = None
-    for i in candidates.tolist():
-        oc = origin - scene.target_centers[i]
-        b = float(np.dot(d, oc))
-        r = float(scene.target_radii[i])
-        disc = b * b - float(np.dot(oc, oc)) + r * r
-        k = 1.0
-        if not math.isfinite(disc):  # a square overflowed: the same test scaled by 1/k
-            k = max(r, float(np.abs(oc).max()))
-            oc_k, b_k, r_k = oc / k, b / k, r / k
-            disc = b_k * b_k - float(np.dot(oc_k, oc_k)) + r_k * r_k
-        if disc < 0.0:
-            continue
-        root = k * math.sqrt(disc)
-        t_hit = -b - root
-        if t_hit < 0.0:
-            t_hit = -b + root
-        if 0.0 <= t_hit < best_t:
-            best_t = t_hit
-            best_id = scene.targets[i].id
-    return best_id
+    nearest = np.full(len(origins), -1)
+    for rays, cand in _ray_candidates(origins, directions, scene):
+        oc = origins[rays] - scene.target_centers[cand]
+        r = scene.target_radii[cand]
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = _rowdot(directions[rays], oc)
+            disc = b * b - _rowdot(oc, oc) + r * r
+            big = np.flatnonzero(~np.isfinite(disc))
+            root = np.sqrt(disc)  # NaN where disc < 0: a miss, like a NaN disc
+            if len(big):  # a square overflowed: the same test scaled by 1/k
+                oc_k, r_k = oc[big], r[big]
+                k = np.abs(oc_k).max(axis=1)
+                k = np.where(k > r_k, k, r_k)  # max(r, max|oc|): r unless max|oc| > r
+                oc_k /= k[:, None]
+                b_k = b[big] / k
+                r_k /= k
+                root[big] = k * np.sqrt(b_k * b_k - _rowdot(oc_k, oc_k) + r_k * r_k)
+            t = -b - root
+            behind = t < 0.0
+            t[behind] = -b[behind] + root[behind]
+        hit = (0.0 <= t) & (t < math.inf)
+        rays, cand, t = rays[hit], cand[hit], t[hit]
+        # Sorted by ray, then by t; the sort is stable, so equal t keep their
+        # target order and the first pair of each ray wins.
+        order = np.lexsort((t, rays))
+        rays, cand = rays[order], cand[order]
+        first = np.ones(len(rays), dtype=bool)
+        first[1:] = rays[1:] != rays[:-1]
+        nearest[rays[first]] = cand[first]
+    return nearest
 
 
 def cast_ray(origin, direction, scene: SceneSpec) -> str | None:
@@ -625,10 +702,11 @@ def cast_ray(origin, direction, scene: SceneSpec) -> str | None:
     it.  Returns the hit target's id, or None on a miss.  Obstacles do not
     block rays.
     """
-    origin = np.asarray(origin, dtype=float)
-    d = _ray_unit(direction)
-    candidates = next(_ray_candidates(origin.reshape(1, 3), d.reshape(1, 3), scene))
-    return _nearest_hit(origin, d, scene, candidates)
+    origin = np.asarray(origin, dtype=float).reshape(1, 3)
+    d = _unit_rows(np.asarray(direction, dtype=float).reshape(1, 3),
+                   "ray direction must be nonzero")
+    i = _nearest_targets(origin, d, scene)[0]
+    return scene.targets[i].id if i >= 0 else None
 
 
 def _check_sigma(sigma: float) -> None:
@@ -646,6 +724,37 @@ def _check_ray_args(sigma: float, trigger_distance: float | None) -> None:
         raise ValueError(f"trigger_distance must be finite and > 0, got {trigger_distance!r}")
 
 
+def _perturb_rows(rng: np.random.Generator, d: np.ndarray, sigma: float) -> np.ndarray:
+    """perturb_direction of each unit row of the (k, 3) array d, drawn in
+    row order from rng.
+
+    One rng.random(2k) call draws the stream k pairs of rng.random() calls
+    (u, then phi) would.  The transcendentals stay Python's math functions,
+    one call per row; everything else is IEEE-exact elementwise numpy in
+    the order of the one-row formulas.
+    """
+    if sigma * sigma == 0.0:  # includes subnormal sigma whose square underflows
+        return d
+    kappa = 1.0 / (sigma * sigma)
+    floor = math.exp(-2.0 * kappa)
+    draws = rng.random(2 * len(d)).tolist()
+    # Inverse-CDF sampling of the polar cosine w for the 3-D vMF distribution.
+    w = np.array([max(-1.0, min(1.0, 1.0 + math.log(u + (1.0 - u) * floor) / kappa))
+                  for u in draws[0::2]])
+    phi = [2.0 * math.pi * v for v in draws[1::2]]
+    c = np.array([math.cos(p) for p in phi])[:, None]
+    s = np.array([math.sin(p) for p in phi])[:, None]
+
+    # Orthonormal frame (f, g) around d: f = d x axis normalized, with axis
+    # the unit vector of d's smallest |component| (first on ties), and
+    # g = d x f.  A zero f means d is zero: a direction whose norm overflowed.
+    axis = (np.argmin(np.abs(d), axis=1)[:, None] == np.arange(3)).astype(float)
+    f = _unit_rows(_cross_rows(d, axis), "direction is too large to normalize")
+    g = _cross_rows(d, f)
+    sin_theta = np.sqrt(np.maximum(0.0, 1.0 - w * w))[:, None]
+    return sin_theta * (c * f + s * g) + w[:, None] * d
+
+
 def perturb_direction(rng: np.random.Generator, direction, sigma: float) -> np.ndarray:
     """Apply seeded directional aim noise to a unit direction.
 
@@ -655,39 +764,8 @@ def perturb_direction(rng: np.random.Generator, direction, sigma: float) -> np.n
     and large sigma approaches a uniform direction on the sphere.
     """
     _check_sigma(sigma)
-    d = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(d)
-    if norm == 0.0:
-        raise ValueError("direction must be nonzero")
-    d = d / norm
-    if sigma * sigma == 0.0:  # includes subnormal sigma whose square underflows
-        return d
-
-    kappa = 1.0 / (sigma * sigma)
-    u = rng.random()
-    # Inverse-CDF sampling of the polar cosine w for the 3-D vMF distribution.
-    w = 1.0 + math.log(u + (1.0 - u) * math.exp(-2.0 * kappa)) / kappa
-    w = max(-1.0, min(1.0, w))
-    phi = 2.0 * math.pi * rng.random()
-
-    # Orthonormal frame (e1, e2) around d, in Python floats: e1 = d x axis
-    # with axis the unit vector of d's smallest |component| (first on ties),
-    # e2 = d x e1, each cross product in np.cross's own formula and order.
-    d0, d1, d2 = d.tolist()
-    mags = (abs(d0), abs(d1), abs(d2))
-    smallest = mags.index(min(mags))
-    a0, a1, a2 = (float(i == smallest) for i in range(3))
-    e1 = (d1 * a2 - d2 * a1, d2 * a0 - d0 * a2, d0 * a1 - d1 * a0)
-    n1 = float(np.linalg.norm(e1))
-    f0, f1, f2 = e1[0] / n1, e1[1] / n1, e1[2] / n1
-    g0, g1, g2 = d1 * f2 - d2 * f1, d2 * f0 - d0 * f2, d0 * f1 - d1 * f0
-    sin_theta = math.sqrt(max(0.0, 1.0 - w * w))
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([
-        sin_theta * (c * f0 + s * g0) + w * d0,
-        sin_theta * (c * f1 + s * g1) + w * d1,
-        sin_theta * (c * f2 + s * g2) + w * d2,
-    ])
+    d = _unit_rows(np.asarray(direction, dtype=float).reshape(1, 3), "direction must be nonzero")
+    return _perturb_rows(rng, d, sigma)[0]
 
 
 def run_ray_task(
@@ -727,21 +805,14 @@ def run_ray_task(
         origin_rows += (rows + start).tolist()
         aimed += cols[np.argmin(dist[rows], axis=1)].tolist()
 
+    if not aimed:
+        return 0, 0
     # Hits never feed back into the rng, so every direction is drawn first.
-    rng = np.random.default_rng(seed)
-    origins = points[origin_rows]
-    directions = np.empty((len(aimed), 3))
-    for n, (origin, i) in enumerate(zip(origins, aimed)):
-        aim = centers[i] - origin
-        if np.linalg.norm(aim) == 0.0:
-            raise ValueError("ray origin coincides with the target center")
-        directions[n] = _ray_unit(perturb_direction(rng, aim, sigma))
-
-    hits = sum(
-        _nearest_hit(origin, d, scene, candidates) == scene.targets[i].id
-        for origin, d, i, candidates in zip(
-            origins, directions, aimed, _ray_candidates(origins, directions, scene))
-    )
+    origins, aimed = points[origin_rows], np.array(aimed)
+    aims = _unit_rows(centers[aimed] - origins, "ray origin coincides with the target center")
+    directions = _unit_rows(_perturb_rows(np.random.default_rng(seed), aims, sigma),
+                            "ray direction must be nonzero")
+    hits = int(np.count_nonzero(_nearest_targets(origins, directions, scene) == aimed))
     return len(aimed), hits
 
 

@@ -388,7 +388,11 @@ def _adaptive_lobatto(speeds, lo: np.ndarray, hi: np.ndarray) -> float:
         estimate = total + float(both.sum())
         if not math.isfinite(estimate):  # checked at once: NaN never converges
             raise ArcLengthError("arc length: the curve speed overflows (coordinates too large)")
-        budget = max(ARC_LENGTH_ABS_TOL, ARC_LENGTH_REL_TOL * estimate) / span
+        # A subnormal span can overflow the budget to inf, which accepts
+        # every interval: the span is then below the tolerance / 1.8e308, so
+        # at a finite speed the whole length is below the tolerance too.
+        with np.errstate(over="ignore"):
+            budget = max(ARC_LENGTH_ABS_TOL, ARC_LENGTH_REL_TOL * estimate) / span
         done = np.abs(both - whole) <= budget * (hi - lo)
         total += float(both[done].sum())
         if done.all():

@@ -76,6 +76,21 @@ def test_scene_json_equals_per_entry_constructors(obstacles, targets):
         assert type(got) is type(want) and got.radius == want.radius
         assert got.center.tobytes() == want.center.tobytes()
     assert [t.id for t in scene.targets] == [t.id for t in expected.targets]
+    assert scene == expected and hash(scene) == hash(expected)
+
+
+def test_scenes_compare_and_hash_by_value():
+    doc = {"obstacles": [{"center": [1.5, -2.0, 3.0], "radius": 2.0}],
+           "targets": [{"id": "t1", "center": [0.1, 0.2, 0.3], "radius": 1.0}]}
+    text = json.dumps(doc)
+    a, b = SceneSpec.from_json(text), SceneSpec.from_json(text)
+    assert a == b and hash(a) == hash(b)
+    for entry in (doc["obstacles"][0], doc["targets"][0]):
+        center = entry["center"]
+        center[2] = math.nextafter(center[2], math.inf)  # one ulp
+        assert SceneSpec.from_json(json.dumps(doc)) != a
+        center[2] = math.nextafter(center[2], -math.inf)
+    assert SceneSpec.from_json(json.dumps(doc)) == a
 
 
 def test_scene_json_defaults():
@@ -470,10 +485,16 @@ def reference_cast_ray(origin, direction, scene):
     for target in scene.targets:
         oc = origin - target.center
         b = float(np.dot(d, oc))
-        disc = b * b - float(np.dot(oc, oc)) + target.radius * target.radius
+        r = float(target.radius)
+        disc = b * b - float(np.dot(oc, oc)) + r * r
+        k = 1.0
+        if not math.isfinite(disc):  # a square overflowed: the same test scaled by 1/k
+            k = max(r, float(np.abs(oc).max()))
+            oc_k, b_k, r_k = oc / k, b / k, r / k
+            disc = b_k * b_k - float(np.dot(oc_k, oc_k)) + r_k * r_k
         if disc < 0.0:
             continue
-        root = math.sqrt(disc)
+        root = k * math.sqrt(disc)
         t_hit = -b - root
         if t_hit < 0.0:
             t_hit = -b + root
@@ -702,6 +723,65 @@ def test_perturb_direction_equals_reference(direction, sigma, seed):
         assert new == ref
     else:
         assert new.tobytes() == ref.tobytes()  # signed zeros included
+
+
+# Rows whose dots stay finite: magnitudes from 1e-160 to 1e151, subnormals
+# and zeros of both signs.
+row_value = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e-160, -1e150]),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10, 10), st.integers(-160, 150)),
+)
+value_rows = st.lists(st.tuples(row_value, row_value, row_value), min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=value_rows, b=value_rows)
+def test_rowdot_equals_numpy_dot_and_norm(a, b):
+    # Every dot and norm of the batched ray kernels comes from _rowdot; on
+    # a platform where matmul stops sharing np.dot's kernel this fails.
+    n = min(len(a), len(b))
+    a, b = np.array(a[:n]), np.array(b[:n])
+    dots, norms = sim._rowdot(a, b), np.sqrt(sim._rowdot(a, a))
+    for i in range(n):
+        assert dots[i].tobytes() == np.dot(a[i], b[i]).tobytes()
+        assert norms[i].tobytes() == np.linalg.norm(a[i]).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(directions=st.lists(nonzero3, min_size=1, max_size=50),
+       # 0 draws nothing; at 1e-3 exp(-2 kappa) underflows to 0
+       sigma=st.sampled_from([0.0, 1e-3, 0.05, 1000.0]),
+       seed=st.integers(0, 2**32))
+def test_batched_aim_equals_sequential_reference(directions, sigma, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    new = outcome(lambda: sim._perturb_rows(
+        rng, sim._unit_rows(np.array(directions), "direction must be nonzero"), sigma))
+    ref = outcome(lambda: np.array(
+        [reference_perturb_direction(ref_rng, d, sigma) for d in directions]))
+    if isinstance(ref, str):  # the norm of a tiny direction underflows to 0
+        assert new == ref
+    else:
+        assert new.tobytes() == ref.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("center, expected", [
+    ((2.0**665, 0.0, 0.0), (2, 0)),   # the origin is on its surface: hit first, at t = 0
+    ((-2.0**666, 0.0, 0.0), (2, 2)),  # wholly behind the origin
+])
+def test_run_ray_task_rescales_overflowing_discriminant(center, expected):
+    # A target of radius 2^665 (about 1.3e200) on the ray's line is a
+    # candidate whose discriminant overflows; the hit test is then redone on
+    # oc, b and r scaled by 1/k.  Skipping it instead would give (2, 2) twice.
+    scene = ray_scene(Target("near", (10, 0, 0), 1.0), Target("huge", center, 2.0**665))
+    points = np.array([(0.0, 0.0, 0.0), (0.0, 20.0, 0.0), (0.0, 0.0, 0.0)])
+    # The huge target's squared offsets overflow in the reference's trigger
+    # test and in the prefilter (a known fault).
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_ray_task(points, 0.0, 0, scene, 12.0) == expected
+        for sigma, seed in [(0.0, 0), (0.05, 1), (0.5, 2)]:
+            assert (run_ray_task(points, sigma, seed, scene, 12.0)
+                    == reference_run_ray_task(points, sigma, seed, scene, 12.0))
 
 
 @settings(max_examples=100, deadline=None)

@@ -347,6 +347,8 @@ def ranges(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(pts=routes(200), tension=st.sampled_from([0.0, 0.5, 1.0]), s=ranges())
+@example(pts=np.array([(0, 0, 0), (1, 2, 0), (3, 1, 1)], dtype=float), tension=0.5,
+         s=(0.0, 5e-324))  # a subnormal span overflows the error budget per unit width
 def test_catmull_arc_length_matches_quad_reference(pts, tension, s):
     curve = PathCurve.catmull_rom(pts, tension)
     assert curve.arc_length(*s) == pytest.approx(quad_arc_length(curve, *s), rel=1e-8, abs=1e-10)
