@@ -7,7 +7,6 @@ data with normality-gated correlation tests and regression bands.
 """
 
 from .geo import (
-    KeyPoint,
     KeypointParseError,
     PathTooShortError,
     Projection,
@@ -33,8 +32,6 @@ from .sim import (
     SimResult,
     SimTooLargeError,
     SpeedProfile,
-    Sphere,
-    Target,
     Trajectory,
     cast_ray,
     perturb_direction,
@@ -70,12 +67,12 @@ from .report import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "KeyPoint", "KeypointParseError", "PathTooShortError", "Projection",
+    "KeypointParseError", "PathTooShortError", "Projection",
     "load_keypoints", "project",
     "DEFAULT_TENSION", "KINDS", "ArcLengthError", "PathCurve",
     "VIEW_MODELS", "DegenerateViewError", "SmoothnessReport", "ViewOverflowError",
     "smoothness", "view_direction",
-    "SceneSpec", "SimResult", "SimTooLargeError", "SpeedProfile", "Sphere", "Target", "Trajectory",
+    "SceneSpec", "SimResult", "SimTooLargeError", "SpeedProfile", "Trajectory",
     "cast_ray", "perturb_direction", "run_ray_task", "sample_trajectory", "simulate", "traverse",
     "CorrelationResult", "DegenerateSampleError", "NormalityResult", "RegressionFit",
     "StatsReport", "StudyRecord", "UndefinedCorrelationError", "UndefinedFitError",

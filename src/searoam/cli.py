@@ -25,6 +25,12 @@ import numpy as np
 
 from . import camera, geo, report, sim, spline, stats
 
+# Limits checked before any allocation: samples per curve in path compare
+# (--samples times the segments; the demo route peaks at about 330 MB at the
+# limit), and participants of study synth --n (about 80 MB at the limit).
+MAX_CURVE_SAMPLES = 1_000_000
+MAX_STUDY_SIZE = 100_000
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -84,10 +90,11 @@ def _read_text(path: Path) -> str:
     return path.read_text(encoding="utf-8")
 
 
-def _projected_points(args) -> tuple[np.ndarray, list[geo.KeyPoint]]:
+def _projected_points(args) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, 3) working-space points and the (N, 4) keypoint rows."""
     keypoints = geo.load_keypoints(_read_text(args.keypoints))
     proj = geo.Projection(args.scale) if args.projection == "scaled" else geo.Projection.raw()
-    return np.array([geo.project(kp, proj) for kp in keypoints]), keypoints
+    return geo.project(keypoints, proj), keypoints
 
 
 def _write_all(out_dir: Path, files: dict[str, str]) -> None:
@@ -108,6 +115,9 @@ def _cmd_path_compare(args) -> int:
             f"--tension must be in (0, 1] for path compare, got {args.tension!r}: "
             "at tension 0 the catmull-rom tangent vanishes at every knot")
     pts, _ = _projected_points(args)
+    if args.samples * (len(pts) - 1) > MAX_CURVE_SAMPLES:
+        raise ValueError(f"--samples {args.samples} over {len(pts) - 1} segments exceeds the "
+                         f"limit of {MAX_CURVE_SAMPLES} samples per curve")
     curves = [spline.PathCurve(kind, pts, args.tension) for kind in spline.KINDS]
     svg = report.render_path_compare(curves, args.samples)
     entries = [(curve.kind, model, camera.smoothness(curve, model, args.samples))
@@ -163,6 +173,8 @@ def _cmd_study_analyze(args) -> int:
 
 
 def _cmd_study_synth(args) -> int:
+    if args.n > MAX_STUDY_SIZE:
+        raise ValueError(f"--n {args.n} exceeds the limit of {MAX_STUDY_SIZE} participants")
     records = stats.synthesize_study(n=args.n, seed=args.seed)
     content = stats.serialize_study(records)
     args.out.parent.mkdir(parents=True, exist_ok=True)
@@ -182,6 +194,8 @@ def main(argv=None) -> int:
     }
     handler = handlers[(args.command, args.subcommand)]
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

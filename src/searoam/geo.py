@@ -1,4 +1,4 @@
-"""Keypoint records and their mapping into the 3-D working space.
+"""Keypoint rows and their mapping into the 3-D working space.
 
 A roaming path is entered as an ordered list of keypoints, each carrying a
 longitude, latitude, height and traversal speed.  All curve math downstream
@@ -13,6 +13,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class PathTooShortError(ValueError):
@@ -29,37 +31,6 @@ class KeypointParseError(ValueError):
     def __init__(self, message: str, row: int = 0):
         super().__init__(message)
         self.row = row
-
-
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-@dataclass(frozen=True)
-class KeyPoint:
-    """One path waypoint: position in longitude/latitude/height plus speed.
-
-    Height must be nonnegative and speed strictly positive; longitude and
-    latitude are any finite reals (no range clamp).
-    """
-
-    longitude: float
-    latitude: float
-    height: float
-    speed: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "longitude", _require_finite("longitude", self.longitude))
-        object.__setattr__(self, "latitude", _require_finite("latitude", self.latitude))
-        object.__setattr__(self, "height", _require_finite("height", self.height))
-        object.__setattr__(self, "speed", _require_finite("speed", self.speed))
-        if self.height < 0:
-            raise ValueError(f"height must be >= 0, got {self.height}")
-        if self.speed <= 0:
-            raise ValueError(f"speed must be > 0, got {self.speed}")
 
 
 @dataclass(frozen=True)
@@ -87,27 +58,38 @@ class Projection:
         return cls()
 
 
-def project(kp: KeyPoint, proj: Projection = Projection.raw()) -> tuple[float, float, float]:
-    """Map a keypoint into working space: (longitude, latitude, height)
+def project(kp, proj: Projection = Projection.raw()) -> np.ndarray:
+    """Map keypoints into working space: (longitude, latitude, height)
     times the projection's scale factors, componentwise.
 
-    Raises ValueError when a product overflows.
+    kp is one keypoint row or an (N, 3) or (N, 4) array of them (a speed
+    column is ignored); the result is a (3,) or (N, 3) float array.  Raises
+    ValueError naming the first coordinate, in row order, whose product
+    overflows.
     """
-    return tuple(_require_finite(name, v * s) for name, v, s in zip(
-        "xyz", (kp.longitude, kp.latitude, kp.height), proj.scale))
+    with np.errstate(over="ignore"):
+        xyz = np.asarray(kp, dtype=float)[..., :3] * proj.scale
+    bad = np.argwhere(~np.isfinite(xyz))
+    if len(bad):
+        value = float(xyz[tuple(bad[0])])
+        raise ValueError(f"{'xyz'[bad[0][-1]]} must be finite, got {value!r}")
+    return xyz
 
 
 _HEADER_BASE = ["longitude", "latitude", "height"]
 _HEADER_FULL = _HEADER_BASE + ["speed"]
 
 
-def load_keypoints(source: str) -> list[KeyPoint]:
-    """Parse keypoint CSV content into an ordered list of KeyPoint.
+def load_keypoints(source: str) -> np.ndarray:
+    """Parse keypoint CSV content into an (N, 4) float array of rows
+    (longitude, latitude, height, speed).
 
     Schema: header ``longitude,latitude,height[,speed]``, one keypoint per
     row, path order = row order.  When the speed column is absent every
-    keypoint gets the default speed 1.0.  Data rows are numbered from 1 in
-    error messages.
+    keypoint gets the default speed 1.0.  Every value must be finite,
+    heights >= 0 and speeds > 0; longitude and latitude take any finite
+    value (no range clamp).  Data rows are numbered from 1 in error
+    messages.
 
     Raises PathTooShortError for fewer than two data rows and
     KeypointParseError for malformed headers or rows.
@@ -127,9 +109,9 @@ def load_keypoints(source: str) -> list[KeyPoint]:
             + ",".join(header)
         )
 
-    points: list[KeyPoint] = []
+    points = []
+    expected = 4 if has_speed else 3
     for i, row in enumerate(rows[1:], start=1):
-        expected = 4 if has_speed else 3
         if len(row) != expected:
             raise KeypointParseError(
                 f"row {i}: expected {expected} columns, got {len(row)}", row=i
@@ -142,16 +124,19 @@ def load_keypoints(source: str) -> list[KeyPoint]:
                 raise KeypointParseError(
                     f"row {i}: column '{name}' is not a number: {cell!r}", row=i
                 ) from None
-        try:
-            if has_speed:
-                points.append(KeyPoint(values[0], values[1], values[2], values[3]))
-            else:
-                points.append(KeyPoint(values[0], values[1], values[2]))
-        except ValueError as exc:
-            raise KeypointParseError(f"row {i}: {exc}", row=i) from None
+        if not has_speed:
+            values.append(1.0)
+        for name, v in zip(_HEADER_FULL, values):
+            if not math.isfinite(v):
+                raise KeypointParseError(f"row {i}: {name} must be finite, got {v!r}", row=i)
+        if values[2] < 0:
+            raise KeypointParseError(f"row {i}: height must be >= 0, got {values[2]}", row=i)
+        if values[3] <= 0:
+            raise KeypointParseError(f"row {i}: speed must be > 0, got {values[3]}", row=i)
+        points.append(values)
 
     if len(points) < 2:
         raise PathTooShortError(
             f"a path needs at least 2 keypoints, got {len(points)}"
         )
-    return points
+    return np.array(points)

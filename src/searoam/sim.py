@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,127 +43,76 @@ class SimTooLargeError(ValueError):
     """The traversal would take more than MAX_STEPS time steps."""
 
 
-def _as_center(value, what: str) -> np.ndarray:
-    try:
-        center = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond 1.8e308
-        center = None
-    if center is None or center.shape != (3,) or not np.all(np.isfinite(center)):
-        raise ValueError(f"{what} center must be three finite numbers")
-    return center
-
-
-def _check_radius(radius, what: str) -> None:
-    try:
-        valid = (not isinstance(radius, bool) and isinstance(radius, numbers.Real)
-                 and math.isfinite(radius) and radius > 0)
-    except OverflowError:  # an int too large for a float
-        valid = False
-    if not valid:
-        raise ValueError(f"{what} radius must be a number > 0, got {radius!r}")
-
-
-class _ByValue:
-    """Equality and hash over _key(), the fields' values.  The generated
-    dataclass methods would compare ndarray centers with ==, whose truth
-    value is ambiguous, and could not hash them."""
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-
-@dataclass(frozen=True, eq=False)
-class Sphere(_ByValue):
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", _as_center(self.center, "sphere"))
-        _check_radius(self.radius, "sphere")
-
-    def _key(self) -> tuple:
-        return tuple(self.center.tolist()), self.radius
-
-
-@dataclass(frozen=True, eq=False)
-class Target(_ByValue):
-    id: str
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", _as_center(self.center, "target"))
-        _check_radius(self.radius, "target")
-
-    def _key(self) -> tuple:
-        return self.id, tuple(self.center.tolist()), self.radius
-
-
 _JSON_NUMBERS = (float, int)
 
 
-def _plain_center(value) -> bool:
-    """Whether value is a list of three finite JSON numbers, the common case
-    that needs no numpy call to check."""
-    if type(value) is not list or len(value) != 3:
-        return False
-    x, y, z = value
+def _finite_numbers(*values) -> bool:
+    """Whether every value is a finite JSON number (an int or a float, not
+    a bool), checked without a numpy call."""
     try:
-        return (type(x) in _JSON_NUMBERS and type(y) in _JSON_NUMBERS
-                and type(z) in _JSON_NUMBERS
-                and math.isfinite(x) and math.isfinite(y) and math.isfinite(z))
+        for v in values:
+            if type(v) not in _JSON_NUMBERS or not math.isfinite(v):
+                return False
     except OverflowError:  # an int beyond 1.8e308
         return False
+    return True
 
 
-def _prechecked(cls, **fields):
-    """An instance of the frozen dataclass cls from fields already checked,
-    built without running __post_init__ again."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
-def _scene_entries(doc: dict, key: str, cls) -> tuple:
+def _scene_entries(doc: dict, key: str) -> tuple[list, list]:
     """Check each entry of the scene list doc[key], naming it in any error,
-    and build the Sphere or Target objects from one stacked center array.
+    and return its [x, y, z, radius] rows and, for targets, its ids.
 
-    Checks run in the order the constructors run them: id, center and
-    radius present, then the center, then the radius.  Centers that are
-    not three plain finite numbers go through _as_center, which gives the
-    error or the same floats as before.
+    Each entry is checked in turn: id, center and radius present, then the
+    center, then the radius.  A center that is not three plain finite
+    numbers (a numeric string, say) is converted by numpy.
     """
     items = doc.get(key, [])
     if not isinstance(items, list):
         raise ValueError(f"scene {key!r} must be a list, got {type(items).__name__}")
     what = key[:-1]
-    kind = "target" if cls is Target else "sphere"
-    ids, centers, radii = [], [], []
+    kind = "target" if what == "target" else "sphere"
+    rows, ids = [], []
     for i, item in enumerate(items):
         if not isinstance(item, dict):
             raise ValueError(f"{what} {i}: expected an object, got {type(item).__name__}")
         try:
-            if cls is Target:
+            if what == "target":
                 ids.append(str(item["id"]))
             center, radius = item["center"], item["radius"]
-            centers.append(center if _plain_center(center) else _as_center(center, kind))
-            if not (type(radius) is float and 0.0 < radius < math.inf):
-                _check_radius(radius, kind)
         except KeyError as exc:
             raise ValueError(f"{what} {i}: missing {exc.args[0]!r}") from None
-        except ValueError as exc:
-            raise ValueError(f"{what} {i}: {exc}") from None
-        radii.append(radius)
-    rows = list(np.array(centers, dtype=float).reshape(-1, 3))
-    if cls is Target:
-        return tuple(_prechecked(Target, id=t, center=c, radius=r)
-                     for t, c, r in zip(ids, rows, radii))
-    return tuple(_prechecked(Sphere, center=c, radius=r) for c, r in zip(rows, radii))
+        if not (type(center) is list and len(center) == 3 and _finite_numbers(*center)):
+            try:
+                center = np.asarray(center, dtype=float)
+            except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond 1.8e308
+                center = np.empty(0)
+            if center.shape != (3,) or not np.isfinite(center).all():
+                raise ValueError(f"{what} {i}: {kind} center must be three finite numbers")
+        if not (_finite_numbers(radius) and radius > 0):
+            raise ValueError(f"{what} {i}: {kind} radius must be a number > 0, got {radius!r}")
+        rows.append([*center, radius])
+    return rows, ids
+
+
+def _sphere_rows(value, what: str) -> np.ndarray:
+    """value as a read-only (k, 4) float array of (x, y, z, radius) rows,
+    with finite centers and finite radii > 0; errors name the first bad row
+    as from_json names a bad entry."""
+    rows = np.array(value, dtype=float)
+    if rows.size == 0:
+        rows = rows.reshape(0, 4)
+    if rows.ndim != 2 or rows.shape[1] != 4:
+        raise ValueError(f"scene {what}s must be (k, 4) rows of x, y, z, radius")
+    kind = "target" if what == "target" else "sphere"
+    finite = np.isfinite(rows[:, :3]).all(axis=1)
+    bad = np.flatnonzero(~(finite & (rows[:, 3] > 0.0) & (rows[:, 3] < math.inf)))
+    if len(bad):
+        i = int(bad[0])
+        problem = ("center must be three finite numbers" if not finite[i]
+                   else f"radius must be a number > 0, got {float(rows[i, 3])!r}")
+        raise ValueError(f"{what} {i}: {kind} {problem}")
+    rows.setflags(write=False)
+    return rows
 
 
 def _scene_number(doc: dict, key: str, default: float) -> float:
@@ -176,41 +123,61 @@ def _scene_number(doc: dict, key: str, default: float) -> float:
         raise ValueError(f"scene {key!r} must be a number, got {value!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneSpec:
-    """Obstacle and target spheres plus agent radius and energy budget."""
+    """Obstacle and target spheres plus agent radius and energy budget.
 
-    obstacles: tuple[Sphere, ...] = ()
-    targets: tuple[Target, ...] = ()
+    obstacles and targets are (k, 4) arrays of (x, y, z, radius) rows, and
+    target_ids names each target row.  Scenes compare and hash by value.
+    """
+
+    obstacles: np.ndarray = ()
+    targets: np.ndarray = ()
+    target_ids: tuple[str, ...] = ()
     agent_radius: float = DEFAULT_AGENT_RADIUS
     energy_budget: float = DEFAULT_ENERGY_BUDGET
-    # Sphere fields stacked once for the vectorized scene tests: (T, 3)
-    # target centers and (T,) radii, (O, 3) obstacle centers and (O,) reach
+    # Contiguous columns for the vectorized scene tests: (T, 3) target
+    # centers and (T,) radii, (O, 3) obstacle centers and (O,) reach
     # (obstacle radius + agent radius, the inclusive collision distance).
-    target_centers: np.ndarray = field(init=False, repr=False, compare=False)
-    target_radii: np.ndarray = field(init=False, repr=False, compare=False)
-    obstacle_centers: np.ndarray = field(init=False, repr=False, compare=False)
-    obstacle_reach: np.ndarray = field(init=False, repr=False, compare=False)
+    target_centers: np.ndarray = field(init=False, repr=False)
+    target_radii: np.ndarray = field(init=False, repr=False)
+    obstacle_centers: np.ndarray = field(init=False, repr=False)
+    obstacle_reach: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "obstacles", tuple(self.obstacles))
-        object.__setattr__(self, "targets", tuple(self.targets))
+        obstacles = _sphere_rows(self.obstacles, "obstacle")
+        targets = _sphere_rows(self.targets, "target")
+        ids = tuple(self.target_ids)
         if not (math.isfinite(self.agent_radius) and self.agent_radius >= 0):
             raise ValueError(f"agent_radius must be >= 0, got {self.agent_radius!r}")
         if not (math.isfinite(self.energy_budget) and self.energy_budget > 0):
             raise ValueError(f"energy_budget must be > 0, got {self.energy_budget!r}")
-        ids = [t.id for t in self.targets]
+        if len(ids) != len(targets):
+            raise ValueError(f"need one id per target: {len(ids)} ids for {len(targets)} targets")
         if len(set(ids)) != len(ids):
             raise ValueError("target ids must be unique")
-        targets, obstacles = self.targets, self.obstacles
-        object.__setattr__(self, "target_centers",
-                           np.array([t.center for t in targets]).reshape(-1, 3))
-        object.__setattr__(self, "target_radii",
-                           np.array([t.radius for t in targets], dtype=float))
-        object.__setattr__(self, "obstacle_centers",
-                           np.array([o.center for o in obstacles]).reshape(-1, 3))
-        object.__setattr__(self, "obstacle_reach", np.array(
-            [o.radius + self.agent_radius for o in obstacles], dtype=float))
+        for name, value in [
+            ("obstacles", obstacles), ("targets", targets), ("target_ids", ids),
+            ("target_centers", np.ascontiguousarray(targets[:, :3])),
+            ("target_radii", np.ascontiguousarray(targets[:, 3])),
+            ("obstacle_centers", np.ascontiguousarray(obstacles[:, :3])),
+            ("obstacle_reach", obstacles[:, 3] + self.agent_radius),
+        ]:
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return (tuple(self.obstacles.ravel().tolist()), tuple(self.targets.ravel().tolist()),
+                self.target_ids, self.agent_radius, self.energy_budget)
+
+    # By value: the generated dataclass methods would compare the arrays
+    # with ==, whose truth value is ambiguous, and could not hash them.
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @classmethod
     def from_json(cls, text: str) -> "SceneSpec":
@@ -228,9 +195,12 @@ class SceneSpec:
             raise ValueError(f"scene is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise ValueError("scene JSON must be an object")
+        obstacles, _ = _scene_entries(doc, "obstacles")
+        targets, ids = _scene_entries(doc, "targets")
         return cls(
-            obstacles=_scene_entries(doc, "obstacles", Sphere),
-            targets=_scene_entries(doc, "targets", Target),
+            obstacles=obstacles,
+            targets=targets,
+            target_ids=tuple(ids),
             agent_radius=_scene_number(doc, "agent_radius", DEFAULT_AGENT_RADIUS),
             energy_budget=_scene_number(doc, "energy_budget", DEFAULT_ENERGY_BUDGET),
         )
@@ -255,7 +225,8 @@ class SpeedProfile:
 
     @classmethod
     def from_keypoints(cls, keypoints) -> "SpeedProfile":
-        return cls(np.array([kp.speed for kp in keypoints], dtype=float))
+        """The speed column of an (N, 4) keypoint array (geo.load_keypoints)."""
+        return cls(np.array(keypoints, dtype=float)[:, 3])
 
 
 @dataclass(frozen=True)
@@ -318,34 +289,6 @@ def _arc_length_table(curve: PathCurve) -> tuple[np.ndarray, np.ndarray]:
     return grid, lengths
 
 
-def _interp(x: float, xp: list, fp: list) -> float:
-    """np.interp(x, xp, fp) for one float over lists, with numpy's arithmetic.
-
-    Follows numpy's scalar loop case by case: NaN is returned as is, x
-    outside [xp[0], xp[-1]] (or equal to xp[-1]) takes the end value, an
-    exact knot takes its fp, and otherwise the interval is the last one
-    whose left knot is <= x (so repeated knots resolve to the later copy).
-    The line is evaluated from the left knot, and from the right knot when
-    that gives NaN.  xp must be non-decreasing.
-    """
-    if x != x:
-        return x
-    j = bisect_right(xp, x) - 1
-    if j < 0:
-        return fp[0]
-    if j >= len(xp) - 1:
-        return fp[-1]
-    if xp[j] == x:
-        return fp[j]
-    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
-    y = slope * (x - xp[j]) + fp[j]
-    if y != y:
-        y = slope * (x - xp[j + 1]) + fp[j + 1]
-        if y != y and fp[j] == fp[j + 1]:
-            y = fp[j]
-    return y
-
-
 def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: float):
     """Advance along the curve in fixed time steps of dt.
 
@@ -387,11 +330,19 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
     # knots (s -> speed), a_* over the arc-length table (ell -> s).  For
     # lo < x < hi, j is the interval np.interp picks and slope * (x - lo) + y
     # are its operations, so the bits are the same.  A cursor only moves
-    # forward, to the interval holding x.  Every other case goes to _interp,
-    # which reproduces np.interp bit for bit: x on a knot, x behind the
-    # cursor (a line can overshoot a table knot by an ulp, so s may step
+    # forward, to the interval holding x.  Every other case, a few per
+    # traversal, calls np.interp on the table arrays: x on a knot, x behind
+    # the cursor (a line can overshoot a table knot by an ulp, so s may step
     # back), x at or past the last knot, NaN, and a NaN line.  Each cursor
     # starts on the empty interval (xp[0], xp[0]).
+    length_table, s_table = lengths, s_grid
+
+    def speed_at(x):
+        return float(np.interp(x, profile.knots, profile.speeds))
+
+    def s_at(x):
+        return float(np.interp(x, length_table, s_table))
+
     s_grid, lengths = s_grid.tolist(), lengths.tolist()
     knots, speeds = profile.knots.tolist(), profile.speeds.tolist()
     last_knot = knots[-1]
@@ -412,11 +363,11 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
                 k_lo, k_hi = k_hi, knots[kj + 1]
             k_y = speeds[kj]
             k_slope = (speeds[kj + 1] - k_y) / (k_hi - k_lo)
-            speed = k_slope * (s - k_lo) + k_y if k_lo < s else _interp(s, knots, speeds)
+            speed = k_slope * (s - k_lo) + k_y if k_lo < s else speed_at(s)
         else:
-            speed = _interp(s, knots, speeds)
+            speed = speed_at(s)
         if speed != speed:
-            speed = _interp(s, knots, speeds)
+            speed = speed_at(s)
         d_ell = speed * step
         if ell + d_ell >= total:
             step *= (total - ell) / d_ell
@@ -433,11 +384,11 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
                     a_lo, a_hi = a_hi, lengths[aj + 1]
                 a_y = s_grid[aj]
                 a_slope = (s_grid[aj + 1] - a_y) / (a_hi - a_lo)
-                s = a_slope * (ell - a_lo) + a_y if a_lo < ell else _interp(ell, lengths, s_grid)
+                s = a_slope * (ell - a_lo) + a_y if a_lo < ell else s_at(ell)
             else:
-                s = _interp(ell, lengths, s_grid)
+                s = s_at(ell)
             if s != s:
-                s = _interp(ell, lengths, s_grid)
+                s = s_at(ell)
         t += step
         times.append(t)
         s_values.append(s)
@@ -660,8 +611,7 @@ def _nearest_targets(origins: np.ndarray, directions: np.ndarray, scene: SceneSp
 
     Boundary contact is inclusive.  Equally near targets resolve to the
     lowest index, as a loop over the targets in order that keeps only a
-    strictly nearer hit would.  Reads the stacked float centers and radii:
-    a radius given as a huge int would otherwise be squared as an int.
+    strictly nearer hit would.
     """
     nearest = np.full(len(origins), -1)
     for rays, cand in _ray_candidates(origins, directions, scene):
@@ -706,7 +656,7 @@ def cast_ray(origin, direction, scene: SceneSpec) -> str | None:
     d = _unit_rows(np.asarray(direction, dtype=float).reshape(1, 3),
                    "ray direction must be nonzero")
     i = _nearest_targets(origin, d, scene)[0]
-    return scene.targets[i].id if i >= 0 else None
+    return scene.target_ids[i] if i >= 0 else None
 
 
 def _check_sigma(sigma: float) -> None:
@@ -785,7 +735,7 @@ def run_ray_task(
     Attempts are processed in time order, breaking ties by target order, so
     results are reproducible per seed.
     """
-    if not scene.targets:
+    if not len(scene.targets):
         raise ValueError("ray task needs at least one target in the scene")
     _check_ray_args(sigma, trigger_distance)
     points = np.asarray(points, dtype=float)
@@ -832,7 +782,7 @@ def simulate(
     """
     _check_ray_args(sigma, trigger_distance)
     result, positions = _traverse(curve, profile, scene, dt)
-    if not scene.targets:
+    if not len(scene.targets):
         return result
     attempts, hits = run_ray_task(positions, sigma, seed, scene, trigger_distance)
     return replace(result, ray_attempts=attempts, ray_hits=hits,

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from searoam.cli import main
+from searoam.cli import MAX_CURVE_SAMPLES, MAX_STUDY_SIZE, main
+from searoam.spline import PathCurve
 
 from conftest import DATA_DIR, GOLDEN_DIR
 
@@ -140,6 +141,21 @@ def test_unit_scale_and_ignored_scale_match_default(tmp_path, argv):
     assert main(argv + ["--scale", "0", "5", "5", "--out", str(tmp_path / "raw")]) == 0
     assert read_outputs(tmp_path / "raw") == expected
 
+
+
+@pytest.mark.parametrize("samples", [MAX_CURVE_SAMPLES // 5 + 1, 10**12])
+def test_path_compare_samples_beyond_limit(tmp_path, capsys, samples):
+    # The demo route has 5 segments; the limit is checked before any curve
+    # is evaluated, so neither value allocates.
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    code = main(["path", "compare", str(ROUTE), "--samples", str(samples), "--out", str(out)])
+    assert code == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --samples {samples} over 5 segments exceeds the limit of "
+                   f"{MAX_CURVE_SAMPLES} samples per curve"]
+    assert not out.exists()
 
 # --- sim run -----------------------------------------------------------------
 
@@ -323,6 +339,52 @@ def test_sim_run_spread_scene_matches_golden(tmp_path, sigma):
     assert read_outputs(out) == read_outputs(golden / f"sigma_{sigma}")
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["sim", "run", str(ROUTE_SPEEDS), str(SCENE), "--dt", "0.05"],
+    ["study", "analyze", str(STUDY)],
+    ["study", "synth"],
+], ids=["sim_run", "study_analyze", "study_synth"])
+def test_negative_seed_is_rejected(tmp_path, capsys, argv):
+    # sim run on the demo route fires no ray at the default sigma, so a
+    # negative seed used to pass there unnoticed.
+    out = tmp_path / "out"
+    assert main(argv + ["--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+# Known overflow failures of the 1e154-1e308 family (ROADMAP open item 3);
+# each passes once that item lands.
+
+@pytest.mark.xfail(strict=True, reason="sim arc table squares overflow (ROADMAP item 3)")
+def test_sim_run_route_of_1e200_completes(tmp_path):
+    # The route of test_path_compare_huge_finite_keypoints, at speed 1e200.
+    rows = ["1e200,0,0", "-1e200,1e200,0", "1e200,2e200,5"]
+    route = tmp_path / "route.csv"
+    route.write_text("longitude,latitude,height,speed\n"
+                     + "".join(f"{row},1e200\n" for row in rows))
+    scene = tmp_path / "scene.json"
+    scene.write_text('{"obstacles": [], "targets": []}')
+    out = tmp_path / "out"
+    assert main(["sim", "run", str(route), str(scene), "--out", str(out)]) == 0
+    points = [[float(v) for v in row.split(",")] for row in rows]
+    for kind in ("polyline", "bezier", "catmull_rom"):
+        doc = json.loads((out / f"sim_{kind}.json").read_text())
+        expected = PathCurve(kind, points).arc_length() / 1e200
+        assert doc["completed"] and doc["time_used"] == pytest.approx(expected, rel=1e-3)
+
+
+@pytest.mark.xfail(strict=True, reason="trigger distances overflow (ROADMAP item 3)")
+def test_sim_run_far_huge_target_gets_an_attempt(tmp_path):
+    # The demo route starts well inside this target's 3e300 trigger zone.
+    scene = tmp_path / "scene.json"
+    scene.write_text('{"targets": [{"id": "far", "center": [1e300, 0, 0], "radius": 1e300}]}')
+    out = tmp_path / "out"
+    assert main(["sim", "run", str(ROUTE_SPEEDS), str(scene), "--kind", "polyline",
+                 "--sigma", "0.1", "--out", str(out)]) == 0
+    assert json.loads((out / "sim_polyline.json").read_text())["ray_attempts"] == 1
+
 # --- study analyze -----------------------------------------------------------
 
 def test_study_analyze_outputs(tmp_path):
@@ -421,3 +483,15 @@ def test_synth_then_analyze_round_trip(tmp_path):
     assert main(["study", "analyze", str(synth), "--replicates", "1000",
                  "--out", str(out)]) == 0
     assert (out / "stats_report.json").exists()
+
+
+
+@pytest.mark.parametrize("n", [MAX_STUDY_SIZE + 1, 10**12])
+def test_study_synth_n_beyond_limit(tmp_path, capsys, n):
+    out = tmp_path / "synth.csv"
+    start = time.perf_counter()
+    assert main(["study", "synth", "--n", str(n), "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: --n {n} exceeds the limit of {MAX_STUDY_SIZE} participants\n")
+    assert not out.exists()

@@ -1,10 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from searoam.geo import (
-    KeyPoint,
     KeypointParseError,
     PathTooShortError,
     Projection,
@@ -23,21 +23,29 @@ DEMO_CSV = """longitude,latitude,height
 
 
 def test_project_raw_is_identity():
-    kp = KeyPoint(121.47, 31.23, 10000.0)
-    assert project(kp, Projection.raw()) == (121.47, 31.23, 10000.0)
+    kp = (121.47, 31.23, 10000.0, 1.0)
+    assert project(kp, Projection.raw()).tolist() == [121.47, 31.23, 10000.0]
     # bit for bit, signed zero and subnormals included
-    kp = KeyPoint(-0.0, 5e-324, 1.7976931348623157e308)
+    kp = (-0.0, 5e-324, 1.7976931348623157e308, 1.0)
     assert [math.copysign(1.0, v) for v in project(kp)] == [-1.0, 1.0, 1.0]
-    assert project(kp) == (-0.0, 5e-324, 1.7976931348623157e308)
+    assert project(kp).tolist() == [-0.0, 5e-324, 1.7976931348623157e308]
 
 
 def test_project_origin():
-    assert project(KeyPoint(0.0, 0.0, 0.0)) == (0.0, 0.0, 0.0)
+    assert project((0.0, 0.0, 0.0, 1.0)).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_project_scaled_componentwise():
-    kp = KeyPoint(123.0, 20.0, 50000.0)
-    assert project(kp, Projection((1, 1, 0.001))) == (123.0, 20.0, 50.0)
+    kp = (123.0, 20.0, 50000.0, 1.0)
+    assert project(kp, Projection((1, 1, 0.001))).tolist() == [123.0, 20.0, 50.0]
+
+
+def test_project_array_equals_rows():
+    kps = load_keypoints(DEMO_CSV)
+    proj = Projection((2.0, 0.5, 0.001))
+    points = project(kps, proj)
+    assert points.shape == (6, 3)
+    assert points.tobytes() == np.array([project(kp, proj) for kp in kps]).tobytes()
 
 
 def test_projection_rejects_nonpositive_scale():
@@ -48,22 +56,26 @@ def test_projection_rejects_nonpositive_scale():
 
 
 def test_keypoint_invariants():
-    with pytest.raises(ValueError):
-        KeyPoint(0.0, 0.0, -1.0)
-    with pytest.raises(ValueError):
-        KeyPoint(0.0, 0.0, 0.0, speed=0.0)
-    with pytest.raises(ValueError):
-        KeyPoint(math.nan, 0.0, 0.0)
+    header = "longitude,latitude,height,speed\n0,0,0,1\n"
+    with pytest.raises(ValueError, match="row 2: height must be >= 0, got -1.0"):
+        load_keypoints(header + "0,0,-1,1\n")
+    with pytest.raises(ValueError, match="row 2: speed must be > 0, got 0.0"):
+        load_keypoints(header + "0,0,0,0\n")
+    with pytest.raises(ValueError, match="row 2: longitude must be finite, got nan"):
+        load_keypoints(header + "nan,0,0,1\n")
     with pytest.raises(ValueError, match="x must be finite"):
-        project(KeyPoint(1e308, 0.0, 0.0), Projection((10.0, 1.0, 1.0)))
+        project((1e308, 0.0, 0.0, 1.0), Projection((10.0, 1.0, 1.0)))
+    # in an array the first overflowing coordinate in row order is named
+    with pytest.raises(ValueError, match="y must be finite, got -inf"):
+        project([(0.0, 0.0, 0.0), (1.0, -1e308, 1e308)], Projection((1.0, 10.0, 10.0)))
 
 
 def test_load_demo_route():
     kps = load_keypoints(DEMO_CSV)
-    assert len(kps) == 6
-    assert kps[0] == KeyPoint(121.47, 31.23, 10000.0, speed=1.0)
-    assert kps[5].longitude == 200.00  # longitudes beyond 180 pass through unwrapped
-    assert kps[5].latitude == -13.50
+    assert kps.shape == (6, 4)
+    assert kps[0].tolist() == [121.47, 31.23, 10000.0, 1.0]
+    assert kps[5, 0] == 200.00  # longitudes beyond 180 pass through unwrapped
+    assert kps[5, 1] == -13.50
 
 
 def test_load_empty_file_is_path_too_short():
@@ -95,7 +107,7 @@ def test_load_bad_header():
 
 def test_load_speed_column():
     kps = load_keypoints("longitude,latitude,height,speed\n1,2,3,4\n5,6,7,8\n")
-    assert [kp.speed for kp in kps] == [4.0, 8.0]
+    assert kps[:, 3].tolist() == [4.0, 8.0]
 
 
 def test_load_rejects_invalid_speed_with_row():
@@ -122,7 +134,7 @@ finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 def test_repr_csv_load_round_trip(rows):
     text = "longitude,latitude,height,speed\n" + "".join(
         ",".join(repr(v) for v in row) + "\n" for row in rows)
-    assert load_keypoints(text) == [KeyPoint(*row) for row in rows]
+    assert load_keypoints(text).tolist() == [list(row) for row in rows]
 
 
 def test_load_reads_repr_floats_exactly():
@@ -131,15 +143,15 @@ def test_load_reads_repr_floats_exactly():
         "0.1,-179.99999999999997,5e-324,0.001\n"
         "1.7976931348623157e+308,-33.333333333333336,123456.78901234567,1000.0\n"
     )
-    assert [(kp.longitude, kp.latitude, kp.height, kp.speed) for kp in kps] == [
-        (0.1, -179.99999999999997, 5e-324, 0.001),
-        (1.7976931348623157e308, -33.333333333333336, 123456.78901234567, 1000.0),
+    assert kps.tolist() == [
+        [0.1, -179.99999999999997, 5e-324, 0.001],
+        [1.7976931348623157e308, -33.333333333333336, 123456.78901234567, 1000.0],
     ]
 
 
 @given(finite_coord, finite_coord, st.floats(min_value=0, max_value=1e6, allow_nan=False))
 def test_project_injective_on_distinct_inputs(lon, lat, h):
     proj = Projection((2.0, 3.0, 0.5))
-    base = project(KeyPoint(lon, lat, h), proj)
-    shifted = project(KeyPoint(lon + 1.0, lat, h), proj)
-    assert base != shifted
+    base = project((lon, lat, h), proj)
+    shifted = project((lon + 1.0, lat, h), proj)
+    assert base.tolist() != shifted.tolist()
