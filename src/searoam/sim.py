@@ -513,12 +513,6 @@ def traverse(curve: PathCurve, profile: SpeedProfile, scene: SceneSpec, dt: floa
     return _traverse(curve, profile, scene, dt)[0]
 
 
-# Prefilter slack in _ray_candidates, relative to |oc|^2 + r^2 (see there).
-_DISC_SLACK = 2.0 ** -40
-# Absolute slack on top, for discriminants whose terms underflow.
-_DISC_FLOOR = 2.0 ** -1000
-
-
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.dot(a[i], b[i]) for each row i of two (k, 3) arrays, bit for bit.
 
@@ -548,100 +542,101 @@ def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, _NEXT] * b[:, _PREV] - a[:, _PREV] * b[:, _NEXT]
 
 
-def _ray_candidates(origins: np.ndarray, directions: np.ndarray, scene: SceneSpec):
-    """Yield (ray, target) index arrays of the targets each ray (origins[k],
-    unit directions[k]) may hit, in row-major order and in batches of whole
-    rays.  A batch ends at the first block that brings it to
-    DISTANCE_BLOCK // 8 pairs, so the caller's arrays stay bounded.
-
-    Keeps every target whose discriminant might be >= 0.  _nearest_targets
-    and this estimate compute the same b*b - |oc|^2 + r^2 from the same oc
-    and d, rounded in different orders (np.dot may use FMA).  As |d| = 1,
-    b*b <= |oc|^2, so each result is within about 13 * 2^-53 * (|oc|^2 + r^2)
-    of the exact discriminant and the two differ by under
-    2^-48 * (|oc|^2 + r^2).  The slack is 2^-40 of that scale plus a floor
-    for underflow, so no target the exact test accepts is dropped; NaN
-    estimates are kept too.  Rays are tested a block of at most
-    DISTANCE_BLOCK // 8 ray-target pairs (64 KB per float64 array) at a
-    time, in four block buffers allocated once.
+def _ray_times(oc: np.ndarray, directions: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Per row k, the distance t along unit directions[k] from a ray's
+    origin to where it meets a sphere of radius radii[k], given oc[k] =
+    origin - center: the nearer crossing, or the farther one when the nearer
+    lies behind the origin.  The ray hits where 0 <= t < inf (boundary
+    contact included); NaN, a negative t or inf is a miss.
     """
-    centers = scene.target_centers
-    with np.errstate(over="ignore"):  # an infinite discriminant is kept
-        r2 = scene.target_radii * scene.target_radii
-    rows = max(1, DISTANCE_BLOCK // 8 // max(1, len(centers)))
-    shape = (min(rows, len(origins)), len(centers))
-    buffers = [np.empty(shape) for _ in range(4)]
-    rays, targets, pending = [], [], 0
-    for start in range(0, len(origins), rows):
-        o, d = origins[start:start + rows], directions[start:start + rows]
-        off, b, oc2, part = (buf[:len(o)] for buf in buffers)
-        # In place, as b = ox*dx + oy*dy + oz*dz and oc2 = ox*ox + oy*oy + oz*oz.
-        for a in range(3):
-            np.subtract(o[:, a, None], centers[:, a], out=off)
-            if a == 0:
-                np.multiply(off, d[:, 0, None], out=b)
-                np.multiply(off, off, out=oc2)
-            else:
-                np.multiply(off, d[:, a, None], out=part)
-                b += part
-                np.multiply(off, off, out=part)
-                oc2 += part
-        # disc = b*b - oc2 + r2 and bound = -(_DISC_SLACK * (oc2 + r2) + _DISC_FLOOR)
-        disc = np.multiply(b, b, out=part)
-        disc -= oc2
-        disc += r2
-        bound = np.add(oc2, r2, out=off)
-        bound *= _DISC_SLACK
-        bound += _DISC_FLOOR
-        np.negative(bound, out=bound)
-        ray, target = np.nonzero(~(disc < bound))
-        rays.append(ray + start)
-        targets.append(target)
-        pending += len(ray)
-        if pending >= DISTANCE_BLOCK // 8:
-            yield np.concatenate(rays), np.concatenate(targets)
-            rays, targets, pending = [], [], 0
-    if pending:
-        yield np.concatenate(rays), np.concatenate(targets)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = _rowdot(directions, oc)
+        disc = b * b - _rowdot(oc, oc) + radii * radii
+        big = np.flatnonzero(~np.isfinite(disc))
+        root = np.sqrt(disc)  # NaN where disc < 0: a miss, like a NaN disc
+        if len(big):  # a square overflowed: the same test scaled by 1/k
+            oc_k, r_k = oc[big], radii[big]
+            k = np.abs(oc_k).max(axis=1)
+            k = np.where(k > r_k, k, r_k)  # max(r, max|oc|): r unless max|oc| > r
+            oc_k /= k[:, None]
+            b_k = b[big] / k
+            r_k /= k
+            root[big] = k * np.sqrt(b_k * b_k - _rowdot(oc_k, oc_k) + r_k * r_k)
+        t = -b - root
+        return np.where(t < 0.0, -b + root, t)
 
 
-def _nearest_targets(origins: np.ndarray, directions: np.ndarray, scene: SceneSpec):
+# Slack of the boxes in _nearest_targets, relative to t_max + radius (see there).
+_RAY_SLACK = 2.0 ** -20
+
+
+def _nearest_targets(origins: np.ndarray, directions: np.ndarray, scene: SceneSpec,
+                     t_max: np.ndarray) -> np.ndarray:
     """Per ray (origins[k], unit directions[k]), the index of the nearest
-    target it hits, or -1.
+    target it hits at a distance t <= t_max[k], or -1.
 
-    Boundary contact is inclusive.  Equally near targets resolve to the
-    lowest index, as a loop over the targets in order that keeps only a
-    strictly nearer hit would.
+    Equally near targets resolve to the lowest index, as a loop over the
+    targets in order that keeps only a strictly nearer hit would.  Only the
+    targets in a box around each origin are resolved: a slab of the centers
+    sorted along their widest axis, found by binary search, then each
+    center's own box.  Rays are resolved in batches of whole rays of at most
+    DISTANCE_BLOCK // 8 ray-target pairs (or one ray), so memory stays
+    bounded whatever t_max.
     """
+    centers, radii = scene.target_centers, scene.target_radii
     nearest = np.full(len(origins), -1)
-    for rays, cand in _ray_candidates(origins, directions, scene):
-        oc = origins[rays] - scene.target_centers[cand]
-        r = scene.target_radii[cand]
+    if not len(centers):
+        return nearest
+    # The boxes keep every target whose computed t can be <= t_max.  Exactly,
+    # a ray from o that meets the sphere (c, r) at t has |o - c| <= t + r.
+    # In floats (u = 2^-53, |d| = 1 + O(u)), the discriminant is within
+    # 8u (|oc|^2 + r^2) of b*b - |oc|^2 + r^2 on the computed b and oc; with
+    # b*b up to 15u |oc|^2 above |oc|^2, that acts as r grown by under
+    # 2^-24 (|oc| + r) inside the root.  oc, b, the root and t add a few u
+    # of |oc| + r, and the 1/k rescale is the same arithmetic in units of k.
+    # So any computed t, either root, puts c within (t + r)(1 + 2^-22) of o
+    # on every axis, plus 2^-530 where products underflow.  The half-width
+    # (t_max + r)(1 + 2^-20) + _BOX_FLOOR, with its roundings, is larger,
+    # and rounding is monotone, so neither a slab bound nor |o_a - c_a|
+    # crosses it the wrong way.  Overflowing widths only widen the boxes; a
+    # NaN origin keeps nothing, as every t it gives is NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        axis = int(np.ptp(centers, axis=0).argmax())
+        by_axis = np.argsort(centers[:, axis])
+        sorted_axis = centers[by_axis, axis]
+        width = t_max + radii.max()
+        width += _RAY_SLACK * width + _BOX_FLOOR
+        lo = np.searchsorted(sorted_axis, origins[:, axis] - width, "left")
+        hi = np.searchsorted(sorted_axis, origins[:, axis] + width, "right")
+    ends = np.cumsum(hi - lo)
+    first = 0
+    while first < len(origins):
+        done = int(ends[first - 1]) if first else 0
+        last = max(first + 1, int(np.searchsorted(ends, done + DISTANCE_BLOCK // 8, "right")))
+        # Pair p of the batch is ray rays[p] and the (p - starts[ray])-th
+        # center of its slab.
+        counts = hi[first:last] - lo[first:last]
+        starts = np.cumsum(counts) - counts
+        rays = np.repeat(np.arange(first, last), counts)
+        cand = by_axis[np.arange(len(rays)) + np.repeat(lo[first:last] - starts, counts)]
+        first = last
+        # take: a row gather several times faster than fancy indexing.
         with np.errstate(over="ignore", invalid="ignore"):
-            b = _rowdot(directions[rays], oc)
-            disc = b * b - _rowdot(oc, oc) + r * r
-            big = np.flatnonzero(~np.isfinite(disc))
-            root = np.sqrt(disc)  # NaN where disc < 0: a miss, like a NaN disc
-            if len(big):  # a square overflowed: the same test scaled by 1/k
-                oc_k, r_k = oc[big], r[big]
-                k = np.abs(oc_k).max(axis=1)
-                k = np.where(k > r_k, k, r_k)  # max(r, max|oc|): r unless max|oc| > r
-                oc_k /= k[:, None]
-                b_k = b[big] / k
-                r_k /= k
-                root[big] = k * np.sqrt(b_k * b_k - _rowdot(oc_k, oc_k) + r_k * r_k)
-            t = -b - root
-            behind = t < 0.0
-            t[behind] = -b[behind] + root[behind]
-        hit = (0.0 <= t) & (t < math.inf)
-        rays, cand, t = rays[hit], cand[hit], t[hit]
-        # Sorted by ray, then by t; the sort is stable, so equal t keep their
-        # target order and the first pair of each ray wins.
-        order = np.lexsort((t, rays))
-        rays, cand = rays[order], cand[order]
-        first = np.ones(len(rays), dtype=bool)
-        first[1:] = rays[1:] != rays[:-1]
-        nearest[rays[first]] = cand[first]
+            oc = origins.take(rays, axis=0) - centers.take(cand, axis=0)
+            width = t_max[rays] + radii[cand]
+            width += _RAY_SLACK * width + _BOX_FLOOR
+            off = np.abs(oc)
+            inside = np.flatnonzero(np.maximum(np.maximum(off[:, 0], off[:, 1]), off[:, 2]) <= width)
+        rays, cand = rays[inside], cand[inside]
+        t = _ray_times(oc.take(inside, axis=0), directions.take(rays, axis=0), radii[cand])
+        hit = (0.0 <= t) & (t <= t_max[rays]) & (t < math.inf)
+        # Sorted by ray, then by t, then by target: the first pair of each
+        # ray is its nearest hit, equal t going to the lowest index.
+        order = np.lexsort((cand[hit], t[hit], rays[hit]))
+        rays, cand = rays[hit][order], cand[hit][order]
+        first_of_ray = np.ones(len(rays), dtype=bool)
+        first_of_ray[1:] = rays[1:] != rays[:-1]
+        nearest[rays[first_of_ray]] = cand[first_of_ray]
     return nearest
 
 
@@ -655,7 +650,7 @@ def cast_ray(origin, direction, scene: SceneSpec) -> str | None:
     origin = np.asarray(origin, dtype=float).reshape(1, 3)
     d = _unit_rows(np.asarray(direction, dtype=float).reshape(1, 3),
                    "ray direction must be nonzero")
-    i = _nearest_targets(origin, d, scene)[0]
+    i = _nearest_targets(origin, d, scene, np.full(1, math.inf))[0]
     return scene.target_ids[i] if i >= 0 else None
 
 
@@ -731,9 +726,12 @@ def run_ray_task(
     target (distance below trigger_distance, default 3x that target's
     radius; being inside at the first point counts as an entry).  The
     attempt aims at the nearest target's center, perturbed by the seeded
-    noise model, and hits when the cast ray strikes that intended target.
-    Attempts are processed in time order, breaking ties by target order, so
-    results are reproducible per seed.
+    noise model, and hits when the cast ray strikes that intended target
+    first (an equally near target of lower index wins).  Attempts are
+    processed in time order, breaking ties by target order, so results are
+    reproducible per seed.  Each ray is resolved against its aimed target
+    first: missing it is a miss, and hitting it at t leaves only the
+    targets in a box of half-width t + radius around the origin to check.
     """
     if not len(scene.targets):
         raise ValueError("ray task needs at least one target in the scene")
@@ -762,8 +760,10 @@ def run_ray_task(
     aims = _unit_rows(centers[aimed] - origins, "ray origin coincides with the target center")
     directions = _unit_rows(_perturb_rows(np.random.default_rng(seed), aims, sigma),
                             "ray direction must be nonzero")
-    hits = int(np.count_nonzero(_nearest_targets(origins, directions, scene) == aimed))
-    return len(aimed), hits
+    t = _ray_times(origins - centers[aimed], directions, scene.target_radii[aimed])
+    rows = np.flatnonzero((0.0 <= t) & (t < math.inf))
+    nearest = _nearest_targets(origins[rows], directions[rows], scene, t[rows])
+    return len(aimed), int(np.count_nonzero(nearest == aimed[rows]))
 
 
 def simulate(

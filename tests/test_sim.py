@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 from unittest import mock
@@ -234,6 +235,7 @@ def test_cast_ray_miss():
     scene = ray_scene(("ball", (10, 0, 0), 1.0))
     assert cast_ray((0, 0, 0), (-1, 0, 0), scene) is None
     assert cast_ray((0, 0, 0), (0, 1, 0), scene) is None
+    assert cast_ray((0, 0, 0), (0, 1, 0), SceneSpec()) is None  # no targets
 
 
 def test_cast_ray_tangent_boundary_is_inclusive():
@@ -764,7 +766,7 @@ def test_run_ray_task_rescales_overflowing_discriminant(center, expected):
     scene = ray_scene(("near", (10, 0, 0), 1.0), ("huge", center, 2.0**665))
     points = np.array([(0.0, 0.0, 0.0), (0.0, 20.0, 0.0), (0.0, 0.0, 0.0)])
     # The huge target's squared offsets overflow in the reference's trigger
-    # test and in the prefilter (a known fault).
+    # test; the ray task itself resolves it under the 1/k rescale.
     with np.errstate(over="ignore", invalid="ignore"):
         assert run_ray_task(points, 0.0, 0, scene, 12.0) == expected
         for sigma, seed in [(0.0, 0), (0.05, 1), (0.5, 2)]:
@@ -789,6 +791,74 @@ def test_run_ray_task_equals_reference(scene, steps, start_inside, sigma, seed, 
     with mock.patch.object(sim, "DISTANCE_BLOCK", block):
         new = outcome(run_ray_task, points, sigma, seed, scene, trigger)
     assert new == outcome(reference_run_ray_task, points, sigma, seed, scene, trigger)
+
+
+@st.composite
+def occluder_scenes(draw):
+    """(points, scene, huge): a second target, the occluder, on the ray from
+    the first point to the aimed target.
+
+    The aimed target lies along an axis from the point, its near surface t_a
+    away.  The occluder is concentric with it (a duplicate when the radii
+    match), or centered farther along that axis with its near surface at
+    t_a, then moved one ulp nearer or farther; huge makes its radius 2^665.
+    Either target may have the lower index.  The point is left and entered
+    again, so each trigger zone it leaves fires twice.
+    """
+    origin = np.array(draw(point3))
+    axis, sign = draw(st.integers(0, 2)), draw(st.sampled_from([-1.0, 1.0]))
+    r_a = draw(radius)
+    center_a = origin.copy()
+    center_a[axis] += sign * r_a * draw(st.sampled_from([1.5, 2.0, 3.0]) | st.floats(0.05, 3.0))
+    huge = draw(st.booleans())
+    r_o = 2.0**665 if huge else draw(st.just(r_a) | radius)
+    if draw(st.booleans()):
+        center_o = center_a
+    else:
+        t_a = abs(center_a[axis] - origin[axis]) - r_a
+        center_o = origin.copy()
+        center_o[axis] += sign * (t_a + r_o)
+        nudge = draw(st.sampled_from([-1, 0, 1]))  # one ulp nearer, touching, or farther
+        if nudge:
+            center_o[axis] = np.nextafter(center_o[axis], sign * nudge * np.inf)
+    targets = [("aimed", center_a, r_a), ("occluder", center_o, r_o)]
+    if draw(st.booleans()):
+        targets.reverse()
+    away = origin + np.roll([0.0, 40.0, 0.0], axis)  # off the axis, out of every small zone
+    return np.array([origin, away, origin]), scene_of(targets=targets), huge
+
+
+@pytest.mark.parametrize("order, expected", [(1, (4, 4)), (-1, (4, 0))])
+def test_run_ray_task_tie_goes_to_lower_index(order, expected):
+    # Both zones fire at the origin and both rays aim at the nearer center,
+    # (2, 0, 0); the occluder's near surface is at t = 1 too.  The attempt
+    # hits only when the aimed target has the lower index.
+    targets = [("aimed", (2, 0, 0), 1.0), ("occluder", (3, 0, 0), 2.0)][::order]
+    points = np.array([(0.0, 0.0, 0.0), (0.0, 40.0, 0.0), (0.0, 0.0, 0.0)])
+    assert run_ray_task(points, 0.0, 0, scene_of(targets=targets)) == expected
+
+
+# Duplicates whose t_a = (1.5 + 2^-52) - (0.5 + 2^-53) ties and rounds to
+# even, 1.0, and t_a + r rounds to even again, 1.5: each center lies an ulp
+# beyond t_a + r, so a box without slack would drop the aimed target.
+TIES_TO_EVEN = (np.array([(0.0, 0.0, 0.0), (0.0, 40.0, 0.0), (0.0, 0.0, 0.0)]),
+                scene_of(targets=[(f"t{i}", (1.5 + 2.0**-52, 0.0, 0.0), 0.5 + 2.0**-53)
+                                  for i in range(2)]), False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=occluder_scenes(), sigma=st.sampled_from([0.0, 1e-9, 0.05]),
+       seed=st.integers(0, 1000))
+@example(case=TIES_TO_EVEN, sigma=0.0, seed=0)
+def test_run_ray_task_on_occluder_scenes_equals_reference(case, sigma, seed):
+    # An attempt hits when nothing lies on its ray before the aimed target
+    # (nor at the same t with a lower index), so these occluders decide it.
+    points, scene, huge = case
+    # A 2^665 radius overflows the squared offsets of the trigger tests, in
+    # _entry_blocks and in the reference alike.
+    with np.errstate(over="ignore", invalid="ignore") if huge else contextlib.nullcontext():
+        new = outcome(run_ray_task, points, sigma, seed, scene)
+        assert new == outcome(reference_run_ray_task, points, sigma, seed, scene)
 
 
 # --- pruned scene tests --------------------------------------------------------
@@ -880,3 +950,29 @@ def test_entry_blocks_skip_far_spheres():
     measured = sum(dist.size for _, _, dist, _ in sim._entry_blocks(
         positions, scene.obstacle_centers, scene.obstacle_reach))
     assert 0 < measured < 0.1 * len(positions) * len(scene.obstacles)
+
+
+def test_ray_task_resolves_few_pairs_per_attempt():
+    # On the spread golden's route (150 targets) each attempt resolves its
+    # aimed target and the few targets in the box around its origin, not
+    # every target in the scene.
+    golden = GOLDEN_DIR / "sim_spread"
+    keypoints = geo.load_keypoints((golden / "route.csv").read_text())
+    route = PathCurve.polyline(keypoints[:, :3])
+    scene = SceneSpec.from_json((golden / "scene.json").read_text())
+    positions = sample_trajectory(route, SpeedProfile.from_keypoints(keypoints), 0.02).positions
+    resolved = []
+    ray_times, nearest_targets = sim._ray_times, sim._nearest_targets
+
+    def counted_times(oc, directions, radii):
+        resolved.append(len(oc))
+        return ray_times(oc, directions, radii)
+
+    def counted_nearest(*args):
+        with mock.patch.object(sim, "_ray_times", counted_times):
+            return nearest_targets(*args)
+
+    with mock.patch.object(sim, "_nearest_targets", counted_nearest):
+        attempts, hits = run_ray_task(positions, 0.05, 5, scene)
+    assert attempts >= 30 and hits > 0
+    assert 0 < sum(resolved) <= 4 * attempts
