@@ -11,6 +11,7 @@ path or when the energy budget (default 300 s) runs out.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -27,7 +28,7 @@ TRIGGER_RADIUS_FACTOR = 3.0
 
 # Limit on the estimated time steps of one traversal.  The README demo takes
 # about 10.5k steps per curve kind; beyond this limit a tiny dt would grow
-# the step lists (and the positions array) until memory runs out.
+# the step arrays (and the positions array) until memory runs out.
 MAX_STEPS = 2_000_000
 
 # Distances per block in the scene tests (512 KB per float64 array):
@@ -289,17 +290,50 @@ def _arc_length_table(curve: PathCurve) -> tuple[np.ndarray, np.ndarray]:
     return grid, lengths
 
 
+def _stretch_steps(t: float, ell: float, stretch: tuple, dt: float, budget: float,
+                   lengths: np.ndarray, s_grid: np.ndarray):
+    """Take the full steps of one equal-speed stretch from (t, ell) at once.
+
+    stretch is (lo, hi, v, hi_length): speed v for s in [lo, hi), arc
+    length hi_length at hi; the caller has checked that the first step is
+    a full one in it.  Times and lengths are np.add.accumulate's sequential
+    sums, the adds of the step loop, and s is np.interp over the arc table.
+    Returns the times and s after each step before the first that would
+    reach the path end, be cut short by the budget or start outside
+    [lo, hi), and the length reached.
+    """
+    lo, hi, v, hi_length = stretch
+    # Enough steps to reach hi or the budget, so that the lengths queried
+    # stay linear in steps.  _step_states' estimate bounds it by MAX_STEPS + 2.
+    count = int(min((hi_length - ell) / v, budget - t) / dt) + 2
+    times = np.full(count + 1, dt)
+    times[0] = t
+    np.add.accumulate(times, out=times)
+    ells = np.full(count + 1, v * dt)
+    ells[0] = ell
+    np.add.accumulate(ells, out=ells)
+    s = np.interp(ells[1:], lengths, s_grid)
+    # stop[k]: step k (from state k to k + 1) is not a full step in the stretch.
+    stop = budget - times[:-1] < dt
+    stop |= ells[1:] >= lengths[-1]
+    stop[1:] |= (s[:-1] < lo) | (s[:-1] >= hi)
+    n = int(stop.argmax()) or count  # stop[0] is False, so 0 means no stop
+    return times[1:n + 1], s[:n], float(ells[n])
+
+
 def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: float):
     """Advance along the curve in fixed time steps of dt.
 
     Each step moves speed*dt units of arc length, resolved through a dense
     precomputed arc-length table (speed is read at the step's start); the
     final step is shortened to land exactly on the path end or on the
-    budget.  Both lookups, speed at s and s at a length, are forward
-    cursors over their tables, so a step costs the same whatever the table
-    size; the values equal np.interp's bit for bit.  Returns (times,
-    s_values, completed), starting at t=0.  Raises ArcLengthError when the
-    path length overflows and SimTooLargeError when the estimated step
+    budget.  Full steps where consecutive keypoints share a speed are
+    taken in array passes (_stretch_steps); the other steps read speed at
+    s and s at a length through forward cursors over their tables, so a
+    step costs the same whatever the table size.  Either way the values
+    equal a step loop over np.interp bit for bit.  Returns arrays (times,
+    s_values) starting at t=0, and completed.  Raises ArcLengthError when
+    the path length overflows and SimTooLargeError when the estimated step
     count exceeds MAX_STEPS.
     """
     if len(profile.speeds) != len(curve.keypoints):
@@ -345,15 +379,38 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
 
     s_grid, lengths = s_grid.tolist(), lengths.tolist()
     knots, speeds = profile.knots.tolist(), profile.speeds.tolist()
+    # Stretches: maximal runs of knots i < j sharing a speed v, on which
+    # np.interp gives v for every s in [knots[i], knots[j]); the knot j is
+    # the table entry j * ARC_TABLE_SAMPLES.  An endless one closes the list.
+    stretches, i = [], 0
+    for v, run in itertools.groupby(speeds):
+        j = i + len(list(run)) - 1
+        if j > i:
+            stretches.append((knots[i], knots[j], v, lengths[j * ARC_TABLE_SAMPLES]))
+        i = j + 1
+    stretches.append((math.inf, math.inf, 0.0, 0.0))
+    upcoming = iter(stretches)
+    stretch = r_lo, r_hi, r_v, _ = next(upcoming)
     last_knot = knots[-1]
     kj, k_lo, k_hi, k_y, k_slope = -1, knots[0], knots[0], speeds[0], 0.0
     aj, a_lo, a_hi, a_y, a_slope = -1, lengths[0], lengths[0], s_grid[0], 0.0
-    times = [0.0]
-    s_values = [0.0]
+    times, s_values = [0.0], [0.0]  # steps since the last pass, filled in place
+    t_parts, s_parts = [times], [s_values]  # in order with the passes' arrays
     t, s, ell = 0.0, 0.0, 0.0
     completed = total == 0.0
     while not completed and t < budget:
         rest = budget - t
+        if s >= r_lo:  # one comparison per step where the speed varies
+            while s >= r_hi:
+                stretch = r_lo, r_hi, r_v, _ = next(upcoming)
+            if r_lo <= s and not rest < dt and ell + r_v * dt < total:
+                new_t, new_s, ell = _stretch_steps(t, ell, stretch, dt, budget,
+                                                   length_table, s_table)
+                times, s_values = [], []
+                t_parts += (new_t, times)
+                s_parts += (new_s, s_values)
+                t, s = float(new_t[-1]), float(new_s[-1])
+                continue
         step = rest if rest < dt else dt  # min(dt, rest), the same float
         if k_lo < s < k_hi:
             speed = k_slope * (s - k_lo) + k_y
@@ -392,7 +449,7 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
         t += step
         times.append(t)
         s_values.append(s)
-    return times, s_values, completed
+    return np.concatenate(t_parts), np.concatenate(s_parts), completed
 
 
 def sample_trajectory(
@@ -403,8 +460,7 @@ def sample_trajectory(
 ) -> Trajectory:
     """Time-sample positions along a curve."""
     times, s_values, _ = _step_states(curve, profile, dt, energy_budget)
-    ss = np.array(s_values)
-    return Trajectory(np.array(times), ss, curve.positions(ss))
+    return Trajectory(times, s_values, curve.positions(s_values))
 
 
 # Slack of the bounding-box filter in _entry_blocks, relative to the box's
@@ -498,8 +554,8 @@ def _count_collisions(positions: np.ndarray, scene: SceneSpec) -> int:
 def _traverse(curve: PathCurve, profile: SpeedProfile, scene: SceneSpec, dt: float):
     """traverse's result plus the sampled positions it counted collisions over."""
     times, s_values, completed = _step_states(curve, profile, dt, scene.energy_budget)
-    positions = curve.positions(np.array(s_values))
-    result = SimResult(time_used=times[-1], collisions=_count_collisions(positions, scene),
+    positions = curve.positions(s_values)
+    result = SimResult(time_used=float(times[-1]), collisions=_count_collisions(positions, scene),
                        ray_attempts=0, ray_hits=0, accuracy=0.0, completed=completed)
     return result, positions
 

@@ -40,9 +40,9 @@ DEFAULT_KS_REPLICATES = 10_000
 # the limit takes about 2.4 s and its sorted array 8 MB; p-values finer
 # than 1e-6 change no decision at any usable alpha.
 MAX_KS_REPLICATES = 1_000_000
-# Replicates per null block: (KS_BLOCK_ROWS, n) float arrays, 200 KB at
-# n = 50, small enough to stay in cache.
-KS_BLOCK_ROWS = 512
+# Values per null block: (KS_BLOCK_VALUES // n, n) float arrays, at least
+# one row: at most 200 KB (512 rows at n = 50), small enough to stay in cache.
+KS_BLOCK_VALUES = 25_600
 P_DISPLAY_CAP = 0.2
 
 
@@ -197,9 +197,10 @@ def lilliefors_null(n: int, replicates: int = DEFAULT_KS_REPLICATES, seed: int =
 
     Simulates ``replicates`` standard-normal samples of size n and computes
     each one's statistic the same way ks_statistic_normal does.  The
-    samples are drawn and reduced KS_BLOCK_ROWS at a time into two buffers
-    reused across blocks; filling consecutive blocks consumes the stream
-    exactly as one (replicates, n) draw does, so the null is the same.
+    samples are drawn and reduced KS_BLOCK_VALUES // n at a time (at least
+    one) into two buffers reused across blocks, at most 200 KB each up to
+    n = 25,600; filling consecutive blocks consumes the stream exactly as
+    one (replicates, n) draw does, so the null is the same.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
@@ -209,7 +210,7 @@ def lilliefors_null(n: int, replicates: int = DEFAULT_KS_REPLICATES, seed: int =
         raise ValueError(
             f"{replicates} replicates exceed the limit of {MAX_KS_REPLICATES}")
     rng = np.random.default_rng(seed)
-    rows = min(replicates, KS_BLOCK_ROWS)
+    rows = min(replicates, max(1, KS_BLOCK_VALUES // n))
     block = np.empty((rows, n))
     scratch = np.empty(rows * n)
     d = np.empty(replicates)

@@ -651,10 +651,30 @@ def test_arc_length_table_equals_norm_cumsum(pts, kind, tension):
 @example(kind="polyline", picks=[1, 2, 0, 1],
          pool=[(-3.0, 4.0, 2.0), (1.0, 0.0, -2.0), (0.0, 2.0, -2.0)],
          speeds=[1.0, 2.5, 0.5, 7.0, 1.0], dt=7.621232784633843, budget=300.0)
+# Equal-speed stretches, taken in array passes: the budget cuts one short
+# in the middle; one ends exactly on the path end (7 = 14 steps of 0.5);
+# the speed changes at an interior knot; a zero-length chord lies inside
+# one; and no budget, sample_trajectory's default.
+@example(kind="polyline", picks=[0, 1, 2],
+         pool=[(0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (4.0, 3.0, 0.0)],
+         speeds=[1.0] * 5, dt=0.05, budget=2.33)
+@example(kind="polyline", picks=[0, 1, 2],
+         pool=[(0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (4.0, 3.0, 0.0)],
+         speeds=[1.0] * 5, dt=0.5, budget=300.0)
+@example(kind="polyline", picks=[0, 1, 2, 1, 0],
+         pool=[(0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (4.0, 3.0, 0.0)],
+         speeds=[1.0, 1.0, 2.5, 2.5, 2.5], dt=0.05, budget=300.0)
+@example(kind="catmull_rom", picks=[0, 1, 1, 2],
+         pool=[(0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (4.0, 3.0, 0.0)],
+         speeds=[1.0] * 5, dt=0.05, budget=300.0)
+@example(kind="catmull_rom", picks=[0, 1, 2, 0],
+         pool=[(0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (4.0, 3.0, 0.0)],
+         speeds=[2.5] * 5, dt=0.005, budget=math.inf)
 def test_step_states_equal_reference(kind, picks, pool, speeds, dt, budget):
     curve = PathCurve(kind, [pool[i] for i in picks])
     profile = SpeedProfile(np.array(speeds[:len(picks)]))
-    new = sim._step_states(curve, profile, dt, budget)
+    times, s_values, completed = sim._step_states(curve, profile, dt, budget)
+    new = (times.tolist(), s_values.tolist(), completed)
     ref = reference_step_states(curve, profile, dt, budget)
     assert new == ref
 
@@ -669,6 +689,52 @@ def test_step_states_search_only_off_the_cursors(kind):
         times, _, _ = sim._step_states(curve, SpeedProfile.from_keypoints(keypoints), 0.005, 300.0)
     assert len(times) > 10_000
     assert counted.call_count <= 30
+
+
+def step_states_passes(curve, profile, dt, budget):
+    """_step_states' result, the lengths np.interp was asked for, and the
+    steps the array passes took."""
+    queried, passed = [], []
+
+    def stretch_steps(*args):
+        times, s_values, ell = take_stretch(*args)
+        passed.append(len(times))
+        return times, s_values, ell
+
+    def interp(x, *args):
+        queried.append(np.size(x))
+        return numpy_interp(x, *args)
+
+    take_stretch, numpy_interp = sim._stretch_steps, np.interp
+    with mock.patch.object(sim.np, "interp", side_effect=interp), \
+         mock.patch.object(sim, "_stretch_steps", side_effect=stretch_steps):
+        result = sim._step_states(curve, profile, dt, budget)
+    return result, sum(queried), sum(passed)
+
+
+def test_stretch_passes_query_about_one_length_per_step():
+    # 100 stretches of two knots, speeds 1 and 2 in turn, between intervals
+    # where the speed varies.  Each pass is sized to its stretch, so the
+    # lengths queried stay linear in the steps; a pass sized to the rest of
+    # the path would query about 50 times as many.
+    points = np.cumsum(np.random.default_rng(5).uniform(-1.0, 1.0, (200, 3)), axis=0)
+    speeds = np.repeat(np.tile([1.0, 2.0], 50), 2)
+    (times, _, completed), queried, passed = step_states_passes(
+        PathCurve("polyline", points), SpeedProfile(speeds), 0.01, 300.0)
+    assert completed
+    assert passed > 0.3 * len(times)
+    assert queried <= 2 * len(times) + 8 * 100
+
+
+@pytest.mark.parametrize("kind", ["polyline", "bezier", "catmull_rom"])
+def test_equal_speed_route_steps_in_array_passes(kind):
+    # One speed at every demo keypoint: all but a few steps are array passes.
+    keypoints = geo.load_keypoints((DATA_DIR / "demo_route_speeds.csv").read_text())
+    curve = PathCurve(kind, keypoints[:, :3])
+    (times, _, _), _, passed = step_states_passes(
+        curve, SpeedProfile.from_keypoints(keypoints), 0.005, 300.0)
+    assert len(times) > 10_000
+    assert len(times) - 1 - passed <= 30
 
 
 @settings(max_examples=150, deadline=None)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from searoam.stats import (
+    DEFAULT_KS_REPLICATES,
     DegenerateSampleError,
     UndefinedCorrelationError,
     UndefinedFitError,
@@ -309,15 +310,23 @@ def test_ks_statistic_equals_reference_and_keeps_its_input(x):
     assert d == float(reference_ks_rows(x[None, :].copy())[0])
 
 
-def test_lilliefors_null_memory_stays_below_a_megabyte():
-    lilliefors_null(50)  # imports scipy.special before tracing starts
+def traced_null_peak(n, replicates):
+    lilliefors_null(n, 1)  # imports scipy.special before tracing starts
     tracemalloc.start()
     try:
-        lilliefors_null(50)
-        peak = tracemalloc.get_traced_memory()[1]
+        lilliefors_null(n, replicates)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+
+
+def test_lilliefors_null_memory_stays_below_a_megabyte():
+    assert traced_null_peak(50, DEFAULT_KS_REPLICATES) < 1 << 20
+
+
+def test_lilliefors_null_memory_does_not_grow_with_study_size():
+    # Fixed 512-replicate blocks would take 8 KB per participant: 40 MB here.
+    assert traced_null_peak(5_000, 1_000) < 1 << 20
 
 
 # --- regression --------------------------------------------------------------
