@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spline import PathCurve, _row_norms
+from .spline import PathCurve, _cross_rows, _row_norms, _rowdot
 
 VIEW_MODELS = ("next_node", "tangent")
 
@@ -45,13 +45,6 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-def angle_between(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle in [0, pi] between two nonzero vectors, stable for tiny angles."""
-    cross = np.linalg.norm(np.cross(u, v))
-    dot = float(np.dot(u, v))
-    return float(np.arctan2(cross, dot))
-
-
 def _check_model(model: str) -> str:
     if model not in VIEW_MODELS:
         raise ValueError(f"unknown view model {model!r}; expected one of {VIEW_MODELS}")
@@ -79,26 +72,43 @@ def view_direction(curve: PathCurve, model: str, s: float) -> np.ndarray:
     return _unit(curve.keypoints[target] - curve.position(s))
 
 
-def _one_sided_directions(curve: PathCurve, model: str, knot: int):
-    """Exact left/right unit view directions at interior knot index.
+def _corner_angles(curve: PathCurve, model: str, knot_positions, knot_tangents):
+    """Angle between the exact left and right view directions at every
+    interior knot, in one array pass.
 
-    In next_node mode the left limit is the direction of motion into the
-    knot (the old target coincides with the knot position for interpolating
-    kinds; for bezier it is the chord to the old target), and the right
-    value is the direction to the freshly selected target.
+    In tangent mode these are the one-sided limits of dP/ds.  In next_node
+    mode the left one is the direction of motion into the knot (for bezier
+    the chord to the old target, which the curve does not pass), and the
+    right one points to the freshly selected target.  The bezier's knot
+    rows are given.  Norms, cross products and dots have the bits of
+    np.linalg.norm, np.cross and np.dot on each row.  The first zero or
+    overflowing direction, in knot order and left before right, raises.
     """
-    s_knot = knot / curve.n_segments
-    left_tan, right_tan = curve.one_sided_tangents(knot)
-    if model == "tangent":
-        return _unit(left_tan), _unit(right_tan)
-    if curve.kind == "bezier":
-        pos = curve.position(s_knot)
-        left = _unit(curve.keypoints[knot] - pos)
-    else:
-        pos = curve.keypoints[knot]
-        left = _unit(left_tan)
-    right = _unit(curve.keypoints[knot + 1] - pos)
-    return left, right
+    n, kp = curve.n_segments, curve.keypoints
+    with np.errstate(over="ignore", invalid="ignore"):
+        if curve.kind == "polyline":
+            left, right = n * curve._diffs[:-1], n * curve._diffs[1:]
+        elif curve.kind == "catmull_rom":
+            left, right = n * curve._m1[:-1], n * curve._m0[1:]
+        else:
+            left = right = knot_tangents
+        if model == "next_node" and curve.kind == "bezier":
+            left, right = kp[1:-1] - knot_positions, kp[2:] - knot_positions
+        elif model == "next_node":
+            right = kp[2:] - kp[1:-1]
+        dirs = np.stack((left, right))  # (2, knots, 3)
+        rows = dirs.reshape(-1, 3)
+        norms = np.sqrt(_rowdot(rows, rows))
+        big = ~np.isfinite(norms)
+        if big.any():  # as in _unit: only overflowing norms are recomputed
+            norms[big] = _row_norms(rows[big])
+    by_knot = norms.reshape(2, -1).T.ravel()  # knot order, the left before the right
+    bad = np.flatnonzero(~np.isfinite(by_knot) | (by_knot == 0.0))
+    if len(bad):
+        _check_norms(by_knot[bad[0]])
+    left, right = dirs / norms.reshape(2, -1, 1)
+    cross = _cross_rows(left, right)
+    return tuple(np.arctan2(np.sqrt(_rowdot(cross, cross)), _rowdot(left, right)).tolist())
 
 
 @dataclass(frozen=True)
@@ -117,33 +127,32 @@ class SmoothnessReport:
     max_angular_speed: float
 
 
-def smoothness(curve: PathCurve, model: str, samples: int = 64) -> SmoothnessReport:
+def smoothness(curve: PathCurve, model: str, samples: int = 64,
+               sampled=None) -> SmoothnessReport:
     """Measure view smoothness with ``samples`` view samples per segment.
 
     Each segment is sampled at u = j/samples for j = 0..samples-1 (the next
     segment's u=0 covers the shared knot's right side; s=1 is excluded
     because next_node has no target there).  Knot discontinuities are not
     folded into the angular speeds; they are reported exactly as
-    corner_angles.
+    corner_angles.  ``sampled`` is curve.sample(samples) when the caller
+    has already evaluated it; knots are rows of that grid.
     """
     _check_model(model)
     samples = int(samples)
     if samples < 2:
         raise ValueError(f"need at least 2 samples per segment, got {samples}")
 
-    n_interior = len(curve.keypoints) - 2
-    corners = tuple(
-        angle_between(*_one_sided_directions(curve, model, k))
-        for k in range(1, n_interior + 1)
-    )
+    positions, tangents = curve.sample(samples) if sampled is None else sampled
+    knots = slice(samples, -1, samples)
+    corners = _corner_angles(curve, model, positions[knots], tangents[knots])
 
     nseg = curve.n_segments
     ds = 1.0 / (samples * nseg)
-    ss = curve.grid(samples)[:-1]
     if model == "tangent":
-        dirs = curve.tangents(ss)
+        dirs = tangents[:-1]
     else:
-        dirs = np.repeat(curve.keypoints[1:], samples, axis=0) - curve.positions(ss)
+        dirs = np.repeat(curve.keypoints[1:], samples, axis=0) - positions[:-1]
     norms = _row_norms(dirs)
     _check_norms(norms)
     dirs = (dirs / norms[:, None]).reshape(nseg, samples, 3)

@@ -26,7 +26,7 @@ import numpy as np
 from . import camera, geo, report, sim, spline, stats
 
 # Limits checked before any allocation: samples per curve in path compare
-# (--samples times the segments; the demo route peaks at about 330 MB at the
+# (--samples times the segments; the demo route peaks at about 390 MB at the
 # limit), and participants of study synth --n (about 80 MB at the limit).
 MAX_CURVE_SAMPLES = 1_000_000
 MAX_STUDY_SIZE = 100_000
@@ -119,9 +119,11 @@ def _cmd_path_compare(args) -> int:
         raise ValueError(f"--samples {args.samples} over {len(pts) - 1} segments exceeds the "
                          f"limit of {MAX_CURVE_SAMPLES} samples per curve")
     curves = [spline.PathCurve(kind, pts, args.tension) for kind in spline.KINDS]
-    svg = report.render_path_compare(curves, args.samples)
-    entries = [(curve.kind, model, camera.smoothness(curve, model, args.samples))
-               for curve, model in zip(curves, ("next_node", "tangent", "tangent"))]
+    # Each curve is evaluated once; the figure and the smoothness share it.
+    sampled = [curve.sample(args.samples) for curve in curves]
+    svg = report.render_path_compare(curves, args.samples, [pos for pos, _ in sampled])
+    entries = [(curve.kind, model, camera.smoothness(curve, model, args.samples, both))
+               for curve, model, both in zip(curves, ("next_node", "tangent", "tangent"), sampled)]
     _write_all(args.out, {
         "compare.svg": svg,
         "smoothness.csv": report.smoothness_csv(entries),

@@ -34,7 +34,9 @@ def _fmt(v: float) -> str:
 
 
 def _points_attr(xs, ys) -> str:
-    return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
+    """The points attribute "x,y x,y ...", each number as _fmt writes it."""
+    flat = np.column_stack((xs, ys)).ravel().tolist()
+    return " ".join(["%.6g,%.6g"] * len(xs)) % tuple(flat)
 
 
 def _bounds(values: np.ndarray, pad: float = 0.05) -> tuple[float, float]:
@@ -78,18 +80,22 @@ def _frame(m: _Mapper) -> str:
     )
 
 
-def render_path_compare(curves, samples: int = 64) -> str:
+def render_path_compare(curves, samples: int = 64, positions=None) -> str:
     """Three-panel comparison figure of the polyline, bezier and catmull-rom
     curves over one set of keypoints, given in that (spline.KINDS) order.
 
     All panels share identical axes (longitude on x, latitude on y; height
     is ignored) and mark the keypoints.  ``samples`` is the per-segment
-    sampling density (at least 16).
+    sampling density (at least 16).  ``positions`` holds each curve's
+    positions at its grid(samples) when the caller has already evaluated
+    them.
     """
     if samples < 16:
         raise ValueError(f"need at least 16 samples per segment, got {samples}")
     pts = curves[0].keypoints
-    sampled = {c.kind: c.positions(c.grid(samples)) for c in curves}
+    if positions is None:
+        positions = [c.positions(c.grid(samples)) for c in curves]
+    sampled = {c.kind: p for c, p in zip(curves, positions)}
 
     all_xy = np.vstack([p[:, :2] for p in sampled.values()] + [pts[:, :2]])
     x_range = _bounds(all_xy[:, 0])

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .spline import ArcLengthError, PathCurve
+from .spline import ArcLengthError, PathCurve, _cross_rows, _rowdot
 
 DEFAULT_ENERGY_BUDGET = 300.0
 DEFAULT_AGENT_RADIUS = 1.0
@@ -144,6 +144,10 @@ class SceneSpec:
     target_radii: np.ndarray = field(init=False, repr=False)
     obstacle_centers: np.ndarray = field(init=False, repr=False)
     obstacle_reach: np.ndarray = field(init=False, repr=False)
+    # The targets' widest axis and their order along it, for the ray slabs
+    # of _nearest_targets.
+    _target_axis: int = field(init=False, repr=False)
+    _target_order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         obstacles = _sphere_rows(self.obstacles, "obstacle")
@@ -157,9 +161,13 @@ class SceneSpec:
             raise ValueError(f"need one id per target: {len(ids)} ids for {len(targets)} targets")
         if len(set(ids)) != len(ids):
             raise ValueError("target ids must be unique")
+        centers = np.ascontiguousarray(targets[:, :3])
+        with np.errstate(over="ignore"):
+            axis = int(np.ptp(centers, axis=0).argmax()) if len(centers) else 0
         for name, value in [
             ("obstacles", obstacles), ("targets", targets), ("target_ids", ids),
-            ("target_centers", np.ascontiguousarray(targets[:, :3])),
+            ("target_centers", centers),
+            ("_target_axis", axis), ("_target_order", np.argsort(centers[:, axis])),
             ("target_radii", np.ascontiguousarray(targets[:, 3])),
             ("obstacle_centers", np.ascontiguousarray(obstacles[:, :3])),
             ("obstacle_reach", obstacles[:, 3] + self.agent_radius),
@@ -368,7 +376,14 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
     # traversal, calls np.interp on the table arrays: x on a knot, x behind
     # the cursor (a line can overshoot a table knot by an ulp, so s may step
     # back), x at or past the last knot, NaN, and a NaN line.  Each cursor
-    # starts on the empty interval (xp[0], xp[0]).
+    # starts on the empty interval (xp[0], xp[0]).  The length cursor reads
+    # the arc table a window at a time, as Python floats (lengths, s_grid,
+    # from entry a_base on), so that entries no step reaches are never
+    # converted.  A window ends in a NaN: a walk stops there with a NaN line
+    # or on a knot, both of which call np.interp, and the next step, finding
+    # no interval, moves the window on.  After an array pass the cursor
+    # restarts at the entry found by binary search instead of walking over
+    # the entries passed.
     length_table, s_table = lengths, s_grid
 
     def speed_at(x):
@@ -377,7 +392,11 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
     def s_at(x):
         return float(np.interp(x, length_table, s_table))
 
-    s_grid, lengths = s_grid.tolist(), lengths.tolist()
+    def window(start):  # lengths, s_grid and the cursor on the empty interval at start
+        stop = start + ARC_TABLE_SAMPLES
+        lengths = length_table[start:stop].tolist() + [math.nan]
+        return lengths, s_table[start:stop].tolist() + [math.nan], -1, lengths[0], lengths[0]
+
     knots, speeds = profile.knots.tolist(), profile.speeds.tolist()
     # Stretches: maximal runs of knots i < j sharing a speed v, on which
     # np.interp gives v for every s in [knots[i], knots[j]); the knot j is
@@ -386,14 +405,15 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
     for v, run in itertools.groupby(speeds):
         j = i + len(list(run)) - 1
         if j > i:
-            stretches.append((knots[i], knots[j], v, lengths[j * ARC_TABLE_SAMPLES]))
+            stretches.append((knots[i], knots[j], v, float(length_table[j * ARC_TABLE_SAMPLES])))
         i = j + 1
     stretches.append((math.inf, math.inf, 0.0, 0.0))
     upcoming = iter(stretches)
     stretch = r_lo, r_hi, r_v, _ = next(upcoming)
     last_knot = knots[-1]
     kj, k_lo, k_hi, k_y, k_slope = -1, knots[0], knots[0], speeds[0], 0.0
-    aj, a_lo, a_hi, a_y, a_slope = -1, lengths[0], lengths[0], s_grid[0], 0.0
+    a_base = 0
+    lengths, s_grid, aj, a_lo, a_hi = window(a_base)
     times, s_values = [0.0], [0.0]  # steps since the last pass, filled in place
     t_parts, s_parts = [times], [s_values]  # in order with the passes' arrays
     t, s, ell = 0.0, 0.0, 0.0
@@ -410,6 +430,8 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
                 t_parts += (new_t, times)
                 s_parts += (new_s, s_values)
                 t, s = float(new_t[-1]), float(new_s[-1])
+                a_base = int(np.searchsorted(length_table, ell, "right")) - 1
+                lengths, s_grid, aj, a_lo, a_hi = window(a_base)
                 continue
         step = rest if rest < dt else dt  # min(dt, rest), the same float
         if k_lo < s < k_hi:
@@ -444,6 +466,9 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
                 s = a_slope * (ell - a_lo) + a_y if a_lo < ell else s_at(ell)
             else:
                 s = s_at(ell)
+                if a_hi != a_hi:  # the last walk stopped at the window's end
+                    a_base += aj
+                    lengths, s_grid, aj, a_lo, a_hi = window(a_base)
             if s != s:
                 s = s_at(ell)
         t += step
@@ -569,16 +594,6 @@ def traverse(curve: PathCurve, profile: SpeedProfile, scene: SceneSpec, dt: floa
     return _traverse(curve, profile, scene, dt)[0]
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.dot(a[i], b[i]) for each row i of two (k, 3) arrays, bit for bit.
-
-    matmul's vector-vector loop is the kernel np.dot uses (a BLAS ddot,
-    which may fuse multiply-adds), so np.sqrt(_rowdot(v, v)) equals
-    np.linalg.norm(v[i]) too.  einsum and plain sums can round differently.
-    """
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def _unit_rows(v: np.ndarray, error: str) -> np.ndarray:
     """Each row of the (k, 3) array v divided by its norm; a zero norm
     raises ValueError(error)."""
@@ -586,16 +601,6 @@ def _unit_rows(v: np.ndarray, error: str) -> np.ndarray:
     if not norm.all():
         raise ValueError(error)
     return v / norm[:, None]
-
-
-# np.cross's column order: (a x b)[j] = a[_NEXT[j]] * b[_PREV[j]] - a[_PREV[j]] * b[_NEXT[j]].
-_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
-
-
-def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.cross of each row pair of two (k, 3) arrays: its products and
-    differences in its order, without its per-call overhead."""
-    return a[:, _NEXT] * b[:, _PREV] - a[:, _PREV] * b[:, _NEXT]
 
 
 def _ray_times(oc: np.ndarray, directions: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -634,10 +639,10 @@ def _nearest_targets(origins: np.ndarray, directions: np.ndarray, scene: SceneSp
     Equally near targets resolve to the lowest index, as a loop over the
     targets in order that keeps only a strictly nearer hit would.  Only the
     targets in a box around each origin are resolved: a slab of the centers
-    sorted along their widest axis, found by binary search, then each
-    center's own box.  Rays are resolved in batches of whole rays of at most
-    DISTANCE_BLOCK // 8 ray-target pairs (or one ray), so memory stays
-    bounded whatever t_max.
+    sorted along their widest axis (sorted once, by SceneSpec), found by
+    binary search, then each center's own box.  Rays are resolved in
+    batches of whole rays of at most DISTANCE_BLOCK // 8 ray-target pairs
+    (or one ray), so memory stays bounded whatever t_max.
     """
     centers, radii = scene.target_centers, scene.target_radii
     nearest = np.full(len(origins), -1)
@@ -657,8 +662,7 @@ def _nearest_targets(origins: np.ndarray, directions: np.ndarray, scene: SceneSp
     # crosses it the wrong way.  Overflowing widths only widen the boxes; a
     # NaN origin keeps nothing, as every t it gives is NaN.
     with np.errstate(over="ignore", invalid="ignore"):
-        axis = int(np.ptp(centers, axis=0).argmax())
-        by_axis = np.argsort(centers[:, axis])
+        axis, by_axis = scene._target_axis, scene._target_order
         sorted_axis = centers[by_axis, axis]
         width = t_max + radii.max()
         width += _RAY_SLACK * width + _BOX_FLOOR

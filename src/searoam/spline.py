@@ -234,6 +234,15 @@ class PathCurve:
         """Unnormalized derivative dP/ds at one global parameter."""
         return self.tangents(float(s))[0]
 
+    def sample(self, samples: int) -> tuple[np.ndarray, np.ndarray]:
+        """positions and tangents at grid(samples); for bezier both come
+        from one de Casteljau pass, with the bits of the two calls."""
+        ss = self.grid(samples)
+        if self.kind == "bezier":
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _de_casteljau(self._control, ss)
+        return self.positions(ss), self.tangents(ss)
+
     def one_sided_tangents(self, knot: int) -> tuple[np.ndarray, np.ndarray]:
         """Left/right dP/ds limits at interior knot index (1..N-2).
 
@@ -341,6 +350,26 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             norms[big] = scale * np.linalg.norm(rows / scale[:, None], axis=1)
     return norms
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.dot(a[i], b[i]) for each row i of two (k, 3) arrays, bit for bit.
+
+    matmul's vector-vector loop is the kernel np.dot uses (a BLAS ddot,
+    which may fuse multiply-adds), so np.sqrt(_rowdot(v, v)) equals
+    np.linalg.norm(v[i]) too.  einsum and plain sums can round differently.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+# np.cross's column order: (a x b)[j] = a[_NEXT[j]] * b[_PREV[j]] - a[_PREV[j]] * b[_NEXT[j]].
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of each row pair of two (k, 3) arrays: its products and
+    differences in its order, without its per-call overhead."""
+    return a[:, _NEXT] * b[:, _PREV] - a[:, _PREV] * b[:, _NEXT]
 
 
 def _lobatto(speeds, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

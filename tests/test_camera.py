@@ -3,18 +3,25 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from searoam import camera
 from searoam.camera import (
     VIEW_MODELS,
     DegenerateViewError,
     ViewOverflowError,
-    angle_between,
     smoothness,
     view_direction,
 )
 from searoam.spline import KINDS, PathCurve
+
+
+def angle_between(u, v):
+    """Angle in [0, pi] between two nonzero vectors, stable for tiny angles:
+    the per-knot corner angle that smoothness replaced with an array pass."""
+    cross = np.linalg.norm(np.cross(u, v))
+    dot = float(np.dot(u, v))
+    return float(np.arctan2(cross, dot))
 
 
 def test_straight_two_point_path_both_modes():
@@ -186,13 +193,35 @@ def test_smoothness_of_huge_finite_route_is_scale_free(kind, model):
 
 # --- reference implementation -------------------------------------------------
 
+def reference_one_sided_directions(curve, model, knot):
+    """Exact left/right unit view directions at one interior knot: the
+    per-knot loop body smoothness replaced."""
+    s_knot = knot / curve.n_segments
+    left_tan, right_tan = curve.one_sided_tangents(knot)
+    if model == "tangent":
+        return camera._unit(left_tan), camera._unit(right_tan)
+    if curve.kind == "bezier":
+        pos = curve.position(s_knot)
+        left = camera._unit(curve.keypoints[knot] - pos)
+    else:
+        pos = curve.keypoints[knot]
+        left = camera._unit(left_tan)
+    right = camera._unit(curve.keypoints[knot + 1] - pos)
+    return left, right
+
+
+def reference_corner_angles(curve, model):
+    """The per-knot loop over the interior knots that smoothness replaced."""
+    return tuple(
+        angle_between(*reference_one_sided_directions(curve, model, k))
+        for k in range(1, len(curve.keypoints) - 1)
+    )
+
+
 def reference_smoothness(curve, model, samples):
     """The per-segment loop smoothness replaced; the property below requires
     smoothness to equal it bit for bit."""
-    corners = tuple(
-        angle_between(*camera._one_sided_directions(curve, model, k))
-        for k in range(1, len(curve.keypoints) - 1)
-    )
+    corners = reference_corner_angles(curve, model)
     nseg = curve.n_segments
     ds = 1.0 / (samples * nseg)
     speeds = []
@@ -251,3 +280,72 @@ def test_smoothness_matches_per_segment_loop(route, kind, model, tension, sample
     curve = PathCurve(kind, route, tension)
     assert (outcome(smoothness, curve, model, samples)
             == outcome(reference_smoothness, curve, model, samples))
+
+
+def corner_angles(curve, model, samples):
+    """smoothness's corner angles: the array kernel on the knot rows of the
+    curve's sampled grid."""
+    positions, tangents = curve.sample(samples)
+    knots = slice(samples, -1, samples)
+    return camera._corner_angles(curve, model, positions[knots], tangents[knots])
+
+
+def reference_corners_quietly(curve, model):
+    # The reference's scalar subtractions may overflow with a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return reference_corner_angles(curve, model)
+
+
+@st.composite
+def long_routes(draw):
+    """3-60 keypoints, often repeated from a small pool, scaled to ordinary
+    size, to where squares overflow (the _row_norms fallback) or to where
+    they underflow."""
+    pool = draw(st.lists(point3, min_size=1, max_size=6))
+    route = draw(st.lists(st.sampled_from(pool) | point3, min_size=3, max_size=60))
+    return (np.array(route) * draw(st.sampled_from([1.0, 1.0, 1e200, 1e-170]))).tolist()
+
+
+# next_node directions that fail at two places with different errors; the
+# error raised is the first in knot order, the left before the right, as in
+# the per-knot loop.  Polyline: knot 1's right side has zero length and
+# knot 3's left overflows, then the other way round, then both sides of
+# knot 1 fail.  Catmull-rom (tension 0.5): knot 1's right side and knot
+# 2's left fail, which a left-sides-first order would swap.
+ZERO_THEN_OVERFLOW = [(0, 0, 0), (1, 0, 0), (1, 0, 0), (1.5e308, 0, 0), (-1.5e308, 0, 0)]
+OVERFLOW_THEN_ZERO = [(0, 0, 0), (1.5e308, 0, 0), (-1.5e308, 0, 0), (-1.5e308, 0, 0), (0, 0, 0)]
+LEFT_ZERO_RIGHT_OVERFLOW = [(-1.5e308, 0, 0), (-1.5e308, 0, 0), (1.5e308, 0, 0)]
+CATMULL_RIGHT_ZERO_NEXT_LEFT_OVERFLOW = [(0, 0, 0), (1, 0, 0), (1, 0, 0), (1.7e308, 0, 0)]
+CATMULL_RIGHT_OVERFLOW_NEXT_LEFT_ZERO = [(0, 0, 0), (-1e308, 0, 0), (1e308, 0, 0), (-1e308, 0, 0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    route=long_routes(),
+    kind=st.sampled_from(KINDS),
+    model=st.sampled_from(VIEW_MODELS),
+    tension=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    samples=st.integers(2, 9),
+)
+@example(route=HUGE_FINITE.tolist(), kind="bezier", model="next_node", tension=0.5, samples=3)
+@example(route=HUGE_FINITE.tolist(), kind="catmull_rom", model="tangent", tension=0.5, samples=2)
+@example(route=HUGE_FINITE.tolist(), kind="polyline", model="next_node", tension=0.5, samples=2)
+# Tension 0: every catmull-rom knot tangent vanishes, so the first knot's
+# left direction is degenerate in tangent mode; next_node's left one is
+# the same tangent.
+@example(route=[(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0)], kind="catmull_rom",
+         model="tangent", tension=0.0, samples=4)
+@example(route=[(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0)], kind="catmull_rom",
+         model="next_node", tension=0.0, samples=4)
+@example(route=ZERO_THEN_OVERFLOW, kind="polyline", model="next_node", tension=0.5, samples=2)
+@example(route=OVERFLOW_THEN_ZERO, kind="polyline", model="next_node", tension=0.5, samples=2)
+@example(route=LEFT_ZERO_RIGHT_OVERFLOW, kind="polyline", model="next_node", tension=0.5,
+         samples=2)
+@example(route=CATMULL_RIGHT_ZERO_NEXT_LEFT_OVERFLOW, kind="catmull_rom", model="next_node",
+         tension=0.5, samples=2)
+@example(route=CATMULL_RIGHT_OVERFLOW_NEXT_LEFT_ZERO, kind="catmull_rom", model="next_node",
+         tension=0.5, samples=2)
+def test_corner_angles_equal_per_knot_reference(route, kind, model, tension, samples):
+    curve = PathCurve(kind, route, tension)
+    assert (outcome(corner_angles, curve, model, samples)
+            == outcome(reference_corners_quietly, curve, model))

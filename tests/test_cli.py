@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from searoam import spline
 from searoam.cli import MAX_CURVE_SAMPLES, MAX_STUDY_SIZE, main
 from searoam.spline import PathCurve
 
@@ -125,6 +126,36 @@ def test_path_compare_scaled_projection(tmp_path):
     ])
     assert code == 0
     assert read_outputs(out) == read_outputs(GOLDEN_DIR / "compare_scaled")
+
+
+CORRIDOR = GOLDEN_DIR / "compare_corridor"
+
+
+def test_path_compare_corridor_matches_golden(tmp_path):
+    # 12 keypoints: ten interior knots per kind (see generate.py there).
+    out = tmp_path / "out"
+    assert main(["path", "compare", str(CORRIDOR / "route.csv"), "--tension", "0.35",
+                 "--out", str(out)]) == 0
+    assert read_outputs(out) == {name: (CORRIDOR / name).read_bytes()
+                                 for name in ("compare.svg", "smoothness.csv")}
+
+
+def test_path_compare_evaluates_each_curve_once(tmp_path, monkeypatch):
+    # One evaluation of the whole grid per curve feeds the figure, the
+    # angular speeds and the knot corners: one de Casteljau pass for the
+    # bezier, positions and tangents for the others, none per knot.
+    calls = []
+
+    def counting(original, name):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(spline, "_de_casteljau", counting(spline._de_casteljau, "de_casteljau"))
+    monkeypatch.setattr(PathCurve, "_evaluate", counting(PathCurve._evaluate, "evaluate"))
+    assert main(["path", "compare", str(CORRIDOR / "route.csv"), "--out", str(tmp_path)]) == 0
+    assert sorted(calls) == ["de_casteljau"] + ["evaluate"] * 4
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,7 +2,9 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from searoam import report
 from searoam.geo import PathTooShortError
 from searoam.report import (
     render_path_compare,
@@ -161,3 +163,19 @@ def test_smoothness_csv_layout(demo_pts):
     assert fields[1] == "next_node"
     assert float(fields[2]) > 0.1
     assert len(fields[5].split(";")) == 4
+
+
+svg_number = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, 1e-300, -1e-300, 1e300, -1e300,
+    float("inf"), float("-inf"), float("nan"), 123456.5, 0.0001234565,
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.lists(st.tuples(svg_number, svg_number), max_size=40))
+def test_points_attr_equals_per_number_format(points):
+    xs = np.array([x for x, _ in points], dtype=float)
+    ys = np.array([y for _, y in points], dtype=float)
+    expected = " ".join(f"{format(float(x), '.6g')},{format(float(y), '.6g')}"
+                        for x, y in zip(xs, ys))
+    assert report._points_attr(xs, ys) == expected
