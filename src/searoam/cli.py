@@ -17,6 +17,7 @@ a message on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -32,6 +33,7 @@ MAX_CURVE_SAMPLES = 1_000_000
 MAX_STUDY_SIZE = 100_000
 
 
+@functools.cache  # once per process: parse_args fills a new namespace per call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="searoam",
@@ -46,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--tension", type=float, default=spline.DEFAULT_TENSION)
     p_compare.add_argument("--samples", type=int, default=64, help="curve samples per segment")
     p_compare.add_argument("--projection", choices=["raw", "scaled"], default="raw")
-    p_compare.add_argument("--scale", type=float, nargs=3, default=[1.0, 1.0, 1.0],
+    p_compare.add_argument("--scale", type=float, nargs=3, default=(1.0, 1.0, 1.0),
                            metavar=("SX", "SY", "SZ"))
     p_compare.add_argument("--out", type=Path, required=True, help="output directory")
 
@@ -64,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--trigger-distance", type=float, default=None,
                        help="ray trigger distance (default: 3x target radius)")
     p_run.add_argument("--projection", choices=["raw", "scaled"], default="raw")
-    p_run.add_argument("--scale", type=float, nargs=3, default=[1.0, 1.0, 1.0],
+    p_run.add_argument("--scale", type=float, nargs=3, default=(1.0, 1.0, 1.0),
                        metavar=("SX", "SY", "SZ"))
     p_run.add_argument("--out", type=Path, required=True, help="output directory")
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -31,13 +31,13 @@ TRIGGER_RADIUS_FACTOR = 3.0
 # the step arrays (and the positions array) until memory runs out.
 MAX_STEPS = 2_000_000
 
-# Distances per block in the scene tests (512 KB per float64 array):
-# positions are tested against all sphere centers a block of rows at a time,
+# The scene tests measure (position, sphere) and (ray, target) pairs in
+# batches of at most DISTANCE_BLOCK // 8 pairs (64 KB per float64 array),
 # so memory does not grow with positions x spheres.
 DISTANCE_BLOCK = 1 << 16
-# Points per block at most, so that a scene of a few spheres does not test
-# the whole path in one block whose arrays are as large as the positions.
-_ENTRY_BLOCK_ROWS = DISTANCE_BLOCK // 16
+# Consecutive positions per chunk in the sphere tests, each chunk tested
+# only against the spheres in its bounding box: small, so the boxes stay tight.
+_CHUNK_ROWS = 32
 
 
 class SimTooLargeError(ValueError):
@@ -124,6 +124,14 @@ def _scene_number(doc: dict, key: str, default: float) -> float:
         raise ValueError(f"scene {key!r} must be a number, got {value!r}") from None
 
 
+def _widest_sort(centers: np.ndarray) -> tuple:
+    """(axis, order, keys): the centers' widest axis, order and sorted values on it."""
+    with np.errstate(over="ignore"):
+        axis = int(np.ptp(centers, axis=0).argmax()) if len(centers) else 0
+    order = np.argsort(centers[:, axis])
+    return axis, order, centers[order, axis]
+
+
 @dataclass(frozen=True, eq=False)
 class SceneSpec:
     """Obstacle and target spheres plus agent radius and energy budget.
@@ -144,10 +152,9 @@ class SceneSpec:
     target_radii: np.ndarray = field(init=False, repr=False)
     obstacle_centers: np.ndarray = field(init=False, repr=False)
     obstacle_reach: np.ndarray = field(init=False, repr=False)
-    # The targets' widest axis and their order along it, for the ray slabs
-    # of _nearest_targets.
-    _target_axis: int = field(init=False, repr=False)
-    _target_order: np.ndarray = field(init=False, repr=False)
+    # The centers sorted along their widest axis, for _slabs (see _widest_sort).
+    _target_sort: tuple = field(init=False, repr=False)
+    _obstacle_sort: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         obstacles = _sphere_rows(self.obstacles, "obstacle")
@@ -162,14 +169,13 @@ class SceneSpec:
         if len(set(ids)) != len(ids):
             raise ValueError("target ids must be unique")
         centers = np.ascontiguousarray(targets[:, :3])
-        with np.errstate(over="ignore"):
-            axis = int(np.ptp(centers, axis=0).argmax()) if len(centers) else 0
+        obstacle_centers = np.ascontiguousarray(obstacles[:, :3])
         for name, value in [
             ("obstacles", obstacles), ("targets", targets), ("target_ids", ids),
-            ("target_centers", centers),
-            ("_target_axis", axis), ("_target_order", np.argsort(centers[:, axis])),
+            ("target_centers", centers), ("_target_sort", _widest_sort(centers)),
             ("target_radii", np.ascontiguousarray(targets[:, 3])),
-            ("obstacle_centers", np.ascontiguousarray(obstacles[:, :3])),
+            ("obstacle_centers", obstacle_centers),
+            ("_obstacle_sort", _widest_sort(obstacle_centers)),
             ("obstacle_reach", obstacles[:, 3] + self.agent_radius),
         ]:
             object.__setattr__(self, name, value)
@@ -250,14 +256,7 @@ class SimResult:
     completed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "time_used": self.time_used,
-            "collisions": self.collisions,
-            "ray_attempts": self.ray_attempts,
-            "ray_hits": self.ray_hits,
-            "accuracy": self.accuracy,
-            "completed": self.completed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -488,79 +487,101 @@ def sample_trajectory(
     return Trajectory(times, s_values, curve.positions(s_values))
 
 
-# Slack of the bounding-box filter in _entry_blocks, relative to the box's
-# coordinate scale plus the largest reach (see there).
+# Slack of the chunk boxes in _entry_pairs, relative to the box's coordinate
+# scale plus the largest reach (see there).
 _BOX_SLACK = 2.0 ** -40
 # Absolute slack on top, for offsets whose squares are subnormal.
 _BOX_FLOOR = 2.0 ** -499
 
 
-def _entry_blocks(points: np.ndarray, centers: np.ndarray, reach):
-    """Yield (first_row, cols, dist, entries) over blocks of consecutive points.
+def _runs(starts: np.ndarray, counts: np.ndarray, limit):
+    """Yield (owner, index) over batches of whole owners i, in order: each index
+    in range(starts[i], starts[i] + counts[i]) with its i, at most limit, or one owner's."""
+    ends = np.cumsum(counts)
+    shift = starts - ends + counts  # index minus position, per owner
+    first = 0
+    while first < len(counts):
+        done = int(ends[first - 1]) if first else 0
+        last = max(first + 1, int(np.searchsorted(ends, done + limit, "right")))
+        owner = np.repeat(np.arange(first, last), counts[first:last])
+        yield owner, np.arange(done, done + len(owner)) + shift[owner]
+        first = last
 
-    cols are the indices, ascending, of the centers inside the block's
-    bounding box grown by the largest reach; no other center is within
-    reach of any point of the block.  dist[i, j] is the distance from
-    points[first_row + i] to centers[cols[j]], summed as
-    sqrt((dx*dx + dy*dy) + dz*dz): the order np.linalg.norm uses over a
-    last axis of length 3, so the values equal it bit for bit.
-    entries[i, j] is True where that point is within reach[cols[j]]
-    (inclusive) of the center and the point before it was not; a first
-    point within reach counts as an entry.  A block spans at most
-    DISTANCE_BLOCK point-center pairs of the whole scene, or a single row
-    when there are more centers than that, and at most _ENTRY_BLOCK_ROWS
-    points; blocks without a candidate center are skipped.
+
+def _slab_pairs(sort: tuple, lo: np.ndarray, hi: np.ndarray):
+    """Yield (query, center) over batches of at most DISTANCE_BLOCK // 8 pairs,
+    or one query's: each center of sort (a _widest_sort) whose value on its
+    axis lies in [lo[k], hi[k]], found by binary search, with its query k."""
+    _, order, keys = sort
+    first = np.searchsorted(keys, lo, "left")
+    counts = np.searchsorted(keys, hi, "right") - first
+    for queries, at in _runs(first, counts, DISTANCE_BLOCK // 8):
+        yield queries, order[at]
+
+
+def _distances(points: np.ndarray, rows: np.ndarray, centers: np.ndarray, cols: np.ndarray):
+    """Per pair p, |points[rows[p]] - centers[cols[p]]| summed as
+    sqrt((dx*dx + dy*dy) + dz*dz), the order of np.linalg.norm over a last
+    axis of length 3 (0.0 + dx*dx == dx*dx), so equal to it bit for bit."""
+    dist = np.zeros(len(rows))
+    for a in range(3):  # a column at a time: two pair-sized arrays
+        part = points[:, a].take(rows)
+        part -= centers[:, a].take(cols)
+        part *= part
+        dist += part
+    return np.sqrt(dist, out=dist)
+
+
+def _entry_pairs(points: np.ndarray, centers: np.ndarray, reach, sort: tuple):
+    """Yield (rows, cols, dist, entries) over batches of (point, center) pairs.
+
+    Each chunk of _CHUNK_ROWS consecutive points is paired with the centers
+    in its box grown by the largest reach (_slab_pairs on sort, the centers'
+    _widest_sort, then the other two axes); no other center is within reach
+    of its points.  A batch pairs the rows of whole chunks with their
+    chunk's centers, at most DISTANCE_BLOCK // 8 pairs or one chunk.  dist
+    holds the _distances, and entries[p] is True where points[rows[p]] is
+    within reach[cols[p]] (inclusive) and the point before it, if any, is not.
     """
-    if not len(centers):
+    if not (len(points) and len(centers)):
         return
     reach = np.broadcast_to(np.asarray(reach, dtype=float), (len(centers),))
     grow = float(reach.max())
-    axes = [np.ascontiguousarray(centers[:, a]) for a in range(3)]
-    rows = max(1, min(_ENTRY_BLOCK_ROWS, DISTANCE_BLOCK // len(centers)))
-    before = np.zeros(len(centers), dtype=bool)
-    for start in range(0, len(points), rows):
-        block = points[start:start + rows]
-        # The box keeps every center whose computed distance is <= reach:
-        # with u = 2^-53, rounding (monotone, relatively within u) makes
-        # that distance at least (1 - 4u) |p_a - c_a| on each axis a when
-        # |p_a - c_a| >= 2^-500, so the center lies within (1 + 5u) reach,
-        # or 2^-500 (1 + 2u), of the block on every axis.  The margin
-        # exceeds the largest reach by 2^-40 (|bound| + reach) + 2^-499,
-        # more than that plus the rounding of the margin and the bounds.
-        # Overflowing bounds only widen the box; a NaN bound (a NaN point)
-        # leaves its axis unfiltered.  Column reductions, because
-        # block.min(axis=0) is about 10x slower.
-        keep = np.ones(len(centers), dtype=bool)
-        for a in range(3):
-            column = block[:, a]
-            lo, hi = float(column.min()), float(column.max())
-            margin = grow + _BOX_SLACK * (max(abs(lo), abs(hi)) + grow) + _BOX_FLOOR
-            lo, hi = lo - margin, hi + margin
-            if lo <= hi:
-                keep &= (axes[a] >= lo) & (axes[a] <= hi)
-        cols = np.flatnonzero(keep)
-        carried = before[cols]
-        # Centers left out of this block are out of reach at its last row.
-        before = np.zeros(len(centers), dtype=bool)
-        if not len(cols):
-            continue
-        near = centers[cols]
-        # In place, to keep to two block-sized float arrays.
-        dist = block[:, 0, None] - near[:, 0]
-        dist *= dist
-        part = block[:, 1, None] - near[:, 1]
-        part *= part
-        dist += part
-        np.subtract(block[:, 2, None], near[:, 2], out=part)
-        part *= part
-        dist += part
-        np.sqrt(dist, out=dist)
-        within = dist <= reach[cols]
-        entries = within.copy()
-        entries[0] &= ~carried
-        entries[1:] &= ~within[:-1]
-        before[cols] = within[-1]
-        yield start, cols, dist, entries
+    starts = np.arange(0, len(points), _CHUNK_ROWS)
+    sizes = np.minimum(len(points) - starts, _CHUNK_ROWS)
+    # The box keeps every center whose computed distance is <= reach: with
+    # u = 2^-53, rounding (monotone, relatively within u) makes that
+    # distance at least (1 - 4u) |p_a - c_a| on each axis a when
+    # |p_a - c_a| >= 2^-500, so the center lies within (1 + 5u) reach, or
+    # 2^-500 (1 + 2u), of the chunk on every axis.  The margin exceeds the
+    # largest reach by 2^-40 (|bound| + reach) + 2^-499, more than that plus
+    # the rounding of the margin and the bounds.  Overflowing bounds only
+    # widen the box; a NaN bound (a NaN point) leaves its axis unfiltered.
+    # reduceat, because a (chunks, rows, 3) view reduced on its middle axis
+    # is several times slower.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = np.minimum.reduceat(points, starts), np.maximum.reduceat(points, starts)
+        margin = grow + _BOX_SLACK * (np.maximum(np.abs(lo), np.abs(hi)) + grow) + _BOX_FLOOR
+        lo -= margin
+        hi += margin
+    loose = ~(lo <= hi)
+    lo[loose], hi[loose] = -math.inf, math.inf
+    for chunks, cols in _slab_pairs(sort, lo[:, sort[0]], hi[:, sort[0]]):
+        box = centers.take(cols, axis=0)
+        keep = ((box >= lo[chunks]) & (box <= hi[chunks])).all(axis=1)
+        chunks, cols = chunks[keep], cols[keep]  # in chunk order
+        _, heads, counts = np.unique(chunks, return_index=True, return_counts=True)
+        for _, at in _runs(heads, counts, DISTANCE_BLOCK // 8 // _CHUNK_ROWS):
+            # Every row of each center's chunk, in one run.
+            pair, rows = next(_runs(starts[chunks[at]], sizes[chunks[at]], math.inf))
+            near = cols[at[pair]]
+            dist = _distances(points, rows, centers, near)
+            entries = dist <= reach[near]
+            # Each pair within reach checks its previous row: nothing carries over.
+            inside = np.flatnonzero(entries & (rows > 0))
+            was = _distances(points, rows[inside] - 1, centers, near[inside]) <= reach[near[inside]]
+            entries[inside[was]] = False
+            yield rows, near, dist, entries
 
 
 def _count_collisions(positions: np.ndarray, scene: SceneSpec) -> int:
@@ -569,11 +590,9 @@ def _count_collisions(positions: np.ndarray, scene: SceneSpec) -> int:
     Overlap is inclusive (touching counts); starting inside an obstacle
     counts as an entry.
     """
-    return sum(
-        int(np.count_nonzero(entries))
-        for _, _, _, entries in _entry_blocks(positions, scene.obstacle_centers,
-                                              scene.obstacle_reach)
-    )
+    pairs = _entry_pairs(positions, scene.obstacle_centers, scene.obstacle_reach,
+                         scene._obstacle_sort)
+    return sum(int(np.count_nonzero(entries)) for *_, entries in pairs)
 
 
 def _traverse(curve: PathCurve, profile: SpeedProfile, scene: SceneSpec, dt: float):
@@ -661,25 +680,12 @@ def _nearest_targets(origins: np.ndarray, directions: np.ndarray, scene: SceneSp
     # and rounding is monotone, so neither a slab bound nor |o_a - c_a|
     # crosses it the wrong way.  Overflowing widths only widen the boxes; a
     # NaN origin keeps nothing, as every t it gives is NaN.
+    sort = scene._target_sort
     with np.errstate(over="ignore", invalid="ignore"):
-        axis, by_axis = scene._target_axis, scene._target_order
-        sorted_axis = centers[by_axis, axis]
         width = t_max + radii.max()
         width += _RAY_SLACK * width + _BOX_FLOOR
-        lo = np.searchsorted(sorted_axis, origins[:, axis] - width, "left")
-        hi = np.searchsorted(sorted_axis, origins[:, axis] + width, "right")
-    ends = np.cumsum(hi - lo)
-    first = 0
-    while first < len(origins):
-        done = int(ends[first - 1]) if first else 0
-        last = max(first + 1, int(np.searchsorted(ends, done + DISTANCE_BLOCK // 8, "right")))
-        # Pair p of the batch is ray rays[p] and the (p - starts[ray])-th
-        # center of its slab.
-        counts = hi[first:last] - lo[first:last]
-        starts = np.cumsum(counts) - counts
-        rays = np.repeat(np.arange(first, last), counts)
-        cand = by_axis[np.arange(len(rays)) + np.repeat(lo[first:last] - starts, counts)]
-        first = last
+        slabs = _slab_pairs(sort, origins[:, sort[0]] - width, origins[:, sort[0]] + width)
+    for rays, cand in slabs:
         # take: a row gather several times faster than fancy indexing.
         with np.errstate(over="ignore", invalid="ignore"):
             oc = origins.take(rays, axis=0) - centers.take(cand, axis=0)
@@ -803,21 +809,31 @@ def run_ray_task(
     centers = scene.target_centers
     triggers = (TRIGGER_RADIUS_FACTOR * scene.target_radii
                 if trigger_distance is None else trigger_distance)
-    # The attempts, in order: the point each fires from and the nearest
-    # target it aims at.  That target is never farther than the entered
-    # one, so it is among the block's candidate columns.
-    origin_rows, aimed = [], []
-    for start, cols, dist, entries in _entry_blocks(points, centers, triggers):
-        # One row index per (point, target) entry, in row-major order.
-        rows = np.nonzero(entries)[0]
-        origin_rows += (rows + start).tolist()
-        aimed += cols[np.argmin(dist[rows], axis=1)].tolist()
-
-    if not aimed:
+    # Each (row, target) entry fires an attempt from its row, aimed at the
+    # row's nearest target, lowest index on ties: never farther than the
+    # entered one, so among the row's pairs, kept by the largest trigger and
+    # not by each target's own.  A batch holds every pair of its rows.
+    fires = np.zeros(len(points), dtype=bool)
+    closest, aim = np.full(len(points), math.inf), np.full(len(points), len(centers))
+    keys = [np.empty(0, dtype=np.intp)]  # row * targets + target, per entry
+    for rows, cols, dist, entries in _entry_pairs(points, centers, triggers, scene._target_sort):
+        keys.append(rows[entries] * len(centers) + cols[entries])
+        fires[rows[entries]] = True
+        mine = np.flatnonzero(fires[rows])
+        rows, cols, dist = rows[mine], cols[mine], dist[mine]
+        np.minimum.at(closest, rows, dist)
+        tie = dist == closest[rows]
+        np.minimum.at(aim, rows[tie], cols[tie])
+    origin_rows = np.sort(np.concatenate(keys)) // len(centers)  # in (row, target) order
+    if not len(origin_rows):
         return 0, 0
     # Hits never feed back into the rng, so every direction is drawn first.
-    origins, aimed = points[origin_rows], np.array(aimed)
-    aims = _unit_rows(centers[aimed] - origins, "ray origin coincides with the target center")
+    origins, aimed = points[origin_rows], aim[origin_rows]
+    offsets = centers[aimed] - origins
+    # An origin on its aimed target's center (up to underflow) aims along
+    # +x: every direction meets that sphere at t = r, so occluders decide.
+    offsets[_rowdot(offsets, offsets) == 0.0] = (1.0, 0.0, 0.0)
+    aims = offsets / np.sqrt(_rowdot(offsets, offsets))[:, None]
     directions = _unit_rows(_perturb_rows(np.random.default_rng(seed), aims, sigma),
                             "ray direction must be nonzero")
     t = _ray_times(origins - centers[aimed], directions, scene.target_radii[aimed])

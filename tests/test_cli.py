@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from searoam import spline
-from searoam.cli import MAX_CURVE_SAMPLES, MAX_STUDY_SIZE, main
+from searoam.cli import MAX_CURVE_SAMPLES, MAX_STUDY_SIZE, build_parser, main
 from searoam.spline import PathCurve
 
 from conftest import DATA_DIR, GOLDEN_DIR
@@ -218,6 +218,34 @@ def test_sim_run_single_kind_deterministic(tmp_path):
     assert main(args + ["--out", str(out_a)]) == 0
     assert main(args + ["--out", str(out_b)]) == 0
     assert read_outputs(out_a) == read_outputs(out_b)
+
+
+def test_sim_run_after_sim_run_with_kind_matches_fresh_runs(tmp_path):
+    # The parser is built once per process: a run with --kind followed by
+    # one without it writes what the two would write in fresh processes.
+    args = ["sim", "run", str(ROUTE_SPEEDS), str(SCENE), "--dt", "0.05", "--sigma", "0.2"]
+    runs = {}
+    for fresh in (False, True):
+        for name, extra in (("bezier", ["--kind", "bezier"]), ("all", [])):
+            if fresh:
+                build_parser.cache_clear()
+            out = tmp_path / f"{name}-{fresh}"
+            assert main(args + extra + ["--out", str(out)]) == 0
+            runs[name, fresh] = read_outputs(out)
+    assert len(runs["all", False]) == 3
+    assert runs["bezier", False] == runs["bezier", True]
+    assert runs["all", False] == runs["all", True]
+
+
+def test_sim_run_origin_on_a_target_center(tmp_path):
+    # The demo route starts on this target's center; the attempt fired
+    # there aims along +x, and only other targets could block it.
+    scene = tmp_path / "scene.json"
+    scene.write_text('{"targets": [{"id": "s", "center": [121.47, 31.23, 10000], "radius": 5}]}')
+    out = tmp_path / "out"
+    assert main(["sim", "run", str(ROUTE_SPEEDS), str(scene), "--kind", "polyline",
+                 "--sigma", "0.1", "--out", str(out)]) == 0
+    assert json.loads((out / "sim_polyline.json").read_text())["ray_attempts"] >= 1
 
 
 def test_sim_run_empty_scene(tmp_path):

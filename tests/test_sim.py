@@ -553,8 +553,8 @@ def reference_run_ray_task(points, sigma, seed, scene, trigger_distance=None):
         for _ in np.nonzero(entries[k])[0]:
             intended = int(np.argmin(dist[k]))
             aim = centers[intended] - points[k]
-            if np.linalg.norm(aim) == 0.0:
-                raise ValueError("ray origin coincides with the target center")
+            if np.linalg.norm(aim) == 0.0:  # on the center: every direction meets it at t = r
+                aim = np.array([1.0, 0.0, 0.0])
             direction = reference_perturb_direction(rng, aim, sigma)
             attempts += 1
             if reference_cast_ray(points[k], direction, scene) == scene.target_ids[intended]:
@@ -745,6 +745,11 @@ def test_equal_speed_route_steps_in_array_passes(kind):
     agent=st.sampled_from([0.0, 0.5, 1.0]),
     block=st.integers(1, 64),
 )
+# Row 32 opens the second chunk and, at one chunk per batch, its batch: the
+# first obstacle is entered there, while the second holds rows 31 and 32
+# and is entered once, at row 31.
+@example(positions=[((k - 32) * 0.25, 0.0, 0.0) for k in range(40)],
+         pool=[(0.0, 0.0, 0.0), (-0.125, 0.0, 0.0)], radii=[0.125, 0.25], agent=0.0, block=1)
 def test_count_collisions_equals_reference(positions, pool, radii, agent, block):
     obstacles = [(pool[i % len(pool)], r) for i, r in enumerate(radii)]
     scene = scene_of(obstacles, agent_radius=agent)
@@ -850,6 +855,10 @@ def test_run_ray_task_rescales_overflowing_discriminant(center, expected):
     trigger=st.one_of(st.none(), st.sampled_from([0.5, 2.0, 6.0])),
     block=st.integers(1, 16),
 )
+# The second point enters only the big target's zone, but the small target
+# is nearer, outside its own smaller zone: the attempt aims at it and hits.
+@example(scene=scene_of(targets=[("big", (2.6, 0.0, 0.0), 1.0), ("small", (2.0, 0.0, 0.0), 0.5)]),
+         steps=[(0.0, 0.0, 0.0)], start_inside=False, sigma=0.0, seed=0, trigger=None, block=64)
 def test_run_ray_task_equals_reference(scene, steps, start_inside, sigma, seed, trigger,
                                        block):
     first = scene.targets[0, :3] + (0.25, 0.0, 0.0) if start_inside else (9.0, 9.0, 9.0)
@@ -921,14 +930,14 @@ def test_run_ray_task_on_occluder_scenes_equals_reference(case, sigma, seed):
     # (nor at the same t with a lower index), so these occluders decide it.
     points, scene, huge = case
     # A 2^665 radius overflows the squared offsets of the trigger tests, in
-    # _entry_blocks and in the reference alike.
+    # _entry_pairs and in the reference alike.
     with np.errstate(over="ignore", invalid="ignore") if huge else contextlib.nullcontext():
         new = outcome(run_ray_task, points, sigma, seed, scene)
         assert new == outcome(reference_run_ray_task, points, sigma, seed, scene)
 
 
 # --- pruned scene tests --------------------------------------------------------
-# _entry_blocks tests each block of positions only against the spheres in
+# _entry_pairs tests each chunk of positions only against the spheres in
 # its bounding box grown by the largest reach.  These scenes make that box
 # drop most spheres and let spheres leave and re-enter the candidate sets.
 
@@ -1005,16 +1014,16 @@ def test_run_ray_task_on_spread_scene_equals_reference(scene, rows, sigma, seed)
     assert new == outcome(reference_run_ray_task, positions, sigma, seed, spec, trigger)
 
 
-def test_entry_blocks_skip_far_spheres():
+def test_entry_pairs_skip_far_spheres():
     # On the spread golden's route most obstacles are outside every
-    # block's box and are never measured.
+    # chunk's box and are never measured.
     golden = GOLDEN_DIR / "sim_spread"
     keypoints = geo.load_keypoints((golden / "route.csv").read_text())
     route = PathCurve.catmull_rom(keypoints[:, :3])
     scene = SceneSpec.from_json((golden / "scene.json").read_text())
     positions = sample_trajectory(route, SpeedProfile.from_keypoints(keypoints), 0.02).positions
-    measured = sum(dist.size for _, _, dist, _ in sim._entry_blocks(
-        positions, scene.obstacle_centers, scene.obstacle_reach))
+    measured = sum(len(dist) for _, _, dist, _ in sim._entry_pairs(
+        positions, scene.obstacle_centers, scene.obstacle_reach, scene._obstacle_sort))
     assert 0 < measured < 0.1 * len(positions) * len(scene.obstacles)
 
 
