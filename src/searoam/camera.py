@@ -35,12 +35,9 @@ def _check_norms(norms) -> None:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(v)
-    if not np.isfinite(norm):
-        # Squares overflow beyond about 1e154; only then rescale, since the
-        # row norm may round differently.  A norm still infinite is an error.
-        norm = _row_norms(v[None])[0]
+    row = v[None]
+    with np.errstate(over="ignore"):  # np.linalg.norm(v)'s bits, rescaled if it overflows
+        norm = _row_norms(row, np.sqrt(_rowdot(row, row)))[0]
     _check_norms(norm)
     return v / norm
 
@@ -98,10 +95,7 @@ def _corner_angles(curve: PathCurve, model: str, knot_positions, knot_tangents):
             right = kp[2:] - kp[1:-1]
         dirs = np.stack((left, right))  # (2, knots, 3)
         rows = dirs.reshape(-1, 3)
-        norms = np.sqrt(_rowdot(rows, rows))
-        big = ~np.isfinite(norms)
-        if big.any():  # as in _unit: only overflowing norms are recomputed
-            norms[big] = _row_norms(rows[big])
+        norms = _row_norms(rows, np.sqrt(_rowdot(rows, rows)))
     by_knot = norms.reshape(2, -1).T.ravel()  # knot order, the left before the right
     bad = np.flatnonzero(~np.isfinite(by_knot) | (by_knot == 0.0))
     if len(bad):
@@ -156,7 +150,7 @@ def smoothness(curve: PathCurve, model: str, samples: int = 64,
     norms = _row_norms(dirs)
     _check_norms(norms)
     dirs = (dirs / norms[:, None]).reshape(nseg, samples, 3)
-    cross = np.linalg.norm(np.cross(dirs[:, :-1], dirs[:, 1:]), axis=2)
+    cross = _row_norms(np.cross(dirs[:, :-1], dirs[:, 1:]).reshape(-1, 3)).reshape(nseg, -1)
     dot = np.sum(dirs[:, :-1] * dirs[:, 1:], axis=2)
     all_speeds = np.arctan2(cross, dot) / ds
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .spline import ArcLengthError, PathCurve, _cross_rows, _rowdot
+from .spline import ArcLengthError, PathCurve, _cross_rows, _row_norms, _rowdot
 
 DEFAULT_ENERGY_BUDGET = 300.0
 DEFAULT_AGENT_RADIUS = 1.0
@@ -273,27 +273,12 @@ ARC_TABLE_SAMPLES = 2048
 
 
 def _arc_length_table(curve: PathCurve) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (s, cumulative length) table for arc-length parameterization.
-
-    Each chord is summed in place as sqrt((dx*dx + dy*dy) + dz*dz), the
-    order np.linalg.norm uses over a last axis of length 3, and the table
-    is accumulated in place after its leading 0.0 (0.0 + c == c), so the
-    values equal the cumulative sum of np.linalg.norm's chords bit for bit.
-    """
+    """Dense (s, cumulative length) table for arc-length parameterization:
+    the cumulative sum of the _row_norms chords after a leading 0.0."""
     grid = curve.grid(ARC_TABLE_SAMPLES)
-    points = curve.positions(grid)
-    lengths = np.empty(len(grid))
-    lengths[0] = 0.0
-    chords, part = lengths[1:], np.empty(len(grid) - 1)
+    lengths = np.zeros(len(grid))
     with np.errstate(over="ignore", invalid="ignore"):  # _step_states rejects the total
-        np.subtract(points[1:, 0], points[:-1, 0], out=chords)
-        chords *= chords
-        for a in (1, 2):
-            np.subtract(points[1:, a], points[:-1, a], out=part)
-            part *= part
-            chords += part
-        np.sqrt(chords, out=chords)
-        np.cumsum(lengths, out=lengths)
+        np.cumsum(_row_norms(np.diff(curve.positions(grid), axis=0)), out=lengths[1:])
     return grid, lengths
 
 
@@ -520,16 +505,11 @@ def _slab_pairs(sort: tuple, lo: np.ndarray, hi: np.ndarray):
 
 
 def _distances(points: np.ndarray, rows: np.ndarray, centers: np.ndarray, cols: np.ndarray):
-    """Per pair p, |points[rows[p]] - centers[cols[p]]| summed as
-    sqrt((dx*dx + dy*dy) + dz*dz), the order of np.linalg.norm over a last
-    axis of length 3 (0.0 + dx*dx == dx*dx), so equal to it bit for bit."""
-    dist = np.zeros(len(rows))
-    for a in range(3):  # a column at a time: two pair-sized arrays
-        part = points[:, a].take(rows)
-        part -= centers[:, a].take(cols)
-        part *= part
-        dist += part
-    return np.sqrt(dist, out=dist)
+    """Per pair p, |points[rows[p]] - centers[cols[p]]| (_row_norms)."""
+    offsets = points.T.take(rows, axis=1)  # (3, pairs): _row_norms reads contiguous columns
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets -= centers.T.take(cols, axis=1)
+    return _row_norms(offsets.T)
 
 
 def _entry_pairs(points: np.ndarray, centers: np.ndarray, reach, sort: tuple):
@@ -616,7 +596,8 @@ def traverse(curve: PathCurve, profile: SpeedProfile, scene: SceneSpec, dt: floa
 def _unit_rows(v: np.ndarray, error: str) -> np.ndarray:
     """Each row of the (k, 3) array v divided by its norm; a zero norm
     raises ValueError(error)."""
-    norm = np.sqrt(_rowdot(v, v))
+    with np.errstate(over="ignore"):
+        norm = _row_norms(v, np.sqrt(_rowdot(v, v)))
     if not norm.all():
         raise ValueError(error)
     return v / norm[:, None]
@@ -832,8 +813,9 @@ def run_ray_task(
     offsets = centers[aimed] - origins
     # An origin on its aimed target's center (up to underflow) aims along
     # +x: every direction meets that sphere at t = r, so occluders decide.
-    offsets[_rowdot(offsets, offsets) == 0.0] = (1.0, 0.0, 0.0)
-    aims = offsets / np.sqrt(_rowdot(offsets, offsets))[:, None]
+    with np.errstate(over="ignore"):
+        offsets[_rowdot(offsets, offsets) == 0.0] = (1.0, 0.0, 0.0)
+    aims = _unit_rows(offsets, "ray aim must be nonzero")
     directions = _unit_rows(_perturb_rows(np.random.default_rng(seed), aims, sigma),
                             "ray direction must be nonzero")
     t = _ray_times(origins - centers[aimed], directions, scene.target_radii[aimed])

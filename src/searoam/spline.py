@@ -243,22 +243,6 @@ class PathCurve:
                 return _de_casteljau(self._control, ss)
         return self.positions(ss), self.tangents(ss)
 
-    def one_sided_tangents(self, knot: int) -> tuple[np.ndarray, np.ndarray]:
-        """Left/right dP/ds limits at interior knot index (1..N-2).
-
-        For bezier the curve is smooth, so both sides are the same vector.
-        """
-        if not 1 <= knot <= len(self.keypoints) - 2:
-            raise ValueError(f"interior knot index must be in [1, {len(self.keypoints) - 2}]")
-        if self.kind == "polyline":
-            return (self.n_segments * self._diffs[knot - 1],
-                    self.n_segments * self._diffs[knot])
-        if self.kind == "catmull_rom":
-            return (self.n_segments * self._m1[knot - 1],
-                    self.n_segments * self._m0[knot])
-        t = self.tangent(knot / self.n_segments)
-        return t, t
-
     def arc_length(self, s0: float = 0.0, s1: float = 1.0) -> float:
         """Arc length between two global parameters.
 
@@ -334,21 +318,30 @@ class PathCurve:
         return f"PathCurve({self.kind!r}, {len(self.keypoints)} keypoints{extra})"
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of v, finite whenever the norm is.
+def _row_norms(v: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean norm of each row of the (k, 3) array v, finite whenever the
+    norm is: every Euclidean length in searoam goes through here.
 
-    Rows whose plain norm overflows (its squares do beyond about 1e154) are
-    recomputed scaled by their largest |component|; every other row keeps
-    np.linalg.norm's bits.
+    The plain norm sums the squares by columns, sqrt((x*x + y*y) + z*z), the
+    order and bits of np.linalg.norm(v, axis=1).  A caller whose plain norm
+    is np.sqrt(_rowdot(v, v)) (np.dot's bits) passes it as norms instead,
+    and gets it back updated in place.  Rows whose plain norm is not finite
+    (squares overflow beyond about 1e154) are recomputed scaled by their
+    largest |component|.
     """
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(v, axis=1)
-    big = ~np.isfinite(norms)
-    if big.any():
-        rows = v[big]
-        scale = np.abs(rows).max(axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms[big] = scale * np.linalg.norm(rows / scale[:, None], axis=1)
+    def plain(rows):
+        out, part = rows[:, 0] * rows[:, 0], np.empty(len(rows))
+        for a in (1, 2):
+            out += np.multiply(rows[:, a], rows[:, a], out=part)
+        return np.sqrt(out, out=out)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = plain(v) if norms is None else norms
+        big = ~np.isfinite(norms)
+        if big.any():
+            rows = v[big]
+            scale = np.abs(rows).max(axis=1)
+            norms[big] = scale * plain(rows / scale[:, None])
     return norms
 
 

@@ -15,6 +15,8 @@ from searoam.camera import (
 )
 from searoam.spline import KINDS, PathCurve
 
+from conftest import HUGE_ZIGZAG, one_sided_tangents
+
 
 def angle_between(u, v):
     """Angle in [0, pi] between two nonzero vectors, stable for tiny angles:
@@ -142,10 +144,6 @@ def test_degenerate_view_propagates_from_zero_tension_knots():
         smoothness(curve, "tangent", 4)
 
 
-# Finite keypoints whose differences overflow.
-HUGE_ZIGZAG = [(1.5e308, 0, 0), (-1.5e308, 1, 0), (1.5e308, 2, 5)]
-
-
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("model", VIEW_MODELS)
 def test_overflowing_view_lengths_raise(kind, model):
@@ -197,7 +195,7 @@ def reference_one_sided_directions(curve, model, knot):
     """Exact left/right unit view directions at one interior knot: the
     per-knot loop body smoothness replaced."""
     s_knot = knot / curve.n_segments
-    left_tan, right_tan = curve.one_sided_tangents(knot)
+    left_tan, right_tan = one_sided_tangents(curve, knot)
     if model == "tangent":
         return camera._unit(left_tan), camera._unit(right_tan)
     if curve.kind == "bezier":

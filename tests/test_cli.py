@@ -323,15 +323,22 @@ def test_sim_run_tiny_dt_hits_step_limit(tmp_path, capsys):
 
 
 def test_sim_run_overflowing_keypoints(tmp_path, capsys):
-    for rows in (HUGE_ROWS, ZIGZAG_ROWS):
+    # Squared distances of HUGE_ROWS overflow, but its length does not.
+    for rows, code in ((HUGE_ROWS, 0), (ZIGZAG_ROWS, 1)):
         route = tmp_path / "huge.csv"
         route.write_text("longitude,latitude,height,speed\n"
                          + "".join(row + ",1\n" for row in rows))
-        out = tmp_path / "out"
-        assert main_without_warnings(["sim", "run", str(route), str(SCENE), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "error: path length overflows (keypoint coordinates too large)\n")
-        assert not out.exists()
+        out = tmp_path / f"out{code}"
+        argv = ["sim", "run", str(route), str(SCENE), "--out", str(out)]
+        assert main_without_warnings(argv) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == "error: path length overflows (keypoint coordinates too large)\n"
+            assert not out.exists()
+        else:
+            assert err == ""
+            assert sorted(p.name for p in out.iterdir()) == [
+                "sim_bezier.json", "sim_catmull_rom.json", "sim_polyline.json"]
 
 
 def scene_with(tmp_path, edit) -> Path:
@@ -413,10 +420,8 @@ def test_negative_seed_is_rejected(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-# Known overflow failures of the 1e154-1e308 family (ROADMAP open item 3);
-# each passes once that item lands.
+# Routes and targets between about 1e154 and 1e308, whose squares overflow.
 
-@pytest.mark.xfail(strict=True, reason="sim arc table squares overflow (ROADMAP item 3)")
 def test_sim_run_route_of_1e200_completes(tmp_path):
     # The route of test_path_compare_huge_finite_keypoints, at speed 1e200.
     rows = ["1e200,0,0", "-1e200,1e200,0", "1e200,2e200,5"]
@@ -426,7 +431,7 @@ def test_sim_run_route_of_1e200_completes(tmp_path):
     scene = tmp_path / "scene.json"
     scene.write_text('{"obstacles": [], "targets": []}')
     out = tmp_path / "out"
-    assert main(["sim", "run", str(route), str(scene), "--out", str(out)]) == 0
+    assert main_without_warnings(["sim", "run", str(route), str(scene), "--out", str(out)]) == 0
     points = [[float(v) for v in row.split(",")] for row in rows]
     for kind in ("polyline", "bezier", "catmull_rom"):
         doc = json.loads((out / f"sim_{kind}.json").read_text())
@@ -434,14 +439,13 @@ def test_sim_run_route_of_1e200_completes(tmp_path):
         assert doc["completed"] and doc["time_used"] == pytest.approx(expected, rel=1e-3)
 
 
-@pytest.mark.xfail(strict=True, reason="trigger distances overflow (ROADMAP item 3)")
 def test_sim_run_far_huge_target_gets_an_attempt(tmp_path):
     # The demo route starts well inside this target's 3e300 trigger zone.
     scene = tmp_path / "scene.json"
     scene.write_text('{"targets": [{"id": "far", "center": [1e300, 0, 0], "radius": 1e300}]}')
     out = tmp_path / "out"
-    assert main(["sim", "run", str(ROUTE_SPEEDS), str(scene), "--kind", "polyline",
-                 "--sigma", "0.1", "--out", str(out)]) == 0
+    assert main_without_warnings(["sim", "run", str(ROUTE_SPEEDS), str(scene), "--kind",
+                                  "polyline", "--sigma", "0.1", "--out", str(out)]) == 0
     assert json.loads((out / "sim_polyline.json").read_text())["ray_attempts"] == 1
 
 # --- study analyze -----------------------------------------------------------

@@ -1,4 +1,3 @@
-import contextlib
 import json
 import math
 from unittest import mock
@@ -21,7 +20,7 @@ from searoam.sim import (
 )
 from searoam.spline import ArcLengthError, PathCurve
 
-from conftest import DATA_DIR, GOLDEN_DIR, chordal_arc_length
+from conftest import DATA_DIR, GOLDEN_DIR, HUGE_ZIGZAG, chordal_arc_length
 
 STRAIGHT_10 = PathCurve.polyline([(0, 0, 0), (10, 0, 0)])
 
@@ -187,13 +186,13 @@ def test_profile_length_mismatch():
 
 @pytest.mark.parametrize("kind", ["polyline", "bezier", "catmull_rom"])
 def test_overflowing_path_length_raises(kind):
-    # Finite keypoints whose chord lengths overflow: the budget must not run
-    # out on an infinite path.
-    curve = PathCurve(kind, [(1e300, 0, 0), (-1e300, 1, 0), (1e300, 2, 5)])
+    # Finite keypoints whose differences, hence chord lengths, overflow: the
+    # budget must not run out on an infinite path.
+    curve = PathCurve(kind, HUGE_ZIGZAG)
     profile = SpeedProfile(np.full(3, 1.0))
-    with pytest.raises(ArcLengthError), np.errstate(over="ignore"):
+    with pytest.raises(ArcLengthError):
         traverse(curve, profile, SceneSpec(), dt=0.1)
-    with pytest.raises(ArcLengthError), np.errstate(over="ignore"):
+    with pytest.raises(ArcLengthError):
         simulate(curve, profile, DEMO_SCENE, dt=0.1)
 
 
@@ -265,18 +264,15 @@ def test_cast_ray_hits_huge_target_from_inside(r):
     assert cast_ray((0, 0, 0), (0, 0, -1), scene) == "big"
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("r", [1e160, 1e200, 1e300])
 def test_cast_ray_hits_huge_target_from_outside(r):
-    # Outside a sphere this large its center is as large, and the candidate
-    # filter's squared offsets overflow with numpy warnings (a separate,
-    # known fault), silenced here.  Seen from the origin the sphere at 2r
-    # spans half-angle asin(1/2).
+    # Seen from the origin the sphere at 2r spans half-angle asin(1/2).
     scene = ray_scene(("big", (2 * r, 0, 0), r))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert cast_ray((0, 0, 0), (1, 0, 0), scene) == "big"
-        assert cast_ray((0, 0, 0), (1, 0.5, 0), scene) == "big"
-        assert cast_ray((0, 0, 0), (1, 0.6, 0), scene) is None
-        assert cast_ray((0, 0, 0), (-1, 0, 0), scene) is None
+    assert cast_ray((0, 0, 0), (1, 0, 0), scene) == "big"
+    assert cast_ray((0, 0, 0), (1, 0.5, 0), scene) == "big"
+    assert cast_ray((0, 0, 0), (1, 0.6, 0), scene) is None
+    assert cast_ray((0, 0, 0), (-1, 0, 0), scene) is None
 
 
 def test_cast_ray_zero_direction():
@@ -484,10 +480,21 @@ def reference_count_collisions(positions, scene):
     return collisions
 
 
+def safe_norm(v, axis=None):
+    """np.linalg.norm(v, axis=axis), where that comes out inf recomputed on
+    v scaled by its largest |component|: squares overflow beyond about
+    1e154, lengths only beyond about 1e308."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(v, axis=axis)
+        scale = np.abs(v).max(axis=axis, keepdims=True)
+        scaled = np.squeeze(scale, axis) * np.linalg.norm(v / scale, axis=axis)
+    return np.where(np.isinf(norm), scaled, norm)
+
+
 def reference_cast_ray(origin, direction, scene):
     origin = np.asarray(origin, dtype=float)
     direction = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(direction)
+    norm = safe_norm(direction)
     if norm == 0.0:
         raise ValueError("ray direction must be nonzero")
     d = direction / norm
@@ -497,7 +504,8 @@ def reference_cast_ray(origin, direction, scene):
         oc = origin - target[:3]
         b = float(np.dot(d, oc))
         r = float(target[3])
-        disc = b * b - float(np.dot(oc, oc)) + r * r
+        with np.errstate(over="ignore"):  # a square may overflow: rescaled below
+            disc = b * b - float(np.dot(oc, oc)) + r * r
         k = 1.0
         if not math.isfinite(disc):  # a square overflowed: the same test scaled by 1/k
             k = max(r, float(np.abs(oc).max()))
@@ -517,7 +525,7 @@ def reference_cast_ray(origin, direction, scene):
 
 def reference_perturb_direction(rng, direction, sigma):
     d = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(d)
+    norm = safe_norm(d)
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
     d = d / norm
@@ -544,7 +552,7 @@ def reference_run_ray_task(points, sigma, seed, scene, trigger_distance=None):
         trigger_distance if trigger_distance is not None else sim.TRIGGER_RADIUS_FACTOR * r
         for r in scene.targets[:, 3].tolist()
     ])
-    dist = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
+    dist = safe_norm(points[:, None, :] - centers[None, :, :], axis=2)
     within = dist <= triggers[None, :]
     entries = np.vstack([within[:1], within[1:] & ~within[:-1]])
     rng = np.random.default_rng(seed)
@@ -836,13 +844,10 @@ def test_run_ray_task_rescales_overflowing_discriminant(center, expected):
     # oc, b and r scaled by 1/k.  Skipping it instead would give (2, 2) twice.
     scene = ray_scene(("near", (10, 0, 0), 1.0), ("huge", center, 2.0**665))
     points = np.array([(0.0, 0.0, 0.0), (0.0, 20.0, 0.0), (0.0, 0.0, 0.0)])
-    # The huge target's squared offsets overflow in the reference's trigger
-    # test; the ray task itself resolves it under the 1/k rescale.
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run_ray_task(points, 0.0, 0, scene, 12.0) == expected
-        for sigma, seed in [(0.0, 0), (0.05, 1), (0.5, 2)]:
-            assert (run_ray_task(points, sigma, seed, scene, 12.0)
-                    == reference_run_ray_task(points, sigma, seed, scene, 12.0))
+    assert run_ray_task(points, 0.0, 0, scene, 12.0) == expected
+    for sigma, seed in [(0.0, 0), (0.05, 1), (0.5, 2)]:
+        assert (run_ray_task(points, sigma, seed, scene, 12.0)
+                == reference_run_ray_task(points, sigma, seed, scene, 12.0))
 
 
 @settings(max_examples=100, deadline=None)
@@ -929,11 +934,8 @@ def test_run_ray_task_on_occluder_scenes_equals_reference(case, sigma, seed):
     # An attempt hits when nothing lies on its ray before the aimed target
     # (nor at the same t with a lower index), so these occluders decide it.
     points, scene, huge = case
-    # A 2^665 radius overflows the squared offsets of the trigger tests, in
-    # _entry_pairs and in the reference alike.
-    with np.errstate(over="ignore", invalid="ignore") if huge else contextlib.nullcontext():
-        new = outcome(run_ray_task, points, sigma, seed, scene)
-        assert new == outcome(reference_run_ray_task, points, sigma, seed, scene)
+    new = outcome(run_ray_task, points, sigma, seed, scene)
+    assert new == outcome(reference_run_ray_task, points, sigma, seed, scene)
 
 
 # --- pruned scene tests --------------------------------------------------------

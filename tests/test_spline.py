@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -16,7 +17,7 @@ from searoam.spline import (
     PathCurve,
 )
 
-from conftest import chordal_arc_length
+from conftest import chordal_arc_length, one_sided_tangents
 
 # Full-range arc lengths of the demo-route curves, frozen from a
 # 10^6-point chordal-sum oracle (see chordal_arc_length).
@@ -212,7 +213,7 @@ def test_polyline_corner_tangent_tie_break():
     curve = PathCurve.polyline(pts)
     # at the corner knot the right-segment direction wins
     assert np.allclose(curve.tangent(0.5), [0, 2, 0], atol=1e-12)
-    left, right = curve.one_sided_tangents(1)
+    left, right = one_sided_tangents(curve, 1)
     assert np.allclose(left, [2, 0, 0], atol=1e-12)
     assert np.allclose(right, [0, 2, 0], atol=1e-12)
     cos_angle = np.dot(left, right) / (np.linalg.norm(left) * np.linalg.norm(right))
@@ -222,7 +223,7 @@ def test_polyline_corner_tangent_tie_break():
 def test_catmull_one_sided_tangents_agree(demo_pts):
     curve = PathCurve.catmull_rom(demo_pts)
     for k in range(1, 5):
-        left, right = curve.one_sided_tangents(k)
+        left, right = one_sided_tangents(curve, k)
         assert np.array_equal(left, right)
 
 
@@ -408,6 +409,32 @@ def test_arc_length_of_huge_finite_curve(kind, k):
     expected = PathCurve(kind, unit).arc_length() * scale
     assert math.isfinite(length)
     assert length == pytest.approx(expected, rel=spline.ARC_LENGTH_REL_TOL)
+
+
+# Row components over the whole float range: zeros of both signs,
+# subnormals, and magnitudes whose squares overflow or underflow.
+norm_value = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.0**-1022, 2.0**-500, 1e154, -1e300, 1.5e308, sys.float_info.max])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(norm_value, norm_value, norm_value), min_size=1, max_size=20))
+@example(rows=[(1e300, -1e300, 5.0), (5e-324, -0.0, 0.0), (-0.0, -0.0, -0.0),
+               (1.5e308, 1.5e308, 0.0)])
+def test_row_norms_keep_plain_bits_and_rescale_overflow(rows):
+    v = np.array(rows)
+    with np.errstate(over="ignore"):
+        plain = np.linalg.norm(v, axis=1)
+        dot = np.sqrt(spline._rowdot(v, v))
+    # Its own plain norm, or the caller's: bit for bit wherever finite.
+    for given_norms, expected in ((None, plain), (dot.copy(), dot)):
+        norms = spline._row_norms(v, given_norms)
+        finite = np.isfinite(expected)
+        assert norms[finite].tobytes() == expected[finite].tobytes()
+        for row, norm in zip(rows, norms.tolist()):
+            true = math.hypot(*row)
+            if 2.0**-500 <= true <= sys.float_info.max:
+                assert abs(norm - true) <= 4 * math.ulp(true)
 
 
 def test_arc_length_subdivision_bounds(monkeypatch, demo_pts):
