@@ -11,7 +11,6 @@ path or when the energy budget (default 300 s) runs out.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -319,14 +318,16 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
     Each step moves speed*dt units of arc length, resolved through a dense
     precomputed arc-length table (speed is read at the step's start); the
     final step is shortened to land exactly on the path end or on the
-    budget.  Full steps where consecutive keypoints share a speed are
-    taken in array passes (_stretch_steps); the other steps read speed at
-    s and s at a length through forward cursors over their tables, so a
-    step costs the same whatever the table size.  Either way the values
-    equal a step loop over np.interp bit for bit.  Returns arrays (times,
-    s_values) starting at t=0, and completed.  Raises ArcLengthError when
-    the path length overflows and SimTooLargeError when the estimated step
-    count exceeds MAX_STEPS.
+    budget.  One forward cursor walks the route's speed pieces: runs of
+    knots that share a speed, whose full steps are taken in array passes
+    (_stretch_steps), and single knot intervals where the speed varies,
+    whose steps read the speed off the piece's line and s at a length
+    through a forward cursor over the piece's arc-table entries, so a step
+    costs the same whatever the table size.  Either way the values equal a
+    step loop over np.interp bit for bit.  Returns arrays (times, s_values)
+    starting at t=0, and completed.  Raises ArcLengthError when the path
+    length overflows and SimTooLargeError when the estimated step count
+    exceeds MAX_STEPS.
     """
     if len(profile.speeds) != len(curve.keypoints):
         raise ValueError(
@@ -336,8 +337,8 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be > 0, got {dt!r}")
 
-    s_grid, lengths = _arc_length_table(curve)
-    total = float(lengths[-1])
+    s_table, length_table = _arc_length_table(curve)
+    total = float(length_table[-1])
     if not math.isfinite(total):
         raise ArcLengthError("path length overflows (keypoint coordinates too large)")
     # No step is slower than the slowest keypoint speed, so this bounds the
@@ -350,85 +351,60 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
         )
 
     # Python floats: one step is a few scalar operations, which numpy calls
-    # would dominate.  Each lookup keeps a cursor on one interval (lo, hi) =
-    # (xp[j], xp[j + 1]) of its table, with the left value y = fp[j] and the
-    # slope computed once when the cursor moves there: k_* over the speed
-    # knots (s -> speed), a_* over the arc-length table (ell -> s).  For
-    # lo < x < hi, j is the interval np.interp picks and slope * (x - lo) + y
-    # are its operations, so the bits are the same.  A cursor only moves
-    # forward, to the interval holding x.  Every other case, a few per
-    # traversal, calls np.interp on the table arrays: x on a knot, x behind
-    # the cursor (a line can overshoot a table knot by an ulp, so s may step
-    # back), x at or past the last knot, NaN, and a NaN line.  Each cursor
-    # starts on the empty interval (xp[0], xp[0]).  The length cursor reads
-    # the arc table a window at a time, as Python floats (lengths, s_grid,
-    # from entry a_base on), so that entries no step reaches are never
-    # converted.  A window ends in a NaN: a walk stops there with a NaN line
-    # or on a knot, both of which call np.interp, and the next step, finding
-    # no interval, moves the window on.  After an array pass the cursor
-    # restarts at the entry found by binary search instead of walking over
-    # the entries passed.
-    length_table, s_table = lengths, s_grid
-
+    # would dominate.  A piece (lo, hi, y, slope, first, last) runs from knot
+    # i to knot j, whose table entries are first = i * ARC_TABLE_SAMPLES and
+    # last = j * ARC_TABLE_SAMPLES: a run of knots sharing the speed y (slope
+    # 0), or one knot interval where the speed varies.  For lo <= s,
+    # slope * (s - lo) + y is np.interp's value on the interval, and on a knot
+    # while the slope is finite.  The length cursor keeps an interval (a_lo,
+    # a_hi) = (lengths[aj], lengths[aj + 1]) of a varying piece's entries,
+    # loaded as Python floats on entering it, with the left value a_y and the
+    # slope computed once when it moves there; for a_lo < ell < a_hi these
+    # are np.interp's interval and operations.  The cursor only moves
+    # forward, and the entries end in a NaN, where a walk stops with a NaN
+    # line; a slope-0 piece has the NaN alone.  Every other case, a few per
+    # traversal, calls np.interp on the whole table: a NaN line (a step past
+    # the piece's last entry, or an infinite slope on a knot), ell on an
+    # entry, s or ell behind the cursor (a line can overshoot a table knot by
+    # an ulp, so s may step back), and s at or past the last knot.
     def speed_at(x):
         return float(np.interp(x, profile.knots, profile.speeds))
 
     def s_at(x):
         return float(np.interp(x, length_table, s_table))
 
-    def window(start):  # lengths, s_grid and the cursor on the empty interval at start
-        stop = start + ARC_TABLE_SAMPLES
-        lengths = length_table[start:stop].tolist() + [math.nan]
-        return lengths, s_table[start:stop].tolist() + [math.nan], -1, lengths[0], lengths[0]
-
     knots, speeds = profile.knots.tolist(), profile.speeds.tolist()
-    # Stretches: maximal runs of knots i < j sharing a speed v, on which
-    # np.interp gives v for every s in [knots[i], knots[j]); the knot j is
-    # the table entry j * ARC_TABLE_SAMPLES.  An endless one closes the list.
-    stretches, i = [], 0
-    for v, run in itertools.groupby(speeds):
-        j = i + len(list(run)) - 1
-        if j > i:
-            stretches.append((knots[i], knots[j], v, float(length_table[j * ARC_TABLE_SAMPLES])))
-        i = j + 1
-    stretches.append((math.inf, math.inf, 0.0, 0.0))
-    upcoming = iter(stretches)
-    stretch = r_lo, r_hi, r_v, _ = next(upcoming)
-    last_knot = knots[-1]
-    kj, k_lo, k_hi, k_y, k_slope = -1, knots[0], knots[0], speeds[0], 0.0
-    a_base = 0
-    lengths, s_grid, aj, a_lo, a_hi = window(a_base)
+    # Piece ends: the first and last knots, and each knot where the speed
+    # changes on either side.  An endless piece closes the list.
+    ends = [j for j in range(len(knots))
+            if not (0 < j < len(knots) - 1 and speeds[j - 1] == speeds[j] == speeds[j + 1])]
+    pieces = [(knots[i], knots[j], speeds[i], (speeds[j] - speeds[i]) / (knots[j] - knots[i]),
+               i * ARC_TABLE_SAMPLES, j * ARC_TABLE_SAMPLES) for i, j in zip(ends, ends[1:])]
+    upcoming = iter(pieces + [(math.inf, math.inf, 0.0, 0.0, 0, 0)])
+    hi = -math.inf
     times, s_values = [0.0], [0.0]  # steps since the last pass, filled in place
     t_parts, s_parts = [times], [s_values]  # in order with the passes' arrays
     t, s, ell = 0.0, 0.0, 0.0
     completed = total == 0.0
     while not completed and t < budget:
         rest = budget - t
-        if s >= r_lo:  # one comparison per step where the speed varies
-            while s >= r_hi:
-                stretch = r_lo, r_hi, r_v, _ = next(upcoming)
-            if r_lo <= s and not rest < dt and ell + r_v * dt < total:
-                new_t, new_s, ell = _stretch_steps(t, ell, stretch, dt, budget,
-                                                   length_table, s_table)
-                times, s_values = [], []
-                t_parts += (new_t, times)
-                s_parts += (new_s, s_values)
-                t, s = float(new_t[-1]), float(new_s[-1])
-                a_base = int(np.searchsorted(length_table, ell, "right")) - 1
-                lengths, s_grid, aj, a_lo, a_hi = window(a_base)
-                continue
+        if s >= hi:  # one comparison per step inside a piece
+            while s >= hi:
+                lo, hi, y, slope, first, last = next(upcoming)
+            end = last + 1 if slope else first
+            lengths = length_table[first:end].tolist() + [math.nan]
+            s_grid = s_table[first:end].tolist() + [math.nan]
+            aj, a_lo, a_hi = -1, lengths[0], lengths[0]  # the empty interval at the start
+        if not slope and lo <= s and not rest < dt and ell + y * dt < total:
+            new_t, new_s, ell = _stretch_steps(t, ell, (lo, hi, y, float(length_table[last])),
+                                               dt, budget, length_table, s_table)
+            times, s_values = [], []
+            t_parts += (new_t, times)
+            s_parts += (new_s, s_values)
+            t, s = float(new_t[-1]), float(new_s[-1])
+            continue
         step = rest if rest < dt else dt  # min(dt, rest), the same float
-        if k_lo < s < k_hi:
-            speed = k_slope * (s - k_lo) + k_y
-        elif k_hi <= s < last_knot:
-            while k_hi <= s:
-                kj += 1
-                k_lo, k_hi = k_hi, knots[kj + 1]
-            k_y = speeds[kj]
-            k_slope = (speeds[kj + 1] - k_y) / (k_hi - k_lo)
-            speed = k_slope * (s - k_lo) + k_y if k_lo < s else speed_at(s)
-        else:
-            speed = speed_at(s)
+        speed = slope * (s - lo) + y if lo <= s else math.nan
         if speed != speed:
             speed = speed_at(s)
         d_ell = speed * step
@@ -441,18 +417,15 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
             ell += d_ell
             if a_lo < ell < a_hi:
                 s = a_slope * (ell - a_lo) + a_y
-            elif a_hi <= ell < total:
+            elif a_hi <= ell:
                 while a_hi <= ell:
                     aj += 1
                     a_lo, a_hi = a_hi, lengths[aj + 1]
                 a_y = s_grid[aj]
                 a_slope = (s_grid[aj + 1] - a_y) / (a_hi - a_lo)
-                s = a_slope * (ell - a_lo) + a_y if a_lo < ell else s_at(ell)
+                s = a_slope * (ell - a_lo) + a_y if a_lo < ell else math.nan
             else:
-                s = s_at(ell)
-                if a_hi != a_hi:  # the last walk stopped at the window's end
-                    a_base += aj
-                    lengths, s_grid, aj, a_lo, a_hi = window(a_base)
+                s = math.nan
             if s != s:
                 s = s_at(ell)
         t += step

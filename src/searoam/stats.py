@@ -54,6 +54,11 @@ def _as_sample(x, min_n: int, what: str = "sample") -> np.ndarray:
         raise ValueError(f"{what} needs at least {min_n} observations, got {len(arr)}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = arr - arr.mean()
+        spread = float(np.dot(dev, dev))
+    if not math.isfinite(spread):
+        raise ValueError(f"{what} is too large: its sum of squared deviations overflows")
     return arr
 
 
@@ -429,6 +434,7 @@ def analyze_study(
         "accuracy": np.array([r.accuracy for r in records], dtype=float),
     }
     for name, values in columns.items():
+        _as_sample(values, 4, f"column '{name}'")
         if values.max() == values.min():
             raise UndefinedCorrelationError(
                 f"column '{name}' has zero variance; correlation undefined"

@@ -439,6 +439,28 @@ def test_sim_run_route_of_1e200_completes(tmp_path):
         assert doc["completed"] and doc["time_used"] == pytest.approx(expected, rel=1e-3)
 
 
+# The squares of chords below about 1e-154 underflow, and _row_norms
+# recomputes only the rows whose plain norm overflows.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a route of 1e-300 has arc length 0, so it completes at once")
+def test_sim_run_route_of_1e_300_takes_length_over_speed(tmp_path):
+    rows = ["1e-300,0,0", "-1e-300,1e-300,0", "1e-300,2e-300,5e-300"]
+    route = tmp_path / "route.csv"
+    route.write_text("longitude,latitude,height,speed\n"
+                     + "".join(f"{row},1e-300\n" for row in rows))
+    scene = tmp_path / "scene.json"
+    scene.write_text('{"obstacles": [], "targets": []}')
+    out = tmp_path / "out"
+    assert main_without_warnings(["sim", "run", str(route), str(scene), "--out", str(out)]) == 0
+    # The curves scale with their keypoints: length/speed is the arc length
+    # of the same route at scale 1.
+    points = [[float(v) * 1e300 for v in row.split(",")] for row in rows]
+    for kind in ("polyline", "bezier", "catmull_rom"):
+        doc = json.loads((out / f"sim_{kind}.json").read_text())
+        expected = PathCurve(kind, points).arc_length()
+        assert doc["completed"] and doc["time_used"] == pytest.approx(expected, rel=1e-3)
+
+
 def test_sim_run_far_huge_target_gets_an_attempt(tmp_path):
     # The demo route starts well inside this target's 3e300 trigger zone.
     scene = tmp_path / "scene.json"
@@ -500,6 +522,21 @@ def test_study_analyze_constant_column_diagnostic(tmp_path, capsys):
     assert main(["study", "analyze", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "engagement" in err and "zero variance" in err
+
+
+def test_study_analyze_refuses_overflowing_column(tmp_path, capsys):
+    # time_s near 1e200 passes the schema, but its squared deviations
+    # overflow, so its normality D, its fit and its figure would be NaN.
+    rows = ["participant,enjoyment,engagement,time_s,collisions,accuracy"]
+    for i in range(12):
+        rows.append(f"P{i},{15 + i % 5},{12 + i},{10 + i}e199,{i % 3},0.{5 + i % 4}")
+    path = tmp_path / "huge.csv"
+    path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert main_without_warnings(["study", "analyze", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: column 'time_s' ") and "overflows" in err[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "2", "-1", "0", "1"])

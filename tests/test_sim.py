@@ -678,6 +678,19 @@ def test_arc_length_table_equals_norm_cumsum(pts, kind, tension):
 @example(kind="catmull_rom", picks=[0, 1, 2, 0],
          pool=[(0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (4.0, 3.0, 0.0)],
          speeds=[2.5] * 5, dt=0.005, budget=math.inf)
+# Hand-offs between speed pieces: the budget runs out in an equal-speed
+# piece that follows a varying one, so a loop step lands on a piece with no
+# table window; steps leave varying pieces past their last table entry; a
+# varying piece is entered straight from an array pass.
+@example(kind="polyline", picks=[0, 1, 2],
+         pool=[(0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (4.0, 3.0, 0.0)],
+         speeds=[1.0, 2.5, 2.5, 2.5, 2.5], dt=0.05, budget=3.0)
+@example(kind="polyline", picks=[0, 1, 2, 0],
+         pool=[(0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (4.0, 3.0, 0.0)],
+         speeds=[1.0, 7.0, 0.5, 2.5, 1.0], dt=0.37, budget=300.0)
+@example(kind="polyline", picks=[0, 1, 2],
+         pool=[(0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (4.0, 3.0, 0.0)],
+         speeds=[1.0, 1.0, 2.5, 2.5, 2.5], dt=0.05, budget=300.0)
 def test_step_states_equal_reference(kind, picks, pool, speeds, dt, budget):
     curve = PathCurve(kind, [pool[i] for i in picks])
     profile = SpeedProfile(np.array(speeds[:len(picks)]))
@@ -689,19 +702,21 @@ def test_step_states_equal_reference(kind, picks, pool, speeds, dt, budget):
 
 @pytest.mark.parametrize("kind", ["polyline", "bezier", "catmull_rom"])
 def test_step_states_search_only_off_the_cursors(kind):
-    # The cursors resolve the demo's ~10k steps; np.interp sees only the
-    # lookups on a knot (s = 0 at the start among them).
+    # The demo route at a different speed per keypoint, so no array pass
+    # applies: the cursors resolve its ~10k steps, and np.interp sees only
+    # the few lookups they leave, such as a step past a piece's last entry.
     keypoints = geo.load_keypoints((DATA_DIR / "demo_route_speeds.csv").read_text())
     curve = PathCurve(kind, keypoints[:, :3])
+    profile = SpeedProfile(np.array([800.0, 600.0, 900.0, 700.0, 1000.0, 650.0]))
     with mock.patch.object(sim.np, "interp", side_effect=np.interp) as counted:
-        times, _, _ = sim._step_states(curve, SpeedProfile.from_keypoints(keypoints), 0.005, 300.0)
+        times, _, _ = sim._step_states(curve, profile, 0.005, 300.0)
     assert len(times) > 10_000
     assert counted.call_count <= 30
 
 
 def step_states_passes(curve, profile, dt, budget):
-    """_step_states' result, the lengths np.interp was asked for, and the
-    steps the array passes took."""
+    """_step_states' result, the number of lengths each np.interp call was
+    asked for, and the steps the array passes took."""
     queried, passed = [], []
 
     def stretch_steps(*args):
@@ -717,7 +732,7 @@ def step_states_passes(curve, profile, dt, budget):
     with mock.patch.object(sim.np, "interp", side_effect=interp), \
          mock.patch.object(sim, "_stretch_steps", side_effect=stretch_steps):
         result = sim._step_states(curve, profile, dt, budget)
-    return result, sum(queried), sum(passed)
+    return result, queried, sum(passed)
 
 
 def test_stretch_passes_query_about_one_length_per_step():
@@ -731,18 +746,21 @@ def test_stretch_passes_query_about_one_length_per_step():
         PathCurve("polyline", points), SpeedProfile(speeds), 0.01, 300.0)
     assert completed
     assert passed > 0.3 * len(times)
-    assert queried <= 2 * len(times) + 8 * 100
+    assert sum(queried) <= 2 * len(times) + 8 * 100
 
 
 @pytest.mark.parametrize("kind", ["polyline", "bezier", "catmull_rom"])
 def test_equal_speed_route_steps_in_array_passes(kind):
-    # One speed at every demo keypoint: all but a few steps are array passes.
+    # One speed at every demo keypoint: all but a few steps are array
+    # passes, and the route is one piece, so a pass does not stop at each
+    # of its five knot intervals.
     keypoints = geo.load_keypoints((DATA_DIR / "demo_route_speeds.csv").read_text())
     curve = PathCurve(kind, keypoints[:, :3])
-    (times, _, _), _, passed = step_states_passes(
+    (times, _, _), queried, passed = step_states_passes(
         curve, SpeedProfile.from_keypoints(keypoints), 0.005, 300.0)
     assert len(times) > 10_000
     assert len(times) - 1 - passed <= 30
+    assert len(queried) <= 2
 
 
 @settings(max_examples=150, deadline=None)

@@ -370,6 +370,21 @@ def test_bezier_arc_length_matches_quad_reference(pts, s):
     assert curve.arc_length(*s) == pytest.approx(quad_arc_length(curve, *s), rel=1e-8, abs=1e-10)
 
 
+# Repeated control points.  On the speed-kink interval [0.412, 0.99996] the
+# whole Lobatto estimate and the sum of its halves agree to 2e-9 relative,
+# yet both are 2.2e-4 (2.5e-7 relative) short, so the bisection accepts
+# them at its first level.
+REPEATED_BEZIER = np.array([(-898, 0, 9)] * 2 + [(233, 0, -111)] * 2 + [(203, 0, -111)] * 3
+                           + [(0, 167, 0)] * 2 + [(-598, 167, 314)] * 3, dtype=float)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the adaptive quadrature accepts two estimates that are both short")
+def test_bezier_arc_length_with_repeated_control_points():
+    curve = PathCurve.bezier(REPEATED_BEZIER)
+    assert curve.arc_length() == pytest.approx(quad_arc_length(curve, 0.0, 1.0), rel=1e-8, abs=1e-10)
+
+
 @settings(max_examples=100, deadline=None)
 @given(pts=routes(30, st.floats(allow_nan=False, allow_infinity=False)),
        kind=st.sampled_from(["bezier", "catmull_rom"]), tension=st.sampled_from([0.0, 0.5, 1.0]),
@@ -435,6 +450,15 @@ def test_row_norms_keep_plain_bits_and_rescale_overflow(rows):
             true = math.hypot(*row)
             if 2.0**-500 <= true <= sys.float_info.max:
                 assert abs(norm - true) <= 4 * math.ulp(true)
+
+
+# The squares of components below about 1e-154 underflow, and _row_norms
+# recomputes only the rows whose plain norm overflows.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the square of a 1e-300 chord underflows to 0")
+def test_arc_length_of_a_1e_300_chord():
+    length = PathCurve("polyline", [[0.0, 0.0, 0.0], [1e-300, 0.0, 0.0]]).arc_length()
+    assert length == pytest.approx(1e-300, rel=1e-12, abs=0.0)
 
 
 def test_arc_length_subdivision_bounds(monkeypatch, demo_pts):

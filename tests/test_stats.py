@@ -392,6 +392,31 @@ def test_band_coverage_at_x_mean_is_calibrated():
     assert 0.935 <= covered / trials <= 0.965
 
 
+def test_overflowing_sample_is_refused():
+    # Finite values whose squared deviations overflow: r, the fit and D
+    # would be NaN.  The error names the sample and no warning escapes.
+    huge = [1e200 * (1.0 + i / 8) for i in range(12)]
+    plain = [float(i) for i in range(12)]
+    for call, name in [
+        (lambda: pearson(huge, plain), "x"),
+        (lambda: pearson(plain, huge), "y"),
+        (lambda: linear_fit_with_band(huge, plain), "x"),
+        (lambda: linear_fit_with_band(plain, huge), "y"),
+        (lambda: ks_normality(huge, replicates=100), "sample"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} is too large: .* overflows"):
+            call()
+
+
+def test_analyze_overflowing_column_names_it():
+    records = [
+        StudyRecord(f"P{i}", 15 + (i % 5), 12 + i, (10 + i) * 1e199, i % 3, 0.5 + 0.01 * i)
+        for i in range(12)
+    ]
+    with pytest.raises(ValueError, match="^column 'time_s' is too large"):
+        analyze_study(records, replicates=100)
+
+
 def test_fit_errors():
     with pytest.raises(UndefinedFitError):
         linear_fit_with_band([2, 2, 2], [1, 2, 3])
