@@ -151,7 +151,7 @@ class SceneSpec:
     target_radii: np.ndarray = field(init=False, repr=False)
     obstacle_centers: np.ndarray = field(init=False, repr=False)
     obstacle_reach: np.ndarray = field(init=False, repr=False)
-    # The centers sorted along their widest axis, for _slabs (see _widest_sort).
+    # The centers sorted along their widest axis, for _box_pairs (see _widest_sort).
     _target_sort: tuple = field(init=False, repr=False)
     _obstacle_sort: tuple = field(init=False, repr=False)
 
@@ -234,8 +234,15 @@ class SpeedProfile:
             raise ValueError("need a speed per keypoint (at least 2)")
         if not np.all(np.isfinite(speeds)) or np.any(speeds <= 0):
             raise ValueError("speeds must be finite and > 0")
+        knots = np.linspace(0.0, 1.0, len(speeds))
+        with np.errstate(over="ignore"):  # the slopes of the stepper's and np.interp's lines
+            steep = np.flatnonzero(~np.isfinite(np.diff(speeds) / np.diff(knots)))
+        if len(steep):
+            i = int(steep[0])
+            raise ValueError(f"the speed line between keypoints {i} and {i + 1} overflows "
+                             f"(speeds {speeds[i]:g} and {speeds[i + 1]:g})")
         object.__setattr__(self, "speeds", speeds)
-        object.__setattr__(self, "knots", np.linspace(0.0, 1.0, len(speeds)))
+        object.__setattr__(self, "knots", knots)
 
     @classmethod
     def from_keypoints(cls, keypoints) -> "SpeedProfile":
@@ -466,15 +473,20 @@ def _runs(starts: np.ndarray, counts: np.ndarray, limit):
         first = last
 
 
-def _slab_pairs(sort: tuple, lo: np.ndarray, hi: np.ndarray):
-    """Yield (query, center) over batches of at most DISTANCE_BLOCK // 8 pairs,
-    or one query's: each center of sort (a _widest_sort) whose value on its
-    axis lies in [lo[k], hi[k]], found by binary search, with its query k."""
-    _, order, keys = sort
-    first = np.searchsorted(keys, lo, "left")
-    counts = np.searchsorted(keys, hi, "right") - first
+def _box_pairs(sort: tuple, centers: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Yield (query, center) in query order: each of the (k, 3) centers inside
+    the box [lo[q], hi[q]] ((q, 3) bounds, inclusive) with its query q.  Sweep
+    and prune: a binary search on the axis of sort (the centers' _widest_sort)
+    finds each box's slab, in batches of at most DISTANCE_BLOCK // 8 slab
+    pairs or one query's, then all three axes are tested."""
+    axis, order, keys = sort
+    first = np.searchsorted(keys, lo[:, axis], "left")
+    counts = np.searchsorted(keys, hi[:, axis], "right") - first
     for queries, at in _runs(first, counts, DISTANCE_BLOCK // 8):
-        yield queries, order[at]
+        cols = order[at]
+        box = centers.take(cols, axis=0)
+        keep = ((box >= lo[queries]) & (box <= hi[queries])).all(axis=1)
+        yield queries[keep], cols[keep]
 
 
 def _distances(points: np.ndarray, rows: np.ndarray, centers: np.ndarray, cols: np.ndarray):
@@ -489,12 +501,12 @@ def _entry_pairs(points: np.ndarray, centers: np.ndarray, reach, sort: tuple):
     """Yield (rows, cols, dist, entries) over batches of (point, center) pairs.
 
     Each chunk of _CHUNK_ROWS consecutive points is paired with the centers
-    in its box grown by the largest reach (_slab_pairs on sort, the centers'
-    _widest_sort, then the other two axes); no other center is within reach
-    of its points.  A batch pairs the rows of whole chunks with their
-    chunk's centers, at most DISTANCE_BLOCK // 8 pairs or one chunk.  dist
-    holds the _distances, and entries[p] is True where points[rows[p]] is
-    within reach[cols[p]] (inclusive) and the point before it, if any, is not.
+    in its bounding box grown by the largest reach (_box_pairs over sort,
+    the centers' _widest_sort); no other center is within reach of its
+    points.  A batch pairs the rows of whole chunks with their chunk's
+    centers, at most DISTANCE_BLOCK // 8 pairs or one chunk.  dist holds
+    the _distances, and entries[p] is True where points[rows[p]] is within
+    reach[cols[p]] (inclusive) and the point before it, if any, is not.
     """
     if not (len(points) and len(centers)):
         return
@@ -519,10 +531,7 @@ def _entry_pairs(points: np.ndarray, centers: np.ndarray, reach, sort: tuple):
         hi += margin
     loose = ~(lo <= hi)
     lo[loose], hi[loose] = -math.inf, math.inf
-    for chunks, cols in _slab_pairs(sort, lo[:, sort[0]], hi[:, sort[0]]):
-        box = centers.take(cols, axis=0)
-        keep = ((box >= lo[chunks]) & (box <= hi[chunks])).all(axis=1)
-        chunks, cols = chunks[keep], cols[keep]  # in chunk order
+    for chunks, cols in _box_pairs(sort, centers, lo, hi):
         _, heads, counts = np.unique(chunks, return_index=True, return_counts=True)
         for _, at in _runs(heads, counts, DISTANCE_BLOCK // 8 // _CHUNK_ROWS):
             # Every row of each center's chunk, in one run.
@@ -600,68 +609,49 @@ def _ray_times(oc: np.ndarray, directions: np.ndarray, radii: np.ndarray) -> np.
         return np.where(t < 0.0, -b + root, t)
 
 
-# Slack of the boxes in _nearest_targets, relative to t_max + radius (see there).
+# Slack of the ray boxes in _first_hits, relative to t + the largest radius (see there).
 _RAY_SLACK = 2.0 ** -20
 
 
-def _nearest_targets(origins: np.ndarray, directions: np.ndarray, scene: SceneSpec,
-                     t_max: np.ndarray) -> np.ndarray:
-    """Per ray (origins[k], unit directions[k]), the index of the nearest
-    target it hits at a distance t <= t_max[k], or -1.
-
-    Equally near targets resolve to the lowest index, as a loop over the
-    targets in order that keeps only a strictly nearer hit would.  Only the
-    targets in a box around each origin are resolved: a slab of the centers
-    sorted along their widest axis (sorted once, by SceneSpec), found by
-    binary search, then each center's own box.  Rays are resolved in
-    batches of whole rays of at most DISTANCE_BLOCK // 8 ray-target pairs
-    (or one ray), so memory stays bounded whatever t_max.
+def _first_hits(origins: np.ndarray, directions: np.ndarray, t: np.ndarray, aimed: np.ndarray,
+                scene: SceneSpec) -> np.ndarray:
+    """Per ray (origins[k], unit directions[k]) that meets its aimed target
+    aimed[k] at t[k], whether that target is met first: no target is met
+    below t[k], nor at t[k] with a lower index.  Only the targets in a box of
+    half-width about t[k] plus the largest radius around the origin
+    (_box_pairs) can be met by t[k], so only they are resolved.
     """
     centers, radii = scene.target_centers, scene.target_radii
-    nearest = np.full(len(origins), -1)
-    if not len(centers):
-        return nearest
-    # The boxes keep every target whose computed t can be <= t_max.  Exactly,
-    # a ray from o that meets the sphere (c, r) at t has |o - c| <= t + r.
+    first = np.ones(len(origins), dtype=bool)
+    # The boxes keep every target whose computed t_c can be <= t.  Exactly,
+    # a ray from o that meets the sphere (c, r) at t_c has |o - c| <= t_c + r.
     # In floats (u = 2^-53, |d| = 1 + O(u)), the discriminant is within
     # 8u (|oc|^2 + r^2) of b*b - |oc|^2 + r^2 on the computed b and oc; with
     # b*b up to 15u |oc|^2 above |oc|^2, that acts as r grown by under
-    # 2^-24 (|oc| + r) inside the root.  oc, b, the root and t add a few u
+    # 2^-24 (|oc| + r) inside the root.  oc, b, the root and t_c add a few u
     # of |oc| + r, and the 1/k rescale is the same arithmetic in units of k.
-    # So any computed t, either root, puts c within (t + r)(1 + 2^-22) of o
-    # on every axis, plus 2^-530 where products underflow.  The half-width
-    # (t_max + r)(1 + 2^-20) + _BOX_FLOOR, with its roundings, is larger,
-    # and rounding is monotone, so neither a slab bound nor |o_a - c_a|
-    # crosses it the wrong way.  Overflowing widths only widen the boxes; a
-    # NaN origin keeps nothing, as every t it gives is NaN.
-    sort = scene._target_sort
+    # So any computed t_c, either root, puts c within (t_c + r)(1 + 2^-22) of
+    # o on every axis, plus 2^-530 where products underflow.  The half-width
+    # (t + max r)(1 + 2^-20) + _BOX_FLOOR, with its roundings, is larger,
+    # and rounding is monotone, so no box bound crosses it the wrong way.
+    # Overflowing widths only widen the boxes.
     with np.errstate(over="ignore", invalid="ignore"):
-        width = t_max + radii.max()
+        width = t + radii.max()
         width += _RAY_SLACK * width + _BOX_FLOOR
-        slabs = _slab_pairs(sort, origins[:, sort[0]] - width, origins[:, sort[0]] + width)
-    for rays, cand in slabs:
+        lo, hi = origins - width[:, None], origins + width[:, None]
+    for rays, cand in _box_pairs(scene._target_sort, centers, lo, hi):
         # take: a row gather several times faster than fancy indexing.
         with np.errstate(over="ignore", invalid="ignore"):
             oc = origins.take(rays, axis=0) - centers.take(cand, axis=0)
-            width = t_max[rays] + radii[cand]
-            width += _RAY_SLACK * width + _BOX_FLOOR
-            off = np.abs(oc)
-            inside = np.flatnonzero(np.maximum(np.maximum(off[:, 0], off[:, 1]), off[:, 2]) <= width)
-        rays, cand = rays[inside], cand[inside]
-        t = _ray_times(oc.take(inside, axis=0), directions.take(rays, axis=0), radii[cand])
-        hit = (0.0 <= t) & (t <= t_max[rays]) & (t < math.inf)
-        # Sorted by ray, then by t, then by target: the first pair of each
-        # ray is its nearest hit, equal t going to the lowest index.
-        order = np.lexsort((cand[hit], t[hit], rays[hit]))
-        rays, cand = rays[hit][order], cand[hit][order]
-        first_of_ray = np.ones(len(rays), dtype=bool)
-        first_of_ray[1:] = rays[1:] != rays[:-1]
-        nearest[rays[first_of_ray]] = cand[first_of_ray]
-    return nearest
+        t_c, t_r = _ray_times(oc, directions.take(rays, axis=0), radii[cand]), t[rays]
+        met = (0.0 <= t_c) & ((t_c < t_r) | ((t_c == t_r) & (cand < aimed[rays])))
+        first[rays[met]] = False
+    return first
 
 
 def cast_ray(origin, direction, scene: SceneSpec) -> str | None:
-    """Intersect a ray with the scene's targets; nearest hit wins.
+    """Intersect a ray with every target of the scene; the nearest hit
+    wins, equally near targets going to the lowest index.
 
     Boundary contact is inclusive: a ray exactly tangent to a sphere hits
     it.  Returns the hit target's id, or None on a miss.  Obstacles do not
@@ -670,19 +660,18 @@ def cast_ray(origin, direction, scene: SceneSpec) -> str | None:
     origin = np.asarray(origin, dtype=float).reshape(1, 3)
     d = _unit_rows(np.asarray(direction, dtype=float).reshape(1, 3),
                    "ray direction must be nonzero")
-    i = _nearest_targets(origin, d, scene, np.full(1, math.inf))[0]
-    return scene.target_ids[i] if i >= 0 else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        oc = origin - scene.target_centers
+    t = _ray_times(oc, d.repeat(len(oc), axis=0), scene.target_radii)
+    hits = np.flatnonzero((0.0 <= t) & (t < math.inf))
+    return scene.target_ids[hits[t[hits].argmin()]] if len(hits) else None
 
 
-def _check_sigma(sigma: float) -> None:
+def _check_ray_args(sigma: float, trigger_distance: float | None = None) -> None:
     # perturb_direction divides by kappa = 1/sigma^2, which is 0 once sigma^2
     # overflows.
     if not (sigma >= 0 and math.isfinite(sigma * sigma)):
         raise ValueError(f"sigma must be finite (below 1e154) and >= 0, got {sigma!r}")
-
-
-def _check_ray_args(sigma: float, trigger_distance: float | None) -> None:
-    _check_sigma(sigma)
     if trigger_distance is not None and not (
         math.isfinite(trigger_distance) and trigger_distance > 0
     ):
@@ -728,7 +717,7 @@ def perturb_direction(rng: np.random.Generator, direction, sigma: float) -> np.n
     standard deviation per axis; sigma=0 returns the direction unchanged
     and large sigma approaches a uniform direction on the sphere.
     """
-    _check_sigma(sigma)
+    _check_ray_args(sigma)
     d = _unit_rows(np.asarray(direction, dtype=float).reshape(1, 3), "direction must be nonzero")
     return _perturb_rows(rng, d, sigma)[0]
 
@@ -751,7 +740,8 @@ def run_ray_task(
     processed in time order, breaking ties by target order, so results are
     reproducible per seed.  Each ray is resolved against its aimed target
     first: missing it is a miss, and hitting it at t leaves only the
-    targets in a box of half-width t + radius around the origin to check.
+    targets in a box of half-width t plus the largest radius around the
+    origin to check for one met first (_first_hits).
     """
     if not len(scene.targets):
         raise ValueError("ray task needs at least one target in the scene")
@@ -769,16 +759,16 @@ def run_ray_task(
     # not by each target's own.  A batch holds every pair of its rows.
     fires = np.zeros(len(points), dtype=bool)
     closest, aim = np.full(len(points), math.inf), np.full(len(points), len(centers))
-    keys = [np.empty(0, dtype=np.intp)]  # row * targets + target, per entry
+    entry_rows = [np.empty(0, dtype=np.intp)]  # one row per entry
     for rows, cols, dist, entries in _entry_pairs(points, centers, triggers, scene._target_sort):
-        keys.append(rows[entries] * len(centers) + cols[entries])
+        entry_rows.append(rows[entries])
         fires[rows[entries]] = True
         mine = np.flatnonzero(fires[rows])
         rows, cols, dist = rows[mine], cols[mine], dist[mine]
         np.minimum.at(closest, rows, dist)
         tie = dist == closest[rows]
         np.minimum.at(aim, rows[tie], cols[tie])
-    origin_rows = np.sort(np.concatenate(keys)) // len(centers)  # in (row, target) order
+    origin_rows = np.sort(np.concatenate(entry_rows))  # in (row, target) order
     if not len(origin_rows):
         return 0, 0
     # Hits never feed back into the rng, so every direction is drawn first.
@@ -793,8 +783,8 @@ def run_ray_task(
                             "ray direction must be nonzero")
     t = _ray_times(origins - centers[aimed], directions, scene.target_radii[aimed])
     rows = np.flatnonzero((0.0 <= t) & (t < math.inf))
-    nearest = _nearest_targets(origins[rows], directions[rows], scene, t[rows])
-    return len(aimed), int(np.count_nonzero(nearest == aimed[rows]))
+    hits = _first_hits(origins[rows], directions[rows], t[rows], aimed[rows], scene)
+    return len(aimed), int(np.count_nonzero(hits))
 
 
 def simulate(

@@ -341,6 +341,25 @@ def test_sim_run_overflowing_keypoints(tmp_path, capsys):
                 "sim_bezier.json", "sim_catmull_rom.json", "sim_polyline.json"]
 
 
+def test_sim_run_refuses_overflowing_speed_line(tmp_path, capsys):
+    # 12 collinear keypoints 10 apart (1 and 2 equal) at speed 1, except
+    # 1.7e307 at keypoint 2: over a knot gap of 1/11 the speed line from
+    # keypoint 1 overflows, which stalled the agent at the start until the
+    # budget ran out.
+    xs = [0, 10, 10, *range(20, 101, 10)]
+    route = tmp_path / "steep.csv"
+    route.write_text("longitude,latitude,height,speed\n" + "".join(
+        f"{x},0,0,{1.7e307 if i == 2 else 1.0}\n" for i, x in enumerate(xs)))
+    scene = tmp_path / "empty.json"
+    scene.write_text('{"obstacles": [], "targets": []}')
+    out = tmp_path / "out"
+    argv = ["sim", "run", str(route), str(scene), "--kind", "polyline", "--out", str(out)]
+    assert main_without_warnings(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the speed line between keypoints 1 and 2 overflows (speeds 1 and 1.7e+307)"]
+    assert not out.exists()
+
+
 def scene_with(tmp_path, edit) -> Path:
     """The demo scene with edit(doc) applied, written to tmp_path."""
     doc = json.loads(SCENE.read_text())

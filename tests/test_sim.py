@@ -129,6 +129,15 @@ def test_speed_profile_interpolates_linearly():
         SpeedProfile(np.array([1.0, 0.0]))
 
 
+def test_speed_profile_refuses_overflowing_speed_lines():
+    # (1e308 - 1) / 0.5 overflows: the speed line from knot 0 to knot 1, in
+    # the stepper and in np.interp alike, would be infinite.
+    with pytest.raises(ValueError, match="between keypoints 0 and 1 overflows"):
+        SpeedProfile([1.0, 1e308, 1.0])
+    for speeds in ([1e308] * 3, [1.0, 1.7e307]):  # slopes 0 and about 1.7e307
+        assert SpeedProfile(speeds).speeds.tolist() == speeds
+
+
 # --- traversal --------------------------------------------------------------
 
 def test_straight_path_time_is_distance_over_speed():
@@ -607,7 +616,8 @@ def grazing_rays(draw):
     """(origin, direction, scene) with a target the ray grazes up to rounding.
 
     Here the two ways of rounding the discriminant often disagree in sign,
-    which is what cast_ray's prefilter slack must absorb.
+    so cast_ray must round it as the reference does.  (The slack of the ray
+    boxes in run_ray_task is pinned by TIES_TO_EVEN and occluder_scenes.)
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     origin = rng.uniform(-100, 100, 3)
@@ -1057,17 +1067,17 @@ def test_ray_task_resolves_few_pairs_per_attempt():
     scene = SceneSpec.from_json((golden / "scene.json").read_text())
     positions = sample_trajectory(route, SpeedProfile.from_keypoints(keypoints), 0.02).positions
     resolved = []
-    ray_times, nearest_targets = sim._ray_times, sim._nearest_targets
+    ray_times, first_hits = sim._ray_times, sim._first_hits
 
     def counted_times(oc, directions, radii):
         resolved.append(len(oc))
         return ray_times(oc, directions, radii)
 
-    def counted_nearest(*args):
+    def counted_first_hits(*args):
         with mock.patch.object(sim, "_ray_times", counted_times):
-            return nearest_targets(*args)
+            return first_hits(*args)
 
-    with mock.patch.object(sim, "_nearest_targets", counted_nearest):
+    with mock.patch.object(sim, "_first_hits", counted_first_hits):
         attempts, hits = run_ray_task(positions, 0.05, 5, scene)
     assert attempts >= 30 and hits > 0
     assert 0 < sum(resolved) <= 4 * attempts
