@@ -4,9 +4,11 @@ and simple linear regression with a mean-response confidence band.
 The normality test is a Kolmogorov-Smirnov test against a normal
 distribution with mean and standard deviation estimated from the sample,
 so the p-value comes from seeded Monte-Carlo resampling of the null
-distribution rather than the classical asymptotic formula.  Following the
-usual reporting convention of stats packages, p-values above 0.2 carry a
-``capped`` display flag; the true Monte-Carlo p is always kept.
+distribution rather than the classical asymptotic formula; the replicates
+reaching the observed statistic are counted against per-rank thresholds,
+with the normal CDF only near a tie.  Following the usual reporting
+convention of stats packages, p-values above 0.2 carry a ``capped``
+display flag; the true Monte-Carlo p is always kept.
 
 Correlation tests use the t approximation with n-2 degrees of freedom for
 two-sided p-values.  Spearman is the Pearson correlation of average ranks.
@@ -36,9 +38,9 @@ class UndefinedFitError(ValueError):
 
 DEFAULT_KS_REPLICATES = 10_000
 # Limit on the Monte-Carlo replicates of one null.  A replicate costs about
-# 2.4 us at n = 50 (2-CPU x86 machine; about 9 us at n = 200), so a null at
-# the limit takes about 2.4 s and its sorted array 8 MB; p-values finer
-# than 1e-6 change no decision at any usable alpha.
+# 1.2 us at n = 50 (2-CPU x86 machine; about 4.2 us at n = 200), so a null
+# at the limit takes about 1.2 s; p-values finer than 1e-6 change no
+# decision at any usable alpha.  Only the counts, not the nulls, are kept.
 MAX_KS_REPLICATES = 1_000_000
 # Values per null block: (KS_BLOCK_VALUES // n, n) float arrays, at least
 # one row: at most 200 KB (512 rows at n = 50), small enough to stay in cache.
@@ -157,19 +159,14 @@ def spearman(x, y) -> CorrelationResult:
     return CorrelationResult("spearman", result.r, result.p_value, result.n)
 
 
-def _ks_rows(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """K-S statistic of each row of z against the normal fitted to that row.
+def _standardized(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Standardize each row of z (C-contiguous) in place and sort it.
 
-    Works in place: z (C-contiguous) ends up holding each row's sorted
-    fitted CDF values, and scratch, a flat buffer of at least z.size
-    floats, is overwritten.  The row means and the centered values are
-    computed once and reused for the variance: z.std(axis=1, ddof=1) does
-    the same mean, subtract, square, sum and divide, so the bits are those
-    of (z - mean) / std.  The two deviations are reduced over a transposed
-    (n, rows) view of scratch; max is exact, so its order does not matter.
+    scratch, a flat buffer of at least z.size floats, is overwritten.  The
+    row means and the centered values are computed once and reused for the
+    variance: z.std(axis=1, ddof=1) does the same mean, subtract, square,
+    sum and divide, so the bits are those of (z - mean) / std.
     """
-    from scipy.special import ndtr
-
     rows, n = z.shape
     center = z.sum(axis=1, keepdims=True)
     center /= n
@@ -181,6 +178,19 @@ def _ks_rows(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     np.sqrt(scale, out=scale)
     z /= scale
     z.sort(axis=1)
+    return z
+
+
+def _ks_rows(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """K-S statistic of each _standardized row of z against the standard normal.
+
+    Works in place on z and scratch (as _standardized).  The two deviations
+    are reduced over a transposed (n, rows) view of scratch; max is exact,
+    so its order does not matter.
+    """
+    from scipy.special import ndtr
+
+    rows, n = z.shape
     ndtr(z, out=z)
     dev = scratch[:z.size].reshape(n, rows)
     np.subtract((np.arange(1, n + 1) / n)[:, None], z.T, out=dev)
@@ -194,55 +204,69 @@ def ks_statistic_normal(x) -> float:
     x = _as_sample(x, 4)
     if x.std(ddof=1) == 0.0:
         raise DegenerateSampleError("normality test undefined for zero-variance sample")
-    return float(_ks_rows(x[None, :].copy(), np.empty(len(x)))[0])
+    scratch = np.empty(len(x))
+    return float(_ks_rows(_standardized(x[None, :].copy(), scratch), scratch)[0])
 
 
-def lilliefors_null(n: int, replicates: int = DEFAULT_KS_REPLICATES, seed: int = 0) -> np.ndarray:
-    """Sorted null distribution of the K-S statistic with estimated parameters.
-
-    Simulates ``replicates`` standard-normal samples of size n and computes
-    each one's statistic the same way ks_statistic_normal does.  The
-    samples are drawn and reduced KS_BLOCK_VALUES // n at a time (at least
-    one) into two buffers reused across blocks, at most 200 KB each up to
-    n = 25,600; filling consecutive blocks consumes the stream exactly as
-    one (replicates, n) draw does, so the null is the same.
-    """
+def _check_null(n: int, replicates: int) -> None:
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     if replicates < 1:
         raise ValueError(f"need at least 1 replicate, got {replicates}")
     if replicates > MAX_KS_REPLICATES:
-        raise ValueError(
-            f"{replicates} replicates exceed the limit of {MAX_KS_REPLICATES}")
+        raise ValueError(f"{replicates} replicates exceed the limit of {MAX_KS_REPLICATES}")
+
+
+def _null_exceedances(d: float, n: int, replicates: int, seed: int) -> int:
+    """#{null >= d} over the seeded Lilliefors null of ``replicates`` samples.
+
+    The standard-normal samples of size n are drawn and _standardized
+    KS_BLOCK_VALUES // n at a time (at least one) into two reused buffers,
+    which consumes the stream as one (replicates, n) draw does.  A row's
+    statistic is >= d when, at some rank i of its sorted z, fl((i + 1) / n -
+    ndtr(z_i)) or fl(ndtr(z_i) - i / n) is: both monotone in z_i, so rows
+    are counted against per-rank thresholds on z.
+    """
+    from scipy.special import ndtri
+
+    # A value below sure[0, i] or above sure[1, i] makes its row count; a row
+    # with every value strictly between clear[0] and clear[1] does not; the
+    # rest (exact ties included) get ndtr.  A threshold is ndtri(q) at
+    # q = edge -+ 2^-40.  With u = 2^-53, q is off by at most 3u (two
+    # roundings), ndtri by under 2u in probability (relative error in z about
+    # 1e-15, times |z| phi(z) <= 0.25), and ndtr by e: about 2u measured
+    # against mpmath, under 2^-45 by its documented 3.4e-14 relative bound.
+    # So beyond a sure threshold ndtr(z_i) passes the edge by 2^-40 - 5u - e
+    # and, rounding being monotone, the subtraction gives at least d; inside
+    # the clear ones it falls as far short and rounds below d.  2^-40 exceeds
+    # those errors a thousandfold as measured, 30-fold at the documented worst.
+    # Clipping q to [0, 1] (ndtri: -inf, inf) empties a region or moves its
+    # threshold to where ndtr is 0 or 1 and q was beyond it.
+    edge = np.stack([np.arange(1, n + 1) / n - d, np.arange(0, n) / n + d])
+    delta = np.array([[-1.0], [1.0]]) * 2.0 ** -40
+    sure, clear = (ndtri(np.clip(edge + side, 0.0, 1.0)) for side in (delta, -delta))
     rng = np.random.default_rng(seed)
     rows = min(replicates, max(1, KS_BLOCK_VALUES // n))
     block = np.empty((rows, n))
     scratch = np.empty(rows * n)
-    d = np.empty(replicates)
+    count = 0
     for start in range(0, replicates, rows):
-        z = block[:min(rows, replicates - start)]
-        rng.standard_normal(out=z)
-        d[start:start + len(z)] = _ks_rows(z, scratch)
-    d.sort()
-    return d
-
-
-def lilliefors_pvalue(d: float, null: np.ndarray) -> float:
-    """Monte-Carlo p-value of an observed statistic against a sorted null set.
-
-    Uses the add-one estimator (1 + #{null >= d}) / (B + 1), which keeps the
-    test exact under the null.
-    """
-    exceed = len(null) - int(np.searchsorted(null, d, side="left"))
-    return (1 + exceed) / (len(null) + 1)
+        z = _standardized(rng.standard_normal(out=block[:min(rows, replicates - start)]), scratch)
+        hits = ((z < sure[0]) | (z > sure[1])).any(axis=1)
+        band = ((z <= clear[0]) | (z >= clear[1])).any(axis=1) & ~hits
+        count += int(np.count_nonzero(hits))
+        if band.any():
+            count += int(np.count_nonzero(_ks_rows(z[band], scratch) >= d))
+    return count
 
 
 def ks_normality(x, replicates: int = DEFAULT_KS_REPLICATES, seed: int = 0) -> NormalityResult:
-    """Normality test with Monte-Carlo calibrated p (parameters estimated)."""
+    """Normality test, parameters estimated: add-one Monte-Carlo p (1 + #{null >= d}) / (B + 1)."""
     x = _as_sample(x, 4)
+    _check_null(len(x), replicates)
     d = ks_statistic_normal(x)
-    null = lilliefors_null(len(x), replicates, seed)
-    return NormalityResult(d=d, p_value=lilliefors_pvalue(d, null), n=len(x))
+    exceed = _null_exceedances(d, len(x), replicates, seed)
+    return NormalityResult(d=d, p_value=(1 + exceed) / (replicates + 1), n=len(x))
 
 
 @dataclass(frozen=True)
@@ -426,13 +450,9 @@ def analyze_study(
         raise ValueError(
             f"insufficient sample: need at least 4 study records, got {len(records)}"
         )
-    columns = {
-        "enjoyment": np.array([r.enjoyment for r in records], dtype=float),
-        "engagement": np.array([r.engagement for r in records], dtype=float),
-        "time_s": np.array([r.time_s for r in records], dtype=float),
-        "collisions": np.array([r.collisions for r in records], dtype=float),
-        "accuracy": np.array([r.accuracy for r in records], dtype=float),
-    }
+    _check_null(len(records), replicates)
+    columns = {name: np.array([getattr(r, name) for r in records], dtype=float)
+               for name in STUDY_VARIABLES}
     for name, values in columns.items():
         _as_sample(values, 4, f"column '{name}'")
         if values.max() == values.min():

@@ -43,3 +43,29 @@ def one_sided_tangents(curve, knot):
         return n * curve._m1[knot - 1], n * curve._m0[knot]
     t = curve.tangent(knot / n)
     return t, t
+
+
+def reference_ks_rows(z):
+    """Row-wise K-S statistic against the normal fitted to each row, unblocked."""
+    from scipy.special import ndtr
+
+    n = z.shape[1]
+    z = (z - z.mean(axis=1, keepdims=True)) / z.std(axis=1, ddof=1, keepdims=True)
+    z.sort(axis=1)
+    cdf = ndtr(z)
+    hi = np.arange(1, n + 1) / n
+    lo = np.arange(0, n) / n
+    return np.maximum((hi - cdf).max(axis=1), (cdf - lo).max(axis=1))
+
+
+def reference_lilliefors_null(n, replicates, seed):
+    """The sorted Lilliefors null: one (replicates, n) draw, reduced at once."""
+    d = reference_ks_rows(np.random.default_rng(seed).standard_normal((replicates, n)))
+    d.sort()
+    return d
+
+
+def reference_pvalue(d, null):
+    """Add-one Monte-Carlo p-value (1 + #{null >= d}) / (B + 1) against a sorted null."""
+    exceed = len(null) - int(np.searchsorted(null, d, side="left"))
+    return (1 + exceed) / (len(null) + 1)

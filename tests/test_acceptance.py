@@ -5,22 +5,22 @@ PASS/FAIL line (run with ``pytest tests/test_acceptance.py -s`` to see them).
 import time
 
 import numpy as np
-from scipy.special import ndtr
 
 from searoam.camera import smoothness
 from searoam.cli import main
 from searoam.spline import PathCurve
 from searoam.stats import (
     analyze_study,
-    lilliefors_null,
-    lilliefors_pvalue,
     linear_fit_with_band,
     load_study,
     pearson,
     spearman,
 )
 
-from conftest import DATA_DIR, DEMO_ROUTE, chordal_arc_length
+from conftest import (
+    DATA_DIR, DEMO_ROUTE, chordal_arc_length, reference_ks_rows, reference_lilliefors_null,
+    reference_pvalue,
+)
 from test_stats import brute_force_ranks, normal_equations_oracle, pearson_oracle
 
 ROUTE_PTS = np.array(DEMO_ROUTE)
@@ -135,19 +135,12 @@ def test_07_statistics_oracles():
 
 def test_08_ks_calibration():
     # The Monte-Carlo null of the statistic does not depend on the observed
-    # sample, so one seeded null set (exactly what ks_normality computes per
-    # call) is shared by all 10,000 trials.
+    # sample, so one seeded null set (the one whose exceedances ks_normality
+    # counts per call) is shared by all 10,000 trials.
     n, trials = 50, 10_000
-    null = lilliefors_null(n, replicates=10_000, seed=202)
-    rng = np.random.default_rng(303)
-    z = rng.standard_normal((trials, n))
-    z = (z - z.mean(axis=1, keepdims=True)) / z.std(axis=1, ddof=1, keepdims=True)
-    z.sort(axis=1)
-    cdf = ndtr(z)
-    hi = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
-    d = np.maximum((hi - cdf).max(axis=1), (cdf - lo).max(axis=1))
-    rate = float(np.mean([lilliefors_pvalue(v, null) <= 0.05 for v in d]))
+    null = reference_lilliefors_null(n, replicates=10_000, seed=202)
+    d = reference_ks_rows(np.random.default_rng(303).standard_normal((trials, n)))
+    rate = float(np.mean([reference_pvalue(v, null) <= 0.05 for v in d]))
     report(8, f"normality test rejects normal samples at {rate:.4f} (target 0.05 +- 0.01)",
            0.04 <= rate <= 0.06)
 

@@ -580,6 +580,16 @@ def test_study_analyze_replicates_beyond_limit(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("replicates", ["0", "-3"])
+def test_study_analyze_replicates_below_one(tmp_path, capsys, replicates):
+    out = tmp_path / "out"
+    assert main(["study", "analyze", str(STUDY), f"--replicates={replicates}",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: need at least 1 replicate, got {replicates}"]
+    assert not out.exists()
+
+
 # --- study synth ---------------------------------------------------------------
 
 def test_study_synth_reproduces_bundled_dataset(tmp_path):

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from searoam import stats
 from searoam.stats import (
     DEFAULT_KS_REPLICATES,
+    MAX_KS_REPLICATES,
     DegenerateSampleError,
     UndefinedCorrelationError,
     UndefinedFitError,
@@ -16,8 +18,6 @@ from searoam.stats import (
     average_ranks,
     ks_normality,
     ks_statistic_normal,
-    lilliefors_null,
-    lilliefors_pvalue,
     linear_fit_with_band,
     load_study,
     pearson,
@@ -26,7 +26,7 @@ from searoam.stats import (
     synthesize_study,
 )
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, reference_ks_rows, reference_lilliefors_null, reference_pvalue
 
 
 # --- independent oracles ----------------------------------------------------
@@ -257,46 +257,49 @@ def test_ks_errors():
 
 def test_lilliefors_pvalue_add_one_convention():
     null = np.array([0.1, 0.2, 0.3, 0.4])
-    assert lilliefors_pvalue(0.35, null) == pytest.approx(2 / 5)
-    assert lilliefors_pvalue(0.05, null) == pytest.approx(5 / 5)
-    assert lilliefors_pvalue(0.45, null) == pytest.approx(1 / 5)
+    assert reference_pvalue(0.35, null) == pytest.approx(2 / 5)
+    assert reference_pvalue(0.05, null) == pytest.approx(5 / 5)
+    assert reference_pvalue(0.45, null) == pytest.approx(1 / 5)
+    # ks_normality's p is (1 + k) / (B + 1) for a count k in [0, B].
+    x = np.random.default_rng(7).standard_normal(30)
+    for replicates in (1, 4, 999):
+        p = ks_normality(x, replicates, seed=2).p_value
+        k = round(p * (replicates + 1)) - 1
+        assert 0 <= k <= replicates and p == (1 + k) / (replicates + 1)
 
 
 def test_lilliefors_null_is_seeded():
-    a = lilliefors_null(20, replicates=500, seed=3)
-    b = lilliefors_null(20, replicates=500, seed=3)
-    c = lilliefors_null(20, replicates=500, seed=4)
+    a = reference_lilliefors_null(20, replicates=500, seed=3)
+    b = reference_lilliefors_null(20, replicates=500, seed=3)
+    c = reference_lilliefors_null(20, replicates=500, seed=4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def reference_ks_rows(z):
-    """The row-wise K-S kernel the in-place _ks_rows replaced."""
-    from scipy.special import ndtr
-
-    n = z.shape[1]
-    z = (z - z.mean(axis=1, keepdims=True)) / z.std(axis=1, ddof=1, keepdims=True)
-    z.sort(axis=1)
-    cdf = ndtr(z)
-    hi = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
-    return np.maximum((hi - cdf).max(axis=1), (cdf - lo).max(axis=1))
-
-
-def reference_lilliefors_null(n, replicates, seed):
-    """The unblocked null: one (replicates, n) draw, reduced at once."""
-    d = reference_ks_rows(np.random.default_rng(seed).standard_normal((replicates, n)))
-    d.sort()
-    return d
+    x = np.random.default_rng(5).standard_normal(20)
+    p = [ks_normality(x, replicates=500, seed=seed).p_value for seed in (3, 3, 4)]
+    assert p[0] == p[1] != p[2]
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(4, 200),
        replicates=st.integers(1, 3000) | st.sampled_from([511, 512, 513, 1024, 1537]),
-       seed=st.integers(0, 2**64 - 1))
-def test_blocked_lilliefors_null_equals_reference(n, replicates, seed):
-    assert (lilliefors_null(n, replicates, seed).tobytes()
-            == reference_lilliefors_null(n, replicates, seed).tobytes())
+       seed=st.integers(0, 2**64 - 1),
+       power=st.sampled_from([1, 2, 3]))
+def test_blocked_lilliefors_null_equals_reference(n, replicates, seed, power):
+    # The blocked, counted null gives the p of the unblocked sorted one, bit
+    # for bit; squares and cubes of a normal sample give small p as well as large.
+    x = np.random.default_rng(seed ^ 1).standard_normal(n) ** power
+    d = ks_statistic_normal(x)
+    assert (ks_normality(x, replicates, seed).p_value
+            == reference_pvalue(d, reference_lilliefors_null(n, replicates, seed)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(4, 200), replicates=st.integers(1, 40), seed=st.integers(0, 2**64 - 1))
+def test_null_exceedances_count_ties_and_their_neighbours(n, replicates, seed):
+    null = reference_lilliefors_null(n, replicates, seed)
+    for d in np.concatenate([null, np.nextafter(null, -np.inf), np.nextafter(null, np.inf)]):
+        want = len(null) - int(np.searchsorted(null, d, side="left"))
+        assert stats._null_exceedances(float(d), n, replicates, seed) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -310,11 +313,37 @@ def test_ks_statistic_equals_reference_and_keeps_its_input(x):
     assert d == float(reference_ks_rows(x[None, :].copy())[0])
 
 
+@pytest.mark.parametrize("replicates, message", [
+    (0, "^need at least 1 replicate, got 0$"),
+    (-3, "^need at least 1 replicate, got -3$"),
+    (MAX_KS_REPLICATES + 1, f"exceed the limit of {MAX_KS_REPLICATES}$"),
+])
+def test_null_is_refused_before_any_draw(monkeypatch, replicates, message):
+    def never(*args, **kwargs):
+        raise AssertionError("reached past the replicate check")
+
+    x = np.random.default_rng(4).standard_normal(10)
+    records = synthesize_study(10, seed=1)
+    monkeypatch.setattr(stats, "ks_statistic_normal", never)
+    monkeypatch.setattr(stats, "_null_exceedances", never)
+    with pytest.raises(ValueError, match=message):
+        ks_normality(x, replicates)
+    monkeypatch.setattr(stats, "ks_normality", never)
+    with pytest.raises(ValueError, match=message):
+        analyze_study(records, replicates=replicates)
+
+
+def test_null_refuses_fewer_than_four_values():
+    with pytest.raises(ValueError, match="^need n >= 4, got 3$"):
+        stats._check_null(3, 10)
+
+
 def traced_null_peak(n, replicates):
-    lilliefors_null(n, 1)  # imports scipy.special before tracing starts
+    x = np.random.default_rng(n).standard_normal(n)
+    ks_normality(x, 1)  # imports scipy.special before tracing starts
     tracemalloc.start()
     try:
-        lilliefors_null(n, replicates)
+        ks_normality(x, replicates)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -327,6 +356,11 @@ def test_lilliefors_null_memory_stays_below_a_megabyte():
 def test_lilliefors_null_memory_does_not_grow_with_study_size():
     # Fixed 512-replicate blocks would take 8 KB per participant: 40 MB here.
     assert traced_null_peak(5_000, 1_000) < 1 << 20
+
+
+def test_lilliefors_null_memory_does_not_grow_with_replicates():
+    # A sorted null of 200,000 statistics alone would take 1.6 MB.
+    assert traced_null_peak(50, 200_000) < 1 << 20
 
 
 # --- regression --------------------------------------------------------------
