@@ -17,7 +17,19 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .spline import ArcLengthError, PathCurve, _cross_rows, _row_norms, _rowdot
+from .spline import (
+    ARC_LENGTH_ABS_TOL,
+    ARC_LENGTH_MAX_DEPTH,
+    ARC_LENGTH_MAX_INTERVALS,
+    ARC_LENGTH_REL_TOL,
+    ArcLengthError,
+    PathCurve,
+    _adaptive_lobatto,
+    _cross_rows,
+    _LOBATTO_NODES,
+    _row_norms,
+    _rowdot,
+)
 
 DEFAULT_ENERGY_BUDGET = 300.0
 DEFAULT_AGENT_RADIUS = 1.0
@@ -274,28 +286,196 @@ class Trajectory:
     positions: np.ndarray
 
 
-# Arc-length table resolution used by the traversal stepper.
-ARC_TABLE_SAMPLES = 2048
+_PATH_OVERFLOWS = "path length overflows (keypoint coordinates too large)"
 
 
-def _arc_length_table(curve: PathCurve) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (s, cumulative length) table for arc-length parameterization:
-    the cumulative sum of the _row_norms chords after a leading 0.0."""
-    grid = curve.grid(ARC_TABLE_SAMPLES)
-    lengths = np.zeros(len(grid))
+# Monomial coefficients, in x on [-1, 1], of the polynomial of degree 9
+# through values at the ten Lobatto nodes: _NODE_MONOMIALS @ values.  It is
+# the polynomial the Lobatto rule integrates exactly.
+_NODE_MONOMIALS = np.linalg.inv(np.vander(_LOBATTO_NODES, increasing=True))
+# Times these, the coefficients c of its antiderivative x * sum(c[m] x^m).
+_INTEGRATE = 1.0 / np.arange(1, len(_LOBATTO_NODES) + 1)
+# The largest split of one interval in one level of _hermite_table.
+_MAX_SPLIT = 256
+
+
+def _horner(coef: np.ndarray, x) -> np.ndarray:
+    """sum(coef[m] * x**m) over the first axis of coef, by Horner's rule."""
+    out = coef[-1] * x
+    for c in coef[-2:0:-1]:
+        out += c
+        out *= x
+    out += coef[0]
+    return out
+
+
+def _arc_intervals(curve: PathCurve):
+    """The route cut into the first intervals of the stepper's table.
+
+    Returns (s, parts, interpolant): K + 1 entries s rising from 0 to 1,
+    every keypoint knot j/(N-1) among them, and the K interval lengths.  A
+    polyline's intervals are its segments, with their _row_norms chords as
+    lengths, and interpolant is None.  The other kinds are cut at the knots
+    and at their speed kinks, and their intervals are the halves that
+    spline._adaptive_lobatto accepts.  interpolant holds, per half and in x
+    on [-1, 1] across it, the (10, K) coefficients of the polynomial through
+    the ten speeds its Lobatto rule summed and of that polynomial's
+    antiderivative; a half's length is the antiderivative's rise, the
+    rule's sum up to rounding.
+    """
+    knots = curve.grid(1)
+    if curve.kind == "polyline":
+        with np.errstate(over="ignore", invalid="ignore"):  # _step_states rejects the total
+            return knots, _row_norms(curve._diffs), None
+    cuts = np.unique(np.concatenate((knots, curve._speed_kinks())))
+    accepted = []
+    _adaptive_lobatto(lambda ss: _row_norms(curve.tangents(ss)), cuts[:-1], cuts[1:],
+                      accepted, _PATH_OVERFLOWS)
+    starts, stops, values = (np.concatenate(part) for part in zip(*accepted))
+    order = np.argsort(starts)
+    order = order[stops[order] > starts[order]]  # a half of width 0 has nothing to invert
+    speeds = _NODE_MONOMIALS @ values[order].T
+    length = speeds * _INTEGRATE[:, None]
+    parts = 0.5 * (stops - starts)[order] * (_horner(length, 1.0) + _horner(length, -1.0))
+    return np.append(starts[order], 1.0), parts, (speeds, length)
+
+
+def _hermite_slopes(w: np.ndarray, h: np.ndarray, v0: np.ndarray, v1: np.ndarray):
+    """The end slopes (b0, b1) of _s_at on intervals of widths w and lengths
+    h whose ends have the speeds |dP/ds| v0 and v1: each end's ds/dl =
+    1/|dP/ds| over the interval's mean w/h, minus 1.
+
+    Both are 0, a linear inversion, where either ratio lies outside (0, 3],
+    where the cubic need not rise (Fritsch & Carlson, SIAM J. Numer. Anal.
+    1980): at a cusp, where |dP/ds| = 0, and on an interval of length 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mean = h / w
+        a0, a1 = mean / v0, mean / v1
+    rises = (a0 > 0.0) & (a0 <= 3.0) & (a1 > 0.0) & (a1 <= 3.0)
+    return np.where(rises, a0 - 1.0, 0.0), np.where(rises, a1 - 1.0, 0.0)
+
+
+def _hermite_table(s: np.ndarray, parts: np.ndarray, interpolant) -> tuple:
+    """The stepper's table (_table) from _arc_intervals' intervals.
+
+    Each interval's inverse cubic Hermite (_s_at) is checked where it puts
+    half the interval's length: if the length from the interval's start to
+    that s misses the half by more than ARC_LENGTH_REL_TOL * L (at least
+    ARC_LENGTH_ABS_TOL), with L the route length, the interval is split
+    into m equal widths, m from the miss, which shrinks about as the fourth
+    power of the width; then the pieces are checked, one level at a time
+    over all of them.  After Wang, Kearney & Atkinson, "Arc-length
+    parameterized spline curves for real-time simulation" (Curves and
+    Surfaces 2002).  Lengths and speeds inside a half come from its
+    polynomials, so no check or split evaluates the curve.  A miss below
+    the rounding of those polynomials, or of s itself, passes, and pieces
+    still missing after ARC_LENGTH_MAX_DEPTH levels are kept.  A polyline's
+    inversion is linear on each segment, exact as it is.
+    """
+    s0, s1 = s[:-1], s[1:]
+    if interpolant is None:
+        zeros = np.zeros(len(parts))
+        return _table(s0, s1 - s0, parts, zeros, zeros)
+    speeds, length = interpolant
+    both = np.stack((length, speeds), axis=1)  # (10, 2, K): one _horner for both
+    budget = max(ARC_LENGTH_ABS_TOL, ARC_LENGTH_REL_TOL * float(parts.sum()))
+    center, radius = 0.5 * (s0 + s1), 0.5 * (s1 - s0)
+    floor = 2.0 ** -40 * parts  # the rounding of each half's polynomials
+    # Pending pieces: their half k, ends s0 and s1, the antiderivative
+    # x * _horner(length, x) at their ends, length and end speeds.
+    k, h = np.arange(len(parts)), parts
+    a0, a1 = -_horner(length, -1.0), _horner(length, 1.0)
+    v0, v1 = _horner(speeds, -1.0), _horner(speeds, 1.0)
+    done = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(ARC_LENGTH_MAX_DEPTH):
+            w = s1 - s0
+            b0, b1 = _hermite_slopes(w, h, v0, v1)
+            x = (s0 + w * (0.5 + 0.125 * (b0 - b1)) - center[k]) / radius[k]  # _s_at at h / 2
+            miss = np.abs(radius[k] * (x * _horner(length.take(k, axis=1), x) - a0) - 0.5 * h)
+            # The rounding of s itself: 4 ulp of 1 at the larger end speed.
+            bad = miss > np.maximum(budget, floor[k] + 2.0 ** -50 * np.maximum(v0, v1))
+            good = ~bad
+            done.append((s0[good], w[good], h[good], b0[good], b1[good]))
+            if not bad.any():
+                break
+            m = np.ceil(2.0 * np.sqrt(np.sqrt(miss[bad] / budget)))
+            m = np.minimum(m, _MAX_SPLIT).astype(np.intp)
+            if m.sum() > ARC_LENGTH_MAX_INTERVALS:
+                raise ArcLengthError(f"the arc-length table needs more than "
+                                     f"{ARC_LENGTH_MAX_INTERVALS} new intervals at once")
+            # Piece j of an interval's m starts at lo[j] and ends at lo[j + 1].
+            owner = np.repeat(np.arange(len(m)), m)
+            j = np.arange(len(owner)) - np.repeat(np.cumsum(m) - m, m)
+            first, last = j == 0, j == m[owner] - 1
+            k, s0, s1, w = k[bad], s0[bad], s1[bad], w[bad]
+            lo = s0[owner] + w[owner] * (j / m[owner])
+            k = k[owner]
+            x = (lo - center[k]) / radius[k]
+            a_lo, v_lo = _horner(both.take(k, axis=2), x)
+            a_lo *= x
+            a_lo[first], v_lo[first] = a0[bad], v0[bad]
+            hi, a_hi, v_hi = np.empty_like(lo), np.empty_like(lo), np.empty_like(lo)
+            hi[:-1], a_hi[:-1], v_hi[:-1] = lo[1:], a_lo[1:], v_lo[1:]
+            hi[last], a_hi[last], v_hi[last] = s1, a1[bad], v1[bad]
+            wide = hi > lo  # m steps across a few ulps round to fewer
+            k, s0, s1, a0, a1, v0, v1 = (
+                part[wide] for part in (k, lo, hi, a_lo, a_hi, v_lo, v_hi))
+            h = radius[k] * (a1 - a0)
+        else:
+            done.append((s0, s1 - s0, h, *_hermite_slopes(s1 - s0, h, v0, v1)))
+    s0, w, h, b0, b1 = (np.concatenate(part) for part in zip(*done))
+    order = np.argsort(s0)
+    return _table(s0[order], w[order], np.maximum(h[order], 0.0), b0[order], b1[order])
+
+
+def _table(s0: np.ndarray, w: np.ndarray, h: np.ndarray, b0: np.ndarray, b1: np.ndarray):
+    """The stepper's table (lengths, rows) from intervals in s order, each
+    with its start s0, width w, length h and end slopes b0, b1 (see
+    _hermite_slopes): the cumulative length at every entry, and per
+    interval the row (l0, h, s0, c1, c2, c3) of _s_at."""
+    lengths = np.zeros(len(h) + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # _step_states rejects the total
-        np.cumsum(_row_norms(np.diff(curve.positions(grid), axis=0)), out=lengths[1:])
-    return grid, lengths
+        np.cumsum(h, out=lengths[1:])
+        rows = np.stack((lengths[:-1], h, s0, w * (1.0 + b0), -w * (b0 + b0 + b1), w * (b0 + b1)))
+    return lengths, rows
+
+
+def _s_at(table: tuple, ells: np.ndarray) -> np.ndarray:
+    """s at the arc lengths ells, by the inverse cubic Hermite of each
+    one's table interval k, where lengths[k] <= ell < lengths[k + 1] (the
+    first or the last beyond the ends): with (l0, h, s0, c1, c2, c3) the
+    interval's row and x = (ell - l0) / h,
+    s = s0 + x * (c1 + x * (c2 + x * c3)).
+
+    That is s0 + w * (x + x * (1 - x) * (b0 * (1 - x) - b1 * x)) in power
+    form, the cubic from s0 to s0 + w whose slopes at the ends are (1 + b)
+    w / h; with b0 = b1 = 0, exactly s0 + x * w.  The step loop of
+    _step_states does the same operations on Python floats.
+    """
+    lengths, rows = table
+    # k by np.interp over the entry indices, whose search starts from the
+    # last query's interval: on rising ells several times faster than
+    # np.searchsorted.  Its value is k, k plus a fraction, or rounds up to
+    # k + 1, whose length is then above ell; past the end it is K.
+    k = np.interp(ells, lengths, np.arange(len(lengths), dtype=float)).astype(np.intp)
+    k -= lengths[k] > ells
+    np.minimum(k, rows.shape[1] - 1, out=k)
+    l0, h, s0, c1, c2, c3 = rows.take(k, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # past the end
+        x = (ells - l0) / h
+        return s0 + x * (c1 + x * (c2 + x * c3))
 
 
 def _stretch_steps(t: float, ell: float, stretch: tuple, dt: float, budget: float,
-                   lengths: np.ndarray, s_grid: np.ndarray):
+                   table: tuple):
     """Take the full steps of one equal-speed stretch from (t, ell) at once.
 
     stretch is (lo, hi, v, hi_length): speed v for s in [lo, hi), arc
     length hi_length at hi; the caller has checked that the first step is
     a full one in it.  Times and lengths are np.add.accumulate's sequential
-    sums, the adds of the step loop, and s is np.interp over the arc table.
+    sums, the adds of the step loop, and s is _s_at over the table.
     Returns the times and s after each step before the first that would
     reach the path end, be cut short by the budget or start outside
     [lo, hi), and the length reached.
@@ -310,10 +490,10 @@ def _stretch_steps(t: float, ell: float, stretch: tuple, dt: float, budget: floa
     ells = np.full(count + 1, v * dt)
     ells[0] = ell
     np.add.accumulate(ells, out=ells)
-    s = np.interp(ells[1:], lengths, s_grid)
+    s = _s_at(table, ells[1:])
     # stop[k]: step k (from state k to k + 1) is not a full step in the stretch.
     stop = budget - times[:-1] < dt
-    stop |= ells[1:] >= lengths[-1]
+    stop |= ells[1:] >= table[0][-1]
     stop[1:] |= (s[:-1] < lo) | (s[:-1] >= hi)
     n = int(stop.argmax()) or count  # stop[0] is False, so 0 means no stop
     return times[1:n + 1], s[:n], float(ells[n])
@@ -322,19 +502,19 @@ def _stretch_steps(t: float, ell: float, stretch: tuple, dt: float, budget: floa
 def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: float):
     """Advance along the curve in fixed time steps of dt.
 
-    Each step moves speed*dt units of arc length, resolved through a dense
-    precomputed arc-length table (speed is read at the step's start); the
+    Each step moves speed*dt units of arc length (speed is read at the
+    step's start) and reads s there off the arc-length table (_s_at); the
     final step is shortened to land exactly on the path end or on the
     budget.  One forward cursor walks the route's speed pieces: runs of
     knots that share a speed, whose full steps are taken in array passes
     (_stretch_steps), and single knot intervals where the speed varies,
-    whose steps read the speed off the piece's line and s at a length
-    through a forward cursor over the piece's arc-table entries, so a step
-    costs the same whatever the table size.  Either way the values equal a
-    step loop over np.interp bit for bit.  Returns arrays (times, s_values)
-    starting at t=0, and completed.  Raises ArcLengthError when the path
-    length overflows and SimTooLargeError when the estimated step count
-    exceeds MAX_STEPS.
+    whose steps read the speed off the piece's line and s through a forward
+    cursor over the table's intervals, so a step costs the same whatever
+    the table size.  Either way the values equal a step loop over a search
+    of the table bit for bit.  Returns arrays (times, s_values) starting at
+    t=0, and completed.  Raises ArcLengthError when the path length
+    overflows and SimTooLargeError, before the table's inversion is
+    refined, when the estimated step count exceeds MAX_STEPS.
     """
     if len(profile.speeds) != len(curve.keypoints):
         raise ValueError(
@@ -344,10 +524,11 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be > 0, got {dt!r}")
 
-    s_table, length_table = _arc_length_table(curve)
-    total = float(length_table[-1])
+    s_table, parts, interpolant = _arc_intervals(curve)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.cumsum(parts)[-1])
     if not math.isfinite(total):
-        raise ArcLengthError("path length overflows (keypoint coordinates too large)")
+        raise ArcLengthError(_PATH_OVERFLOWS)
     # No step is slower than the slowest keypoint speed, so this bounds the
     # step count; ceil(x) > MAX_STEPS exactly when x > MAX_STEPS.
     estimate = min(budget, total / float(profile.speeds.min())) / dt
@@ -356,37 +537,40 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
             f"about {estimate:.3g} time steps at dt={dt!r} exceed the limit of "
             f"{MAX_STEPS}; use a larger dt"
         )
+    lengths, rows = table = _hermite_table(s_table, parts, interpolant)
+    total = float(lengths[-1])  # the refined table's sum, up to rounding the same
 
     # Python floats: one step is a few scalar operations, which numpy calls
     # would dominate.  A piece (lo, hi, y, slope, first, last) runs from knot
-    # i to knot j, whose table entries are first = i * ARC_TABLE_SAMPLES and
-    # last = j * ARC_TABLE_SAMPLES: a run of knots sharing the speed y (slope
-    # 0), or one knot interval where the speed varies.  For lo <= s,
-    # slope * (s - lo) + y is np.interp's value on the interval, and on a knot
-    # while the slope is finite.  The length cursor keeps an interval (a_lo,
-    # a_hi) = (lengths[aj], lengths[aj + 1]) of a varying piece's entries,
-    # loaded as Python floats on entering it, with the left value a_y and the
-    # slope computed once when it moves there; for a_lo < ell < a_hi these
-    # are np.interp's interval and operations.  The cursor only moves
-    # forward, and the entries end in a NaN, where a walk stops with a NaN
-    # line; a slope-0 piece has the NaN alone.  Every other case, a few per
-    # traversal, calls np.interp on the whole table: a NaN line (a step past
-    # the piece's last entry, or an infinite slope on a knot), ell on an
-    # entry, s or ell behind the cursor (a line can overshoot a table knot by
-    # an ulp, so s may step back), and s at or past the last knot.
+    # i to knot j, whose table entries are first and last: a run of knots
+    # sharing the speed y (slope 0), or one knot interval where the speed
+    # varies.  For lo <= s, slope * (s - lo) + y is np.interp's value on the
+    # interval, and on a knot while the slope is finite.  The length cursor
+    # keeps the table interval aj of a varying piece, loaded as Python
+    # floats on entering it, with its row (a_l0, ..., a_c3) and the next
+    # entry's length a_hi: for a_l0 <= ell < a_hi it is the interval _s_at's
+    # search finds.  The cursor only moves forward, and the piece's lengths
+    # end in a NaN, where a walk stops; a slope-0 piece has the NaN alone.
+    # Every other case, a few per traversal, searches the whole table
+    # (s_at): ell past the piece's last entry or behind the cursor (a line
+    # can overshoot a knot by an ulp, so s may step back), and the speed of
+    # s behind lo or of an infinite slope on a knot (np.interp).
     def speed_at(x):
         return float(np.interp(x, profile.knots, profile.speeds))
 
-    def s_at(x):
-        return float(np.interp(x, length_table, s_table))
+    def s_at(ell):  # _s_at of one ell < total
+        l0, h, s0, c1, c2, c3 = rows[:, int(np.searchsorted(lengths, ell, "right")) - 1].tolist()
+        x = (ell - l0) / h
+        return s0 + x * (c1 + x * (c2 + x * c3))
 
     knots, speeds = profile.knots.tolist(), profile.speeds.tolist()
+    entries = np.searchsorted(rows[2], curve.grid(1)).tolist()  # each knot's table entry
     # Piece ends: the first and last knots, and each knot where the speed
     # changes on either side.  An endless piece closes the list.
     ends = [j for j in range(len(knots))
             if not (0 < j < len(knots) - 1 and speeds[j - 1] == speeds[j] == speeds[j + 1])]
     pieces = [(knots[i], knots[j], speeds[i], (speeds[j] - speeds[i]) / (knots[j] - knots[i]),
-               i * ARC_TABLE_SAMPLES, j * ARC_TABLE_SAMPLES) for i, j in zip(ends, ends[1:])]
+               entries[i], entries[j]) for i, j in zip(ends, ends[1:])]
     upcoming = iter(pieces + [(math.inf, math.inf, 0.0, 0.0, 0, 0)])
     hi = -math.inf
     times, s_values = [0.0], [0.0]  # steps since the last pass, filled in place
@@ -398,13 +582,13 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
         if s >= hi:  # one comparison per step inside a piece
             while s >= hi:
                 lo, hi, y, slope, first, last = next(upcoming)
-            end = last + 1 if slope else first
-            lengths = length_table[first:end].tolist() + [math.nan]
-            s_grid = s_table[first:end].tolist() + [math.nan]
-            aj, a_lo, a_hi = -1, lengths[0], lengths[0]  # the empty interval at the start
+            end = last if slope else first
+            bounds = lengths[first:end + 1].tolist()[1:] + [math.nan]
+            window = rows[:, first:end].T.tolist()
+            aj, a_l0, a_hi = -1, math.inf, float(lengths[first])  # the empty interval at the start
         if not slope and lo <= s and not rest < dt and ell + y * dt < total:
-            new_t, new_s, ell = _stretch_steps(t, ell, (lo, hi, y, float(length_table[last])),
-                                               dt, budget, length_table, s_table)
+            new_t, new_s, ell = _stretch_steps(t, ell, (lo, hi, y, float(lengths[last])),
+                                               dt, budget, table)
             times, s_values = [], []
             t_parts += (new_t, times)
             s_parts += (new_s, s_values)
@@ -422,18 +606,16 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
             completed = True
         else:
             ell += d_ell
-            if a_lo < ell < a_hi:
-                s = a_slope * (ell - a_lo) + a_y
-            elif a_hi <= ell:
+            if a_hi <= ell:
                 while a_hi <= ell:
                     aj += 1
-                    a_lo, a_hi = a_hi, lengths[aj + 1]
-                a_y = s_grid[aj]
-                a_slope = (s_grid[aj + 1] - a_y) / (a_hi - a_lo)
-                s = a_slope * (ell - a_lo) + a_y if a_lo < ell else math.nan
+                    a_hi = bounds[aj]
+                if aj < len(window):
+                    a_l0, a_h, a_s0, a_c1, a_c2, a_c3 = window[aj]
+            if a_l0 <= ell < a_hi:
+                x = (ell - a_l0) / a_h
+                s = a_s0 + x * (a_c1 + x * (a_c2 + x * a_c3))
             else:
-                s = math.nan
-            if s != s:
                 s = s_at(ell)
         t += step
         times.append(t)

@@ -16,8 +16,7 @@ neighbors for the boundary Catmull-Rom segments come from duplicating the
 first and last keypoints as phantom endpoints.
 
 Arc length integrates |dP/ds| by vectorized adaptive Gauss-Lobatto
-quadrature (nodes from numpy.polynomial.legendre), so the module needs
-numpy alone.
+quadrature, so the module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -35,28 +34,24 @@ DEFAULT_TENSION = 0.5
 # max(ARC_LENGTH_ABS_TOL, ARC_LENGTH_REL_TOL * length).
 ARC_LENGTH_REL_TOL = 1e-8
 ARC_LENGTH_ABS_TOL = 1e-12
-# Gauss-Lobatto nodes per interval, and the bounds on the adaptive
-# subdivision: how many intervals one quadrature pass may cover (about
-# 80 MB of catmull_rom temporaries at the limit) and how many times an
-# interval may be halved.
-ARC_LENGTH_NODES = 10
+# Bounds on the adaptive subdivision: how many intervals one quadrature
+# pass may cover (about 80 MB of catmull_rom temporaries at the limit) and
+# how many times an interval may be halved.
 ARC_LENGTH_MAX_INTERVALS = 1 << 16
 ARC_LENGTH_MAX_DEPTH = 60
 
-
-def _lobatto_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Lobatto nodes and weights on [-1, 1].
-
-    The nodes are both ends and the roots of P'_{n-1}, the derivative of
-    the Legendre polynomial of degree n-1; the rule is exact to degree
-    2n-3.
-    """
-    legendre = np.polynomial.legendre.Legendre.basis(n - 1)
-    x = np.concatenate(([-1.0], np.sort(legendre.deriv().roots()), [1.0]))
-    return x, 2.0 / (n * (n - 1) * legendre(x) ** 2)
-
-
-_LOBATTO_NODES, _LOBATTO_WEIGHTS = _lobatto_rule(ARC_LENGTH_NODES)
+# The 10-point Gauss-Lobatto rule on [-1, 1]: both ends and the roots of
+# P'_9, the derivative of the Legendre polynomial of degree 9, with weights
+# 2 / (90 P_9(x)^2); exact to degree 17.  The nodes are not quite symmetric:
+# these are the bits numpy.polynomial.legendre's root finder gave them.
+_LOBATTO_NODES = np.array([
+    -1.0, -0.9195339081664605, -0.7387738651055052, -0.4779249498104439,
+    -0.16527895766638742, 0.1652789576663872, 0.47792494981044475, 0.7387738651055051,
+    0.9195339081664591, 1.0])
+_LOBATTO_WEIGHTS = np.array([
+    0.022222222222222185, 0.13330599085107028, 0.22488934206312652, 0.2920426836796838,
+    0.32753976118389744, 0.32753976118389744, 0.2920426836796838, 0.22488934206312663,
+    0.1333059908510702, 0.022222222222222185])
 
 # Parameter values per evaluation block: a bezier evaluation holds two
 # arrays of at most N x DE_CASTELJAU_ROWS x 3 floats at once, 96 KB per
@@ -99,7 +94,7 @@ def _hermite_weights_deriv(u):
 
 def _check_parameters(ss) -> np.ndarray:
     ss = np.atleast_1d(np.asarray(ss, dtype=float))
-    if not np.all(np.isfinite(ss)) or np.any(ss < 0.0) or np.any(ss > 1.0):
+    if ss.size and not (0.0 <= ss.min() and ss.max() <= 1.0):  # a NaN fails too
         raise ValueError("curve parameter s must lie in [0, 1]")
     return ss
 
@@ -365,11 +360,13 @@ def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, _NEXT] * b[:, _PREV] - a[:, _PREV] * b[:, _NEXT]
 
 
-def _lobatto(speeds, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Gauss-Lobatto integrals of speeds over each interval [lo, hi].
+def _lobatto(speeds, lo: np.ndarray, hi: np.ndarray):
+    """Gauss-Lobatto integrals of speeds over each interval [lo, hi], and
+    the (k, nodes) speeds they were summed from.
 
     All intervals are evaluated in one speeds call.  The end nodes are set
-    to lo and hi exactly, so rounding never takes a node out of [0, 1].
+    to lo and hi exactly, so rounding never takes a node out of [0, 1], and
+    each row's first and last speed is the speed at lo and at hi.
     """
     if len(lo) > ARC_LENGTH_MAX_INTERVALS:
         raise ArcLengthError(
@@ -377,10 +374,15 @@ def _lobatto(speeds, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _LOBATTO_NODES
     nodes[:, 0], nodes[:, -1] = lo, hi
-    return half * (speeds(nodes.ravel()).reshape(nodes.shape) @ _LOBATTO_WEIGHTS)
+    values = speeds(nodes.ravel()).reshape(nodes.shape)
+    return half * (values @ _LOBATTO_WEIGHTS), values
 
 
-def _adaptive_lobatto(speeds, lo: np.ndarray, hi: np.ndarray) -> float:
+_SPEED_OVERFLOWS = "arc length: the curve speed overflows (coordinates too large)"
+
+
+def _adaptive_lobatto(speeds, lo: np.ndarray, hi: np.ndarray, accepted: list | None = None,
+                      overflow: str = _SPEED_OVERFLOWS) -> float:
     """Integral of speeds over the adjacent intervals [lo[i], hi[i]], summed.
 
     Adaptive bisection after Guenter & Parent, "Computing the arc length of
@@ -391,7 +393,10 @@ def _adaptive_lobatto(speeds, lo: np.ndarray, hi: np.ndarray) -> float:
     * w / W, where L is the current estimate of the whole integral and W
     the whole width, so the accepted differences add up to at most the
     tolerance of the whole range; the rest are halved again.  Each level
-    costs one speeds call over all pending intervals.
+    costs one speeds call over all pending intervals.  A list given as
+    accepted gets, per level, the accepted halves as (starts, stops, the
+    (k, 10) speeds at their Lobatto nodes).  A speed that overflows raises
+    ArcLengthError(overflow).
 
     The rule is Lobatto, not Gauss-Legendre, because its nodes include the
     interval's ends.  Near-cusps sit at the cuts, so at interval ends, and
@@ -399,17 +404,18 @@ def _adaptive_lobatto(speeds, lo: np.ndarray, hi: np.ndarray) -> float:
     miss one in the whole and in both halves alike.
     """
     span = hi[-1] - lo[0]
-    whole = _lobatto(speeds, lo, hi)
+    whole = _lobatto(speeds, lo, hi)[0]
     total = 0.0
     for _ in range(ARC_LENGTH_MAX_DEPTH):
         mid = 0.5 * (lo + hi)
         n = len(lo)
-        halves = _lobatto(speeds, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+        starts, stops = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        halves, values = _lobatto(speeds, starts, stops)
         left, right = halves[:n], halves[n:]
         both = left + right
         estimate = total + float(both.sum())
         if not math.isfinite(estimate):  # checked at once: NaN never converges
-            raise ArcLengthError("arc length: the curve speed overflows (coordinates too large)")
+            raise ArcLengthError(overflow)
         # A subnormal span can overflow the budget to inf, which accepts
         # every interval: the span is then below the tolerance / 1.8e308, so
         # at a finite speed the whole length is below the tolerance too.
@@ -417,6 +423,9 @@ def _adaptive_lobatto(speeds, lo: np.ndarray, hi: np.ndarray) -> float:
             budget = max(ARC_LENGTH_ABS_TOL, ARC_LENGTH_REL_TOL * estimate) / span
         done = np.abs(both - whole) <= budget * (hi - lo)
         total += float(both[done].sum())
+        if accepted is not None:
+            kept = np.concatenate((done, done))
+            accepted.append((starts[kept], stops[kept], values[kept]))
         if done.all():
             return total
         todo = ~done

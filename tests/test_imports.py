@@ -24,7 +24,7 @@ import contextlib, io, json, sys
 def loaded(prefixes, modules):
     return sorted(m for m in modules if m.startswith(prefixes))
 
-heavy = ("scipy", "xml.sax", "urllib")
+heavy = ("scipy", "xml.sax", "urllib", "numpy.polynomial")
 before = set(sys.modules)
 import searoam
 from searoam.cli import main
@@ -53,7 +53,7 @@ def test_scipy_is_loaded_only_by_study_analyze(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["codes"] == [0, 0, 0]
-    assert report["import"] == []  # no scipy*, xml.sax* or urllib* module
+    assert report["import"] == []  # no scipy*, xml.sax*, urllib* or numpy.polynomial* module
     assert report["path_sim"] == []
     assert "scipy.special" in report["study"]  # the lazy import does run
 

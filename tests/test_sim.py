@@ -1,3 +1,4 @@
+import bisect
 import json
 import math
 from unittest import mock
@@ -18,7 +19,8 @@ from searoam.sim import (
     simulate,
     traverse,
 )
-from searoam.spline import ArcLengthError, PathCurve
+from searoam import spline
+from searoam.spline import ArcLengthError, PathCurve, _row_norms
 
 from conftest import DATA_DIR, GOLDEN_DIR, HUGE_ZIGZAG, chordal_arc_length
 
@@ -456,10 +458,43 @@ def test_simresult_json_dict_fields():
 # The loops the kernels in searoam.sim replaced.  Each property below
 # requires the kernel to equal its reference bit for bit.
 
-def reference_step_states(curve, profile, dt, budget):
-    s_grid, lengths = sim._arc_length_table(curve)
+def table_lookup(curve):
+    """The stepper's table for curve, read by a plain scalar interval search
+    plus the inverse cubic of sim._s_at: (total length, s at a length)."""
+    lengths, rows = sim._hermite_table(*sim._arc_intervals(curve))
+    bounds, rows = lengths.tolist(), rows.T.tolist()
+
+    def s_at(ell):
+        k = min(max(bisect.bisect_right(bounds, ell) - 1, 0), len(rows) - 1)
+        l0, h, s0, c1, c2, c3 = rows[k]
+        x = (ell - l0) / h
+        return s0 + x * (c1 + x * (c2 + x * c3))
+
+    return bounds[-1], s_at
+
+
+def chord_table(curve, samples):
+    """The sim's arc-length table before its Hermite table: the cumulative
+    sum of the _row_norms chords of curve.grid(samples) after a leading 0.0.
+    The sum runs in extended precision, so that its rounding over 2^16
+    chords per segment stays below the differences it judges."""
+    grid = curve.grid(samples)
+    lengths = np.zeros(len(grid))
+    lengths[1:] = np.cumsum(_row_norms(np.diff(curve.positions(grid), axis=0)), dtype=np.longdouble)
+    return grid, lengths
+
+
+def chord_lookup(curve, samples):
+    """(total length, s at a length) by np.interp over chord_table."""
+    grid, lengths = chord_table(curve, samples)
+    return float(lengths[-1]), lambda ell: float(np.interp(ell, lengths, grid))
+
+
+def reference_step_states(curve, profile, dt, budget, lookup=None):
+    """The step loop of sim._step_states, one step at a time, reading s off
+    lookup (default: table_lookup)."""
+    total, s_at = lookup or table_lookup(curve)
     knots = np.linspace(0.0, 1.0, len(profile.speeds))
-    total = lengths[-1]
     times, s_values = [0.0], [0.0]
     t, s, ell = 0.0, 0.0, 0.0
     completed = total == 0.0
@@ -473,7 +508,7 @@ def reference_step_states(curve, profile, dt, budget):
             completed = True
         else:
             ell += d_ell
-            s = float(np.interp(ell, lengths, s_grid))
+            s = s_at(ell)
         t += step
         times.append(t)
         s_values.append(s)
@@ -637,15 +672,84 @@ def grazing_rays(draw):
            lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=40)),
        kind=st.sampled_from(["polyline", "bezier", "catmull_rom"]),
        tension=st.sampled_from([0.0, 0.5, 1.0]))
-def test_arc_length_table_equals_norm_cumsum(pts, kind, tension):
-    # Keypoints from a small pool, so duplicates and reversals occur; a
-    # bezier table costs O(N^2) per point, so its routes stay short.
-    curve = PathCurve(kind, pts[:8] if kind == "bezier" else pts, tension)
-    grid, lengths = sim._arc_length_table(curve)
-    p = curve.positions(curve.grid(sim.ARC_TABLE_SAMPLES))
-    expected = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(p, axis=0), axis=1))])
-    assert grid.tobytes() == curve.grid(sim.ARC_TABLE_SAMPLES).tobytes()
-    assert lengths.tobytes() == expected.tobytes()
+def test_arc_table_ends_at_arc_length(pts, kind, tension):
+    # Keypoints from a small pool, so duplicates, reversals and cusps occur.
+    curve = PathCurve(kind, pts[:12] if kind == "bezier" else pts, tension)
+    lengths, rows = sim._hermite_table(*sim._arc_intervals(curve))
+    starts = rows[2]
+    assert starts[0] == 0.0 and np.all(np.diff(starts) > 0.0) and np.all(np.diff(lengths) >= 0.0)
+    assert np.isin(curve.grid(1)[:-1], starts).all()  # every keypoint knot is an entry
+    if kind == "polyline":  # chord-exact
+        chords = np.linalg.norm(np.diff(curve.keypoints, axis=0), axis=1)
+        assert lengths.tobytes() == np.concatenate([[0.0], np.cumsum(chords)]).tobytes()
+    else:
+        length = curve.arc_length()
+        tol = max(spline.ARC_LENGTH_ABS_TOL, spline.ARC_LENGTH_REL_TOL * length)
+        assert abs(lengths[-1] - length) <= tol
+
+
+# time_used on the sim goldens from the 2048-chord arc table that the
+# Hermite table replaced.
+PARENT_TIME_USED = {
+    ("sim_readme", "polyline"): 50.1163412690965,
+    ("sim_readme", "bezier"): 50.01996427157362,
+    ("sim_readme", "catmull_rom"): 57.50575284552592,
+    ("sim_spread", "polyline"): 113.17786479817083,
+    ("sim_spread", "bezier"): 49.68235652929624,
+    ("sim_spread", "catmull_rom"): 116.44495996365258,
+}
+# Per golden: its route, scene, --dt, and the directories of its outputs.
+SIM_GOLDENS = {
+    "sim_readme": (DATA_DIR / "demo_route_speeds.csv", DATA_DIR / "demo_scene.json", 0.005,
+                   [GOLDEN_DIR / "sim_readme"]),
+    "sim_spread": (GOLDEN_DIR / "sim_spread" / "route.csv", GOLDEN_DIR / "sim_spread" / "scene.json",
+                   0.02, [GOLDEN_DIR / "sim_spread" / "sigma_0", GOLDEN_DIR / "sim_spread" / "sigma_0.05"]),
+}
+
+
+@pytest.mark.parametrize("golden, kind", sorted(PARENT_TIME_USED))
+def test_golden_time_used_at_least_as_close_to_fine_chords(golden, kind):
+    # The reference steps over a chord table of 2^16 samples per segment.
+    route, scene, dt, outputs = SIM_GOLDENS[golden]
+    keypoints = geo.load_keypoints(route.read_text())
+    curve = PathCurve(kind, keypoints[:, :3])
+    budget = SceneSpec.from_json(scene.read_text()).energy_budget
+    times, _, _ = reference_step_states(curve, SpeedProfile.from_keypoints(keypoints), dt, budget,
+                                        chord_lookup(curve, 1 << 16))
+    parent_miss = abs(PARENT_TIME_USED[golden, kind] - times[-1])
+    for out in outputs:
+        time_used = json.loads((out / f"sim_{kind}.json").read_text())["time_used"]
+        assert abs(time_used - times[-1]) <= parent_miss
+
+
+def random_walk(n, seed=7):
+    return np.cumsum(np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 3)), axis=0)
+
+
+@pytest.mark.parametrize("kind, n", [("catmull_rom", 1000), ("bezier", 100)])
+def test_table_work_grows_linearly_in_the_keypoints(kind, n):
+    # The 2048-chord table evaluated 2048 (N - 1) parameters, each bezier one
+    # at O(N^2); the quadrature evaluates about 100 (N - 1) on these routes,
+    # and the Hermite refinement none.
+    evaluated, evaluate = [], PathCurve._evaluate
+
+    def counted(curve, ss, deriv):
+        evaluated.append(np.size(ss))
+        return evaluate(curve, ss, deriv)
+
+    curve = PathCurve(kind, random_walk(n))
+    with mock.patch.object(PathCurve, "_evaluate", counted):
+        sim._step_states(curve, SpeedProfile(np.ones(n)), 1.0, 300.0)
+    assert sum(evaluated) <= 200 * (n - 1)
+    lengths, _ = sim._hermite_table(*sim._arc_intervals(curve))
+    assert len(lengths) <= 50 * (n - 1)
+
+
+def test_step_estimate_is_checked_before_the_table_is_refined():
+    curve = PathCurve("catmull_rom", random_walk(1000))
+    with mock.patch.object(sim, "_hermite_table") as refine, pytest.raises(SimTooLargeError):
+        sim._step_states(curve, SpeedProfile(np.ones(1000)), 1e-9, 300.0)
+    assert refine.call_count == 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -701,6 +805,19 @@ def test_arc_length_table_equals_norm_cumsum(pts, kind, tension):
 @example(kind="polyline", picks=[0, 1, 2],
          pool=[(0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (4.0, 3.0, 0.0)],
          speeds=[1.0, 1.0, 2.5, 2.5, 2.5], dt=0.05, budget=300.0)
+# The new table's cases: a zero-length catmull_rom segment (three equal
+# keypoints at the start), a bezier cusp on an interval end (the route
+# reverses along x at the knot s = 1/2), and a varying-speed piece entered
+# straight from an array pass on a curve.
+@example(kind="catmull_rom", picks=[0, 0, 0, 1, 2],
+         pool=[(0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (4.0, 3.0, 0.0)],
+         speeds=[1.0, 2.5, 0.5, 7.0, 1.0], dt=0.05, budget=300.0)
+@example(kind="bezier", picks=[0, 1, 0],
+         pool=[(0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (4.0, 3.0, 0.0)],
+         speeds=[1.0, 2.5, 0.5, 7.0, 1.0], dt=0.005, budget=300.0)
+@example(kind="catmull_rom", picks=[0, 1, 2],
+         pool=[(0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (4.0, 3.0, 0.0)],
+         speeds=[1.0, 1.0, 2.5, 2.5, 2.5], dt=0.05, budget=300.0)
 def test_step_states_equal_reference(kind, picks, pool, speeds, dt, budget):
     curve = PathCurve(kind, [pool[i] for i in picks])
     profile = SpeedProfile(np.array(speeds[:len(picks)]))
@@ -713,19 +830,21 @@ def test_step_states_equal_reference(kind, picks, pool, speeds, dt, budget):
 @pytest.mark.parametrize("kind", ["polyline", "bezier", "catmull_rom"])
 def test_step_states_search_only_off_the_cursors(kind):
     # The demo route at a different speed per keypoint, so no array pass
-    # applies: the cursors resolve its ~10k steps, and np.interp sees only
-    # the few lookups they leave, such as a step past a piece's last entry.
+    # applies: the cursors resolve its ~10k steps, and the searches (the
+    # speeds' np.interp, the table's np.searchsorted) see only the few
+    # lookups they leave, such as a step past a piece's last entry.
     keypoints = geo.load_keypoints((DATA_DIR / "demo_route_speeds.csv").read_text())
     curve = PathCurve(kind, keypoints[:, :3])
     profile = SpeedProfile(np.array([800.0, 600.0, 900.0, 700.0, 1000.0, 650.0]))
-    with mock.patch.object(sim.np, "interp", side_effect=np.interp) as counted:
+    with mock.patch.object(sim.np, "interp", side_effect=np.interp) as interp, \
+         mock.patch.object(sim.np, "searchsorted", side_effect=np.searchsorted) as search:
         times, _, _ = sim._step_states(curve, profile, 0.005, 300.0)
     assert len(times) > 10_000
-    assert counted.call_count <= 30
+    assert interp.call_count + search.call_count <= 30
 
 
 def step_states_passes(curve, profile, dt, budget):
-    """_step_states' result, the number of lengths each np.interp call was
+    """_step_states' result, the number of lengths each _s_at call was
     asked for, and the steps the array passes took."""
     queried, passed = [], []
 
@@ -734,12 +853,12 @@ def step_states_passes(curve, profile, dt, budget):
         passed.append(len(times))
         return times, s_values, ell
 
-    def interp(x, *args):
-        queried.append(np.size(x))
-        return numpy_interp(x, *args)
+    def s_at(table, ells):
+        queried.append(np.size(ells))
+        return table_s_at(table, ells)
 
-    take_stretch, numpy_interp = sim._stretch_steps, np.interp
-    with mock.patch.object(sim.np, "interp", side_effect=interp), \
+    take_stretch, table_s_at = sim._stretch_steps, sim._s_at
+    with mock.patch.object(sim, "_s_at", side_effect=s_at), \
          mock.patch.object(sim, "_stretch_steps", side_effect=stretch_steps):
         result = sim._step_states(curve, profile, dt, budget)
     return result, queried, sum(passed)

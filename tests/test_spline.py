@@ -461,6 +461,22 @@ def test_arc_length_of_a_1e_300_chord():
     assert length == pytest.approx(1e-300, rel=1e-12, abs=0.0)
 
 
+def lobatto_rule(n):
+    """n-point Gauss-Lobatto nodes and weights on [-1, 1], from numpy's
+    Legendre polynomials: both ends and the roots of P'_{n-1}, the
+    derivative of the Legendre polynomial of degree n-1; the rule is exact
+    to degree 2n-3."""
+    legendre = np.polynomial.legendre.Legendre.basis(n - 1)
+    x = np.concatenate(([-1.0], np.sort(legendre.deriv().roots()), [1.0]))
+    return x, 2.0 / (n * (n - 1) * legendre(x) ** 2)
+
+
+def test_lobatto_literals_equal_the_legendre_rule():
+    nodes, weights = lobatto_rule(len(spline._LOBATTO_NODES))
+    assert spline._LOBATTO_NODES.tobytes() == nodes.tobytes()
+    assert spline._LOBATTO_WEIGHTS.tobytes() == weights.tobytes()
+
+
 def test_arc_length_subdivision_bounds(monkeypatch, demo_pts):
     curve = PathCurve.catmull_rom(demo_pts)
     monkeypatch.setattr(spline, "ARC_LENGTH_MAX_INTERVALS", 8)
