@@ -17,19 +17,9 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .spline import (
-    ARC_LENGTH_ABS_TOL,
-    ARC_LENGTH_MAX_DEPTH,
-    ARC_LENGTH_MAX_INTERVALS,
-    ARC_LENGTH_REL_TOL,
-    ArcLengthError,
-    PathCurve,
-    _adaptive_lobatto,
-    _cross_rows,
-    _LOBATTO_NODES,
-    _row_norms,
-    _rowdot,
-)
+from .spline import (ARC_LENGTH_ABS_TOL, ARC_LENGTH_MAX_DEPTH, ARC_LENGTH_MAX_INTERVALS,
+                     ARC_LENGTH_REL_TOL, _LOBATTO_NODES, ArcLengthError, PathCurve,
+                     _adaptive_lobatto, _cross_rows, _row_norms, _rowdot)
 
 DEFAULT_ENERGY_BUDGET = 300.0
 DEFAULT_AGENT_RADIUS = 1.0
@@ -287,20 +277,15 @@ class Trajectory:
 
 
 _PATH_OVERFLOWS = "path length overflows (keypoint coordinates too large)"
-
-
-# Monomial coefficients, in x on [-1, 1], of the polynomial of degree 9
-# through values at the ten Lobatto nodes: _NODE_MONOMIALS @ values.  It is
-# the polynomial the Lobatto rule integrates exactly.
+# Coefficients, in x on [-1, 1], of the polynomial through values at the ten
+# Lobatto nodes (_NODE_MONOMIALS @ values), the one the rule integrates; times
+# _INTEGRATE, those of its antiderivative x * sum(c[m] x^m).
 _NODE_MONOMIALS = np.linalg.inv(np.vander(_LOBATTO_NODES, increasing=True))
-# Times these, the coefficients c of its antiderivative x * sum(c[m] x^m).
 _INTEGRATE = 1.0 / np.arange(1, len(_LOBATTO_NODES) + 1)
-# The largest split of one interval in one level of _hermite_table.
-_MAX_SPLIT = 256
 
 
 def _horner(coef: np.ndarray, x) -> np.ndarray:
-    """sum(coef[m] * x**m) over the first axis of coef, by Horner's rule."""
+    """sum(coef[m] * x**m) over the first axis of coef."""
     out = coef[-1] * x
     for c in coef[-2:0:-1]:
         out += c
@@ -310,18 +295,14 @@ def _horner(coef: np.ndarray, x) -> np.ndarray:
 
 
 def _arc_intervals(curve: PathCurve):
-    """The route cut into the first intervals of the stepper's table.
-
-    Returns (s, parts, interpolant): K + 1 entries s rising from 0 to 1,
-    every keypoint knot j/(N-1) among them, and the K interval lengths.  A
-    polyline's intervals are its segments, with their _row_norms chords as
-    lengths, and interpolant is None.  The other kinds are cut at the knots
-    and at their speed kinks, and their intervals are the halves that
-    spline._adaptive_lobatto accepts.  interpolant holds, per half and in x
-    on [-1, 1] across it, the (10, K) coefficients of the polynomial through
-    the ten speeds its Lobatto rule summed and of that polynomial's
-    antiderivative; a half's length is the antiderivative's rise, the
-    rule's sum up to rounding.
+    """(s, parts, interpolant): the first intervals of the stepper's table,
+    K + 1 entries s from 0 to 1, every keypoint knot j/(N-1) among them,
+    and the K lengths.  A polyline's are its segments and _row_norms chords
+    (interpolant None).  The other kinds' are the halves that
+    spline._adaptive_lobatto accepts on the curve cut at the knots and the
+    speed kinks; interpolant is the (10, K) coefficients, in x on [-1, 1]
+    across each half, of the polynomial through the speeds its Lobatto rule
+    summed and of that polynomial's antiderivative, whose rise is the length.
     """
     knots = curve.grid(1)
     if curve.kind == "polyline":
@@ -340,44 +321,54 @@ def _arc_intervals(curve: PathCurve):
     return np.append(starts[order], 1.0), parts, (speeds, length)
 
 
-def _hermite_slopes(w: np.ndarray, h: np.ndarray, v0: np.ndarray, v1: np.ndarray):
-    """The end slopes (b0, b1) of _s_at on intervals of widths w and lengths
-    h whose ends have the speeds |dP/ds| v0 and v1: each end's ds/dl =
-    1/|dP/ds| over the interval's mean w/h, minus 1.
-
-    Both are 0, a linear inversion, where either ratio lies outside (0, 3],
-    where the cubic need not rise (Fritsch & Carlson, SIAM J. Numer. Anal.
-    1980): at a cusp, where |dP/ds| = 0, and on an interval of length 0.
-    """
+def _hermite_slopes(w, h, v0, v1):
+    """The end slopes (b0, b1) of _s_at on intervals of widths w, lengths h
+    and end speeds |dP/ds| v0, v1: ds/dl = 1/|dP/ds| over the mean w/h,
+    minus 1.  Both are 0, a linear inversion, where either ratio lies
+    outside (0, 3], so the cubic could fall back (Fritsch & Carlson, SIAM J.
+    Numer. Anal. 1980): at a cusp (|dP/ds| = 0) and at length 0."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        mean = h / w
-        a0, a1 = mean / v0, mean / v1
+        a0, a1 = h / w / v0, h / w / v1
     rises = (a0 > 0.0) & (a0 <= 3.0) & (a1 > 0.0) & (a1 <= 3.0)
     return np.where(rises, a0 - 1.0, 0.0), np.where(rises, a1 - 1.0, 0.0)
 
 
 def _hermite_table(s: np.ndarray, parts: np.ndarray, interpolant) -> tuple:
-    """The stepper's table (_table) from _arc_intervals' intervals.
+    """The stepper's table (lengths, rows) from _arc_intervals: the
+    cumulative length at every entry, and per interval the row (l0, h, s0,
+    c1, c2, c3) of _s_at.
 
-    Each interval's inverse cubic Hermite (_s_at) is checked where it puts
-    half the interval's length: if the length from the interval's start to
-    that s misses the half by more than ARC_LENGTH_REL_TOL * L (at least
-    ARC_LENGTH_ABS_TOL), with L the route length, the interval is split
-    into m equal widths, m from the miss, which shrinks about as the fourth
-    power of the width; then the pieces are checked, one level at a time
-    over all of them.  After Wang, Kearney & Atkinson, "Arc-length
-    parameterized spline curves for real-time simulation" (Curves and
-    Surfaces 2002).  Lengths and speeds inside a half come from its
+    Each interval's inverse cubic Hermite is checked where it puts half the
+    interval's length.  If the length from the interval's start to that s
+    misses the half by more than ARC_LENGTH_REL_TOL * L (at least
+    ARC_LENGTH_ABS_TOL; L the route length), the interval is split into m
+    equal widths, m from the miss, which shrinks about as the width to the
+    fourth; the pieces are checked at the next level (Wang, Kearney &
+    Atkinson, "Arc-length parameterized spline curves for real-time
+    simulation", 2002).  Inside a half, lengths and speeds come from its
     polynomials, so no check or split evaluates the curve.  A miss below
-    the rounding of those polynomials, or of s itself, passes, and pieces
-    still missing after ARC_LENGTH_MAX_DEPTH levels are kept.  A polyline's
-    inversion is linear on each segment, exact as it is.
+    the rounding of those polynomials or of s passes; pieces still missing
+    after ARC_LENGTH_MAX_DEPTH levels are kept.  A polyline's segments are
+    inverted linearly, which is exact.
     """
     s0, s1 = s[:-1], s[1:]
-    if interpolant is None:
-        zeros = np.zeros(len(parts))
-        return _table(s0, s1 - s0, parts, zeros, zeros)
-    speeds, length = interpolant
+    zeros = np.zeros(len(parts))
+    done = [(s0, s1 - s0, parts, zeros, zeros)]
+    if interpolant is not None:
+        done = _refine(s0, s1, parts, *interpolant)
+    s0, w, h, b0, b1 = (np.concatenate(part) for part in zip(*done))
+    order = np.argsort(s0)
+    s0, w, h, b0, b1 = s0[order], w[order], np.maximum(h[order], 0.0), b0[order], b1[order]
+    lengths = np.zeros(len(h) + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # _step_states rejects the total
+        np.cumsum(h, out=lengths[1:])
+        rows = np.stack((lengths[:-1], h, s0, w * (1.0 + b0), -w * (b0 + b0 + b1), w * (b0 + b1)))
+    return lengths, rows
+
+
+def _refine(s0, s1, parts, speeds, length) -> list:
+    """_hermite_table's checks and splits: the intervals that pass, as
+    (s0, w, h, b0, b1) per level."""
     both = np.stack((length, speeds), axis=1)  # (10, 2, K): one _horner for both
     budget = max(ARC_LENGTH_ABS_TOL, ARC_LENGTH_REL_TOL * float(parts.sum()))
     center, radius = 0.5 * (s0 + s1), 0.5 * (s1 - s0)
@@ -394,18 +385,16 @@ def _hermite_table(s: np.ndarray, parts: np.ndarray, interpolant) -> tuple:
             b0, b1 = _hermite_slopes(w, h, v0, v1)
             x = (s0 + w * (0.5 + 0.125 * (b0 - b1)) - center[k]) / radius[k]  # _s_at at h / 2
             miss = np.abs(radius[k] * (x * _horner(length.take(k, axis=1), x) - a0) - 0.5 * h)
-            # The rounding of s itself: 4 ulp of 1 at the larger end speed.
+            # s itself rounds by up to 4 ulp of 1 at the larger end speed.
             bad = miss > np.maximum(budget, floor[k] + 2.0 ** -50 * np.maximum(v0, v1))
-            good = ~bad
-            done.append((s0[good], w[good], h[good], b0[good], b1[good]))
+            done.append((s0[~bad], w[~bad], h[~bad], b0[~bad], b1[~bad]))
             if not bad.any():
-                break
-            m = np.ceil(2.0 * np.sqrt(np.sqrt(miss[bad] / budget)))
-            m = np.minimum(m, _MAX_SPLIT).astype(np.intp)
+                return done
+            m = np.minimum(np.ceil(2.0 * np.sqrt(np.sqrt(miss[bad] / budget))), 256).astype(np.intp)
             if m.sum() > ARC_LENGTH_MAX_INTERVALS:
                 raise ArcLengthError(f"the arc-length table needs more than "
                                      f"{ARC_LENGTH_MAX_INTERVALS} new intervals at once")
-            # Piece j of an interval's m starts at lo[j] and ends at lo[j + 1].
+            # Piece j of an interval's m runs from lo[j] to lo[j + 1].
             owner = np.repeat(np.arange(len(m)), m)
             j = np.arange(len(owner)) - np.repeat(np.cumsum(m) - m, m)
             first, last = j == 0, j == m[owner] - 1
@@ -423,42 +412,24 @@ def _hermite_table(s: np.ndarray, parts: np.ndarray, interpolant) -> tuple:
             k, s0, s1, a0, a1, v0, v1 = (
                 part[wide] for part in (k, lo, hi, a_lo, a_hi, v_lo, v_hi))
             h = radius[k] * (a1 - a0)
-        else:
-            done.append((s0, s1 - s0, h, *_hermite_slopes(s1 - s0, h, v0, v1)))
-    s0, w, h, b0, b1 = (np.concatenate(part) for part in zip(*done))
-    order = np.argsort(s0)
-    return _table(s0[order], w[order], np.maximum(h[order], 0.0), b0[order], b1[order])
-
-
-def _table(s0: np.ndarray, w: np.ndarray, h: np.ndarray, b0: np.ndarray, b1: np.ndarray):
-    """The stepper's table (lengths, rows) from intervals in s order, each
-    with its start s0, width w, length h and end slopes b0, b1 (see
-    _hermite_slopes): the cumulative length at every entry, and per
-    interval the row (l0, h, s0, c1, c2, c3) of _s_at."""
-    lengths = np.zeros(len(h) + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # _step_states rejects the total
-        np.cumsum(h, out=lengths[1:])
-        rows = np.stack((lengths[:-1], h, s0, w * (1.0 + b0), -w * (b0 + b0 + b1), w * (b0 + b1)))
-    return lengths, rows
+    return done + [(s0, s1 - s0, h, *_hermite_slopes(s1 - s0, h, v0, v1))]
 
 
 def _s_at(table: tuple, ells: np.ndarray) -> np.ndarray:
-    """s at the arc lengths ells, by the inverse cubic Hermite of each
-    one's table interval k, where lengths[k] <= ell < lengths[k + 1] (the
-    first or the last beyond the ends): with (l0, h, s0, c1, c2, c3) the
-    interval's row and x = (ell - l0) / h,
-    s = s0 + x * (c1 + x * (c2 + x * c3)).
-
-    That is s0 + w * (x + x * (1 - x) * (b0 * (1 - x) - b1 * x)) in power
-    form, the cubic from s0 to s0 + w whose slopes at the ends are (1 + b)
-    w / h; with b0 = b1 = 0, exactly s0 + x * w.  The step loop of
-    _step_states does the same operations on Python floats.
+    """s at the arc lengths ells by the inverse cubic Hermite of the table
+    interval k where lengths[k] <= ell < lengths[k + 1] (the first or last
+    beyond the ends): with x = (ell - l0) / h on its row,
+    s = s0 + x * (c1 + x * (c2 + x * c3)), the power form of
+    s0 + w * (x + x * (1 - x) * (b0 * (1 - x) - b1 * x)), which runs from
+    s0 to s0 + w with the end slopes (1 + b) w / h; exactly s0 + x * w when
+    b0 = b1 = 0.  The step loop of _step_states does the same operations on
+    Python floats.
     """
     lengths, rows = table
-    # k by np.interp over the entry indices, whose search starts from the
-    # last query's interval: on rising ells several times faster than
-    # np.searchsorted.  Its value is k, k plus a fraction, or rounds up to
-    # k + 1, whose length is then above ell; past the end it is K.
+    # k from np.interp over the entry indices, whose search starts from the
+    # last query's interval, so on rising ells it is several times faster
+    # than np.searchsorted: k, k and a fraction, or k + 1 rounded up, whose
+    # length is then above ell; K past the end.
     k = np.interp(ells, lengths, np.arange(len(lengths), dtype=float)).astype(np.intp)
     k -= lengths[k] > ells
     np.minimum(k, rows.shape[1] - 1, out=k)
