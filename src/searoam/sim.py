@@ -416,9 +416,9 @@ def _refine(s0, s1, parts, speeds, length) -> list:
 
 
 def _s_at(table: tuple, ells: np.ndarray) -> np.ndarray:
-    """s at the arc lengths ells by the inverse cubic Hermite of the table
-    interval k where lengths[k] <= ell < lengths[k + 1] (the first or last
-    beyond the ends): with x = (ell - l0) / h on its row,
+    """s at the rising arc lengths ells by the inverse cubic Hermite of the
+    table interval k where lengths[k] <= ell < lengths[k + 1] (the last one
+    past the end): with x = (ell - l0) / h on its row,
     s = s0 + x * (c1 + x * (c2 + x * c3)), the power form of
     s0 + w * (x + x * (1 - x) * (b0 * (1 - x) - b1 * x)), which runs from
     s0 to s0 + w with the end slopes (1 + b) w / h; exactly s0 + x * w when
@@ -426,17 +426,21 @@ def _s_at(table: tuple, ells: np.ndarray) -> np.ndarray:
     Python floats.
     """
     lengths, rows = table
-    # k from np.interp over the entry indices, whose search starts from the
-    # last query's interval, so on rising ells it is several times faster
-    # than np.searchsorted: k, k and a fraction, or k + 1 rounded up, whose
-    # length is then above ell; K past the end.
-    k = np.interp(ells, lengths, np.arange(len(lengths), dtype=float)).astype(np.intp)
-    k -= lengths[k] > ells
-    np.minimum(k, rows.shape[1] - 1, out=k)
-    l0, h, s0, c1, c2, c3 = rows.take(k, axis=1)
+    # As ells rise, interval k takes the run of ells from the first at or
+    # past lengths[k]: one search per entry, not per ell.
+    runs = np.diff(np.searchsorted(ells, lengths), append=len(ells))
+    runs[-2] += runs[-1]
+    l0, h, s, c1, c2, c3 = np.repeat(rows, runs[:-1], axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # past the end
-        x = (ells - l0) / h
-        return s0 + x * (c1 + x * (c2 + x * c3))
+        x = np.subtract(ells, l0, out=l0)
+        x /= h
+        c3 *= x
+        c3 += c2
+        c3 *= x
+        c3 += c1
+        c3 *= x
+        s += c3
+    return s
 
 
 def _stretch_steps(t: float, ell: float, stretch: tuple, dt: float, budget: float,

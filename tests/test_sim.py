@@ -474,10 +474,11 @@ def table_lookup(curve):
 
 
 def chord_table(curve, samples):
-    """The sim's arc-length table before its Hermite table: the cumulative
-    sum of the _row_norms chords of curve.grid(samples) after a leading 0.0.
-    The sum runs in extended precision, so that its rounding over 2^16
-    chords per segment stays below the differences it judges."""
+    """The chord table the sim stepped on before its Hermite table, at
+    samples chords per segment: the cumulative sum of the _row_norms chords
+    of curve.grid(samples) after a leading 0.0.  The sum runs in extended
+    precision, so that its rounding over 2^16 chords per segment stays below
+    the differences it judges."""
     grid = curve.grid(samples)
     lengths = np.zeros(len(grid))
     lengths[1:] = np.cumsum(_row_norms(np.diff(curve.positions(grid), axis=0)), dtype=np.longdouble)
