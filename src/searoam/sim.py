@@ -360,7 +360,7 @@ def _hermite_table(s: np.ndarray, parts: np.ndarray, interpolant) -> tuple:
     order = np.argsort(s0)
     s0, w, h, b0, b1 = s0[order], w[order], np.maximum(h[order], 0.0), b0[order], b1[order]
     lengths = np.zeros(len(h) + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # _step_states rejects the total
+    with np.errstate(over="ignore", invalid="ignore"):  # the refined sum may round past 1.8e308
         np.cumsum(h, out=lengths[1:])
         rows = np.stack((lengths[:-1], h, s0, w * (1.0 + b0), -w * (b0 + b0 + b1), w * (b0 + b1)))
     return lengths, rows
