@@ -823,9 +823,10 @@ def test_step_states_equal_reference(kind, picks, pool, speeds, dt, budget):
     curve = PathCurve(kind, [pool[i] for i in picks])
     profile = SpeedProfile(np.array(speeds[:len(picks)]))
     times, s_values, completed = sim._step_states(curve, profile, dt, budget)
-    new = (times.tolist(), s_values.tolist(), completed)
-    ref = reference_step_states(curve, profile, dt, budget)
-    assert new == ref
+    ref_times, ref_s, ref_completed = reference_step_states(curve, profile, dt, budget)
+    assert times.tobytes() == np.array(ref_times).tobytes()
+    assert s_values.tobytes() == np.array(ref_s).tobytes()
+    assert completed == ref_completed
 
 
 @pytest.mark.parametrize("kind", ["polyline", "bezier", "catmull_rom"])
