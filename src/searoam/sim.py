@@ -11,6 +11,7 @@ path or when the energy budget (default 300 s) runs out.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -39,6 +40,9 @@ DISTANCE_BLOCK = 1 << 16
 # Consecutive positions per chunk in the sphere tests, each chunk tested
 # only against the spheres in its bounding box: small, so the boxes stay tight.
 _CHUNK_ROWS = 32
+# Table intervals that the stepper's scalar steps search as Python floats
+# before they reload them with one numpy search (see _step_states).
+_WINDOW = 64
 
 
 class SimTooLargeError(ValueError):
@@ -308,7 +312,8 @@ def _arc_intervals(curve: PathCurve):
     if curve.kind == "polyline":
         with np.errstate(over="ignore", invalid="ignore"):  # _step_states rejects the total
             return knots, _row_norms(curve._diffs), None
-    cuts = np.unique(np.concatenate((knots, curve._speed_kinks())))
+    cuts = np.sort(np.concatenate((knots, curve._speed_kinks())))
+    cuts = cuts[np.append(True, cuts[1:] != cuts[:-1])]  # np.unique's, without numpy.ma
     accepted = []
     _adaptive_lobatto(lambda ss: _row_norms(curve.tangents(ss)), cuts[:-1], cuts[1:],
                       accepted, _PATH_OVERFLOWS)
@@ -480,11 +485,12 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
     Each step moves speed*dt units of arc length (speed is read at the
     step's start) and reads s there off the arc-length table (_s_at); the
     final step is shortened to land exactly on the path end or on the
-    budget.  One forward cursor walks the route's speed pieces: runs of
-    knots that share a speed, whose full steps are taken in array passes
+    budget.  The route's speed pieces are walked in order: runs of knots
+    that share a speed, whose full steps are taken in array passes
     (_stretch_steps), and single knot intervals where the speed varies,
-    whose steps read the speed off the piece's line and s through a forward
-    cursor over the table's intervals, so a step costs the same whatever
+    whose steps read the speed off the piece's line.  A step outside the
+    passes reads s off the table interval it finds by bisecting a window of
+    _WINDOW intervals held as Python floats, so it costs the same whatever
     the table size.  Either way the values equal a step loop over a search
     of the table bit for bit.  Returns arrays (times, s_values) starting at
     t=0, and completed.  Raises ArcLengthError when the path length
@@ -516,63 +522,49 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
     total = float(lengths[-1])  # the refined table's sum, up to rounding the same
 
     # Python floats: one step is a few scalar operations, which numpy calls
-    # would dominate.  A piece (lo, hi, y, slope, first, last) runs from knot
-    # i to knot j, whose table entries are first and last: a run of knots
-    # sharing the speed y (slope 0), or one knot interval where the speed
-    # varies.  For lo <= s, slope * (s - lo) + y is np.interp's value on the
-    # interval, and on a knot while the slope is finite.  The length cursor
-    # keeps the table interval aj of a varying piece, loaded as Python
-    # floats on entering it, with its row (a_l0, ..., a_c3) and the next
-    # entry's length a_hi: for a_l0 <= ell < a_hi it is the interval _s_at's
-    # search finds.  The cursor only moves forward, and the piece's lengths
-    # end in a NaN, where a walk stops; a slope-0 piece has the NaN alone.
-    # Every other case, a few per traversal, searches the whole table
-    # (s_at): ell past the piece's last entry or behind the cursor (a line
-    # can overshoot a knot by an ulp, so s may step back), and the speed of
-    # s behind lo or of an infinite slope on a knot (np.interp).
-    def speed_at(x):
-        return float(np.interp(x, profile.knots, profile.speeds))
-
-    def s_at(ell):  # _s_at of one ell < total
-        l0, h, s0, c1, c2, c3 = rows[:, int(np.searchsorted(lengths, ell, "right")) - 1].tolist()
-        x = (ell - l0) / h
-        return s0 + x * (c1 + x * (c2 + x * c3))
-
+    # would dominate.  A piece (lo, hi, y, slope, hi_length) runs from knot
+    # i to knot j, at table length hi_length: a run of knots sharing the
+    # speed y (slope 0), or one knot interval where the speed varies.  For
+    # lo <= s, slope * (s - lo) + y is np.interp's value on the interval; s
+    # can step back behind lo (a line can overshoot a knot by an ulp), where
+    # np.interp gives the speed.  A step reads s off the table interval
+    # [l0, l1) it read last while ell stays in it, else off the one that
+    # bisect_right finds in the window (bounds: entries k .. k + _WINDOW,
+    # with their rows); a step past the window first reloads it from ell's
+    # interval k by one search.  Each way it is the interval _s_at's search
+    # finds: the last entry at or below ell starts it.
     knots, speeds = profile.knots.tolist(), profile.speeds.tolist()
-    entries = np.searchsorted(rows[2], curve.grid(1)).tolist()  # each knot's table entry
+    knot_lengths = lengths[np.searchsorted(rows[2], curve.grid(1))].tolist()
     # Piece ends: the first and last knots, and each knot where the speed
     # changes on either side.  An endless piece closes the list.
     ends = [j for j in range(len(knots))
             if not (0 < j < len(knots) - 1 and speeds[j - 1] == speeds[j] == speeds[j + 1])]
     pieces = [(knots[i], knots[j], speeds[i], (speeds[j] - speeds[i]) / (knots[j] - knots[i]),
-               entries[i], entries[j]) for i, j in zip(ends, ends[1:])]
-    upcoming = iter(pieces + [(math.inf, math.inf, 0.0, 0.0, 0, 0)])
+               knot_lengths[j]) for i, j in zip(ends, ends[1:])]
+    upcoming = iter(pieces + [(math.inf, math.inf, 0.0, 0.0, math.inf)])
     hi = -math.inf
+    bounds, window = [math.inf], []  # no window and no interval loaded yet
+    l0 = l1 = math.inf
     times, s_values = [0.0], [0.0]  # steps since the last pass, filled in place
     t_parts, s_parts = [times], [s_values]  # in order with the passes' arrays
     t, s, ell = 0.0, 0.0, 0.0
     completed = total == 0.0
     while not completed and t < budget:
         rest = budget - t
-        if s >= hi:  # one comparison per step inside a piece
-            while s >= hi:
-                lo, hi, y, slope, first, last = next(upcoming)
-            end = last if slope else first
-            bounds = lengths[first:end + 1].tolist()[1:] + [math.nan]
-            window = rows[:, first:end].T.tolist()
-            aj, a_l0, a_hi = -1, math.inf, float(lengths[first])  # the empty interval at the start
+        while s >= hi:  # one comparison per step inside a piece
+            lo, hi, y, slope, hi_length = next(upcoming)
         if not slope and lo <= s and not rest < dt and ell + y * dt < total:
-            new_t, new_s, ell = _stretch_steps(t, ell, (lo, hi, y, float(lengths[last])),
-                                               dt, budget, table)
+            new_t, new_s, ell = _stretch_steps(t, ell, (lo, hi, y, hi_length), dt, budget, table)
             times, s_values = [], []
             t_parts += (new_t, times)
             s_parts += (new_s, s_values)
             t, s = float(new_t[-1]), float(new_s[-1])
             continue
         step = rest if rest < dt else dt  # min(dt, rest), the same float
-        speed = slope * (s - lo) + y if lo <= s else math.nan
-        if speed != speed:
-            speed = speed_at(s)
+        if lo <= s:
+            speed = slope * (s - lo) + y
+        else:
+            speed = float(np.interp(s, profile.knots, profile.speeds))
         d_ell = speed * step
         if ell + d_ell >= total:
             step *= (total - ell) / d_ell
@@ -581,17 +573,16 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
             completed = True
         else:
             ell += d_ell
-            if a_hi <= ell:
-                while a_hi <= ell:
-                    aj += 1
-                    a_hi = bounds[aj]
-                if aj < len(window):
-                    a_l0, a_h, a_s0, a_c1, a_c2, a_c3 = window[aj]
-            if a_l0 <= ell < a_hi:
-                x = (ell - a_l0) / a_h
-                s = a_s0 + x * (a_c1 + x * (a_c2 + x * a_c3))
-            else:
-                s = s_at(ell)
+            if not l0 <= ell < l1:
+                if not bounds[0] <= ell < bounds[-1]:
+                    k = int(np.searchsorted(lengths, ell, "right")) - 1
+                    bounds = lengths[k:k + _WINDOW + 1].tolist()
+                    window = rows[:, k:k + _WINDOW].T.tolist()
+                j = bisect.bisect_right(bounds, ell) - 1
+                l0, h, s0, c1, c2, c3 = window[j]
+                l1 = bounds[j + 1]
+            x = (ell - l0) / h
+            s = s0 + x * (c1 + x * (c2 + x * c3))
         t += step
         times.append(t)
         s_values.append(s)
@@ -689,7 +680,8 @@ def _entry_pairs(points: np.ndarray, centers: np.ndarray, reach, sort: tuple):
     loose = ~(lo <= hi)
     lo[loose], hi[loose] = -math.inf, math.inf
     for chunks, cols in _box_pairs(sort, centers, lo, hi):
-        _, heads, counts = np.unique(chunks, return_index=True, return_counts=True)
+        heads = np.flatnonzero(np.diff(chunks, prepend=-1))  # chunks arrive sorted
+        counts = np.diff(heads, append=len(chunks))
         for _, at in _runs(heads, counts, DISTANCE_BLOCK // 8 // _CHUNK_ROWS):
             # Every row of each center's chunk, in one run.
             pair, rows = next(_runs(starts[chunks[at]], sizes[chunks[at]], math.inf))

@@ -268,7 +268,8 @@ class PathCurve:
         inner = self._speed_kinks()
         if self.kind == "catmull_rom":
             inner = np.concatenate((np.arange(1, self.n_segments) / self.n_segments, inner))
-        cuts = np.unique(np.concatenate(([s0, s1], inner[(inner > s0) & (inner < s1)])))
+        cuts = np.sort(np.concatenate(([s0, s1], inner[(inner > s0) & (inner < s1)])))
+        cuts = cuts[np.append(True, cuts[1:] != cuts[:-1])]  # np.unique's, without numpy.ma
         speeds = lambda ss: _row_norms(self.tangents(ss))
         return _adaptive_lobatto(speeds, cuts[:-1], cuts[1:])
 

@@ -794,8 +794,8 @@ def test_step_estimate_is_checked_before_the_table_is_refined():
          pool=[(0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (4.0, 3.0, 0.0)],
          speeds=[2.5] * 5, dt=0.005, budget=math.inf)
 # Hand-offs between speed pieces: the budget runs out in an equal-speed
-# piece that follows a varying one, so a loop step lands on a piece with no
-# table window; steps leave varying pieces past their last table entry; a
+# piece that follows a varying one, so a loop step is taken in a piece of
+# slope 0; steps leave varying pieces past their last table entry; a
 # varying piece is entered straight from an array pass.
 @example(kind="polyline", picks=[0, 1, 2],
          pool=[(0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (4.0, 3.0, 0.0)],
@@ -819,22 +819,40 @@ def test_step_estimate_is_checked_before_the_table_is_refined():
 @example(kind="catmull_rom", picks=[0, 1, 2],
          pool=[(0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (4.0, 3.0, 0.0)],
          speeds=[1.0, 1.0, 2.5, 2.5, 2.5], dt=0.05, budget=300.0)
+# Window edges (_WINDOW is also patched to 1 and 2 below): the second step
+# lands exactly on the first entry past s = 0, the last bound of a 1-interval
+# window (dt 1: speeds 1, then 32 * 0.0625 + 1 = 3); the same landing at
+# the end of a zero-length interval (a repeated keypoint), the last of a
+# 2-interval window; and a first step that lands exactly on an entry as the
+# first window is loaded.
+@example(kind="polyline", picks=[0, 1, 2, 1, 0],
+         pool=[(0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (4.0, 3.0, 0.0)],
+         speeds=[1.0, 9.0, 2.5, 0.5, 7.0], dt=1.0, budget=300.0)
+@example(kind="polyline", picks=[0, 1, 1, 2, 0],
+         pool=[(0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (4.0, 3.0, 0.0)],
+         speeds=[1.0, 9.0, 2.5, 0.5, 7.0], dt=1.0, budget=300.0)
+@example(kind="polyline", picks=[0, 1, 2, 1, 0],
+         pool=[(0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (4.0, 3.0, 0.0)],
+         speeds=[1.0, 9.0, 2.5, 0.5, 7.0], dt=4.0, budget=300.0)
 def test_step_states_equal_reference(kind, picks, pool, speeds, dt, budget):
     curve = PathCurve(kind, [pool[i] for i in picks])
     profile = SpeedProfile(np.array(speeds[:len(picks)]))
-    times, s_values, completed = sim._step_states(curve, profile, dt, budget)
     ref_times, ref_s, ref_completed = reference_step_states(curve, profile, dt, budget)
-    assert times.tobytes() == np.array(ref_times).tobytes()
-    assert s_values.tobytes() == np.array(ref_s).tobytes()
-    assert completed == ref_completed
+    for window in (sim._WINDOW, 1, 2):
+        with mock.patch.object(sim, "_WINDOW", window):
+            times, s_values, completed = sim._step_states(curve, profile, dt, budget)
+        assert times.tobytes() == np.array(ref_times).tobytes()
+        assert s_values.tobytes() == np.array(ref_s).tobytes()
+        assert completed == ref_completed
 
 
 @pytest.mark.parametrize("kind", ["polyline", "bezier", "catmull_rom"])
 def test_step_states_search_only_off_the_cursors(kind):
     # The demo route at a different speed per keypoint, so no array pass
-    # applies: the cursors resolve its ~10k steps, and the searches (the
-    # speeds' np.interp, the table's np.searchsorted) see only the few
-    # lookups they leave, such as a step past a piece's last entry.
+    # applies: the pieces' speed lines and the table window resolve its ~10k
+    # steps, and the searches (the speeds' np.interp, the table's
+    # np.searchsorted) see only the few lookups they leave, such as a step
+    # past the window.
     keypoints = geo.load_keypoints((DATA_DIR / "demo_route_speeds.csv").read_text())
     curve = PathCurve(kind, keypoints[:, :3])
     profile = SpeedProfile(np.array([800.0, 600.0, 900.0, 700.0, 1000.0, 650.0]))
@@ -843,6 +861,22 @@ def test_step_states_search_only_off_the_cursors(kind):
         times, _, _ = sim._step_states(curve, profile, 0.005, 300.0)
     assert len(times) > 10_000
     assert interp.call_count + search.call_count <= 30
+
+
+def test_step_states_search_once_per_window_on_a_large_table():
+    # A 1000-keypoint catmull-rom at a speed per keypoint, about 26k table
+    # intervals, all walked by single steps.  A step searches the table
+    # only to reload the window, and np.interp only for the speed of an s
+    # behind its piece's start, about once per keypoint.
+    n = 1000
+    curve = PathCurve("catmull_rom", random_walk(n))
+    profile = SpeedProfile(np.random.default_rng(3).uniform(20.0, 40.0, n))
+    intervals = sim._hermite_table(*sim._arc_intervals(curve))[1].shape[1]
+    with mock.patch.object(sim.np, "interp", side_effect=np.interp) as interp, \
+         mock.patch.object(sim.np, "searchsorted", side_effect=np.searchsorted) as search:
+        times, _, completed = sim._step_states(curve, profile, 0.0005, 300.0)
+    assert completed and len(times) > intervals
+    assert interp.call_count + search.call_count <= intervals / sim._WINDOW + n + 30
 
 
 def step_states_passes(curve, profile, dt, budget):
