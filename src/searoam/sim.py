@@ -20,7 +20,7 @@ import numpy as np
 
 from .spline import (ARC_LENGTH_ABS_TOL, ARC_LENGTH_MAX_DEPTH, ARC_LENGTH_MAX_INTERVALS,
                      ARC_LENGTH_REL_TOL, _LOBATTO_NODES, ArcLengthError, PathCurve,
-                     _adaptive_lobatto, _cross_rows, _row_norms, _rowdot)
+                     _adaptive_lobatto, _cross_rows, _cuts, _row_norms, _rowdot)
 
 DEFAULT_ENERGY_BUDGET = 300.0
 DEFAULT_AGENT_RADIUS = 1.0
@@ -312,8 +312,7 @@ def _arc_intervals(curve: PathCurve):
     if curve.kind == "polyline":
         with np.errstate(over="ignore", invalid="ignore"):  # _step_states rejects the total
             return knots, _row_norms(curve._diffs), None
-    cuts = np.sort(np.concatenate((knots, curve._speed_kinks())))
-    cuts = cuts[np.append(True, cuts[1:] != cuts[:-1])]  # np.unique's, without numpy.ma
+    cuts = _cuts(knots, curve._speed_kinks())
     accepted = []
     _adaptive_lobatto(lambda ss: _row_norms(curve.tangents(ss)), cuts[:-1], cuts[1:],
                       accepted, _PATH_OVERFLOWS)

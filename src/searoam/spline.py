@@ -43,7 +43,7 @@ ARC_LENGTH_MAX_DEPTH = 60
 # The 10-point Gauss-Lobatto rule on [-1, 1]: both ends and the roots of
 # P'_9, the derivative of the Legendre polynomial of degree 9, with weights
 # 2 / (90 P_9(x)^2); exact to degree 17.  The nodes are not quite symmetric:
-# these are the bits numpy.polynomial.legendre's root finder gave them.
+# these are the bits numpy's Legendre root finder gave them (see the tests).
 _LOBATTO_NODES = np.array([
     -1.0, -0.9195339081664605, -0.7387738651055052, -0.4779249498104439,
     -0.16527895766638742, 0.1652789576663872, 0.47792494981044475, 0.7387738651055051,
@@ -265,25 +265,25 @@ class PathCurve:
             total += chord[i0 + 1:i1].sum()
             return float(total)
 
-        inner = self._speed_kinks()
-        if self.kind == "catmull_rom":
-            inner = np.concatenate((np.arange(1, self.n_segments) / self.n_segments, inner))
-        cuts = np.sort(np.concatenate(([s0, s1], inner[(inner > s0) & (inner < s1)])))
-        cuts = cuts[np.append(True, cuts[1:] != cuts[:-1])]  # np.unique's, without numpy.ma
+        inside = lambda ss: ss[(ss > s0) & (ss < s1)]
+        knots = inside(self.grid(1)) if self.kind == "catmull_rom" else np.empty(0)
+        cuts = _cuts(np.concatenate(([s0], knots, [s1])), inside(self._speed_kinks()))
         speeds = lambda ss: _row_norms(self.tangents(ss))
         return _adaptive_lobatto(speeds, cuts[:-1], cuts[1:])
 
     def _speed_kinks(self) -> np.ndarray:
-        """Global parameters where a coordinate of dP/ds changes sign.
+        """Global parameters in (0, 1) where a coordinate of dP/ds changes sign.
 
         |dP/ds| can only have a kink (a cusp of the curve) where every
         coordinate of dP/ds is zero, and a narrow dip only near such a
         zero, so splitting the quadrature here puts each kink and dip at
         an interval end, where a Lobatto node samples it.
         Catmull-rom coordinates are quadratics per segment, solved in
-        closed form; bezier coordinates are one polynomial of degree N-2,
-        interpolated at Chebyshev points and solved by its colleague
-        matrix.  Roots may be approximate: a cut near a kink is enough.
+        closed form.  A bezier's are Bernstein polynomials of degree N-2
+        whose coefficients are the control polygon's differences,
+        (N-1)(P[i+1] - P[i]); _bernstein_roots isolates and brackets their
+        roots, unsorted.  A bezier whose differences overflow gets none:
+        its speed does too, which the quadrature rejects.
         """
         if self.kind == "catmull_rom":
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -296,18 +296,13 @@ class PathCurve:
             segment = np.broadcast_to(np.arange(self.n_segments)[:, None], u.shape)
             inside = (u > 0.0) & (u < 1.0)
             return (segment[inside] + u[inside]) / self.n_segments
-        degree = len(self.keypoints) - 2
-        x = np.polynomial.chebyshev.chebpts1(degree + 1)
-        tan = self.tangents((x + 1.0) / 2.0)
-        if degree < 1 or not np.all(np.isfinite(tan)):
-            return np.empty(0)  # no roots, or a speed the quadrature rejects
-        roots = np.concatenate([  # each coordinate scaled to 1, so the fit cannot overflow
-            np.polynomial.Chebyshev.fit(x, coord / np.abs(coord).max(), degree,
-                                        domain=[-1.0, 1.0]).roots()
-            for coord in tan.T if coord.any()
-        ] + [np.empty(0)])
-        u = (roots.real[np.abs(roots.imag) <= 1e-6] + 1.0) / 2.0
-        return u[(u > 0.0) & (u < 1.0)]
+        with np.errstate(over="ignore"):
+            rows = np.diff(self._control, axis=0).T
+        if rows.shape[1] < 2 or not np.all(np.isfinite(rows)):
+            return np.empty(0)
+        rows = rows[rows.any(axis=1)]
+        # Powers of two bring each row's largest |coefficient| into [0.5, 1).
+        return _bernstein_roots(np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1))[1][:, None]))
 
     def __repr__(self):
         extra = f", tension={self.tension}" if self.kind == "catmull_rom" else ""
@@ -435,6 +430,135 @@ def _adaptive_lobatto(speeds, lo: np.ndarray, hi: np.ndarray, accepted: list | N
         whole = np.concatenate((left[todo], right[todo]))
     raise ArcLengthError(
         f"arc length did not converge within {ARC_LENGTH_MAX_DEPTH} interval halvings")
+
+
+def _cuts(knots: np.ndarray, kinks: np.ndarray) -> np.ndarray:
+    """The quadrature's interval ends, ascending: the knots (ascending and
+    distinct) and each kink more than 4 ulps from its left neighbour and
+    from a knot on its right, so that no interval's halves reach width 0."""
+    cuts = np.concatenate((knots, kinks))
+    order = np.argsort(cuts, kind="stable")
+    cuts, knot = cuts[order], order < len(knots)
+    near = np.diff(cuts) <= 4.0 * np.spacing(cuts[1:])
+    return cuts[knot | ~(np.append(False, near) | np.append(near & knot[1:], False))]
+
+
+# A piece of the kink search whose coefficients still change sign more than
+# once at depth _KINK_DEPTH, 2**-20 wide, holds a double root or roots within
+# about 1e-6 of each other, and one cut at its midpoint serves them all.  A
+# root takes at most _KINK_STEPS bracketing steps, about 10 in practice.
+_KINK_DEPTH, _KINK_STEPS = 20, 100
+
+
+def _bernstein_roots(rows: np.ndarray) -> np.ndarray:
+    """The parameters in (0, 1) where the polynomials with Bernstein
+    coefficients rows (k, m + 1), all of magnitude at most 1, change sign.
+
+    Subdivision after Lane & Riesenfeld (IEEE PAMI 1981), in the Bernstein
+    form, the stable one (Farouki & Rajan, CAGD 1987).  A piece's
+    coefficients change sign at least as often as the polynomial does on it
+    (variation diminishing), so a piece with one change holds one root, which
+    _bracket_root narrows; one with more is halved by de Casteljau's rule,
+    as one product with H[k, j] = C(k, j) / 2**k; a zero coefficient at a
+    piece's right end is a root there.  The halves' changes add up to at
+    most their piece's, so at most _KINK_DEPTH * (k m // 2) pieces are
+    halved, each in O(m^2); past that, as at _KINK_DEPTH, a piece is cut at
+    its midpoint.  At most k m roots take O(m) per bracketing step.
+    """
+    m = rows.shape[1] - 1
+    ratios = [(m - i) / (i + 1) for i in range(m)]
+    half, splits = None, _KINK_DEPTH * ((rows.size - len(rows)) // 2)
+    roots, pieces = [], [(0.0, 1.0, row) for row in rows]
+    while pieces:
+        start, width, row = pieces.pop()
+        c = row.tolist()
+        if c[-1] == 0.0 and start + width < 1.0:
+            roots.append(start + width)
+        changes = _sign_changes(c)
+        if changes == 1:
+            roots.append(_bracket_root(c, ratios, start, width))
+        elif changes > 1 and (width <= 2.0**-_KINK_DEPTH or not splits):
+            roots.append(start + 0.5 * width)
+        elif changes > 1:
+            if half is None:
+                half = np.zeros((m + 1, m + 1))
+                half[0, 0] = 1.0
+                for k in range(1, m + 1):  # de Casteljau's averages: no entry overflows
+                    np.add(half[k - 1, 1:], half[k - 1, :-1], out=half[k, 1:])
+                    half[k, 0] = half[k - 1, 0]
+                    half[k] *= 0.5
+            halves = half @ np.stack((row, row[::-1]), axis=1)
+            halves[m, 1] = halves[m, 0]  # both halves hold the same midpoint value
+            splits, width = splits - 1, 0.5 * width
+            pieces += [(start + width, width, halves[::-1, 1]), (start, width, halves[:, 0])]
+    return np.array(roots)
+
+
+def _sign_changes(c: list) -> int:
+    """Sign changes in the sequence c, zeros skipped."""
+    changes, negative = -1, None
+    for x in c:
+        if x and (x < 0.0) is not negative:
+            changes, negative = changes + 1, x < 0.0
+    return max(changes, 0)
+
+
+def _bracket_root(c: list, ratios: list, start: float, width: float) -> float:
+    """The one root in (start, start + width) of the polynomial with
+    Bernstein coefficients c on that piece.
+
+    Illinois steps (Dowell & Jarratt, BIT 1971) in the piece's parameter,
+    kept 2 ulps inside the bracket, and a bisection where two steps did not
+    halve it, until the bracket is 4 ulps wide.  A zero end coefficient (a
+    repeated control point) takes its sign from the first nonzero one.
+    """
+    lo, hi, f_lo, f_hi = 0.0, 1.0, c[0], c[-1]
+    negative = next(x for x in c if x) < 0.0
+    side, widths = 0, [2.0, 2.0]
+    for _ in range(_KINK_STEPS):
+        nudge = 2.0 * math.ulp(start + width * hi) / width
+        if hi - lo <= 2.0 * nudge:
+            break
+        if f_lo == f_hi or hi - lo > 0.5 * widths[0]:
+            t = 0.5 * (lo + hi)
+        else:
+            t = min(max((lo * f_hi - hi * f_lo) / (f_hi - f_lo), lo + nudge), hi - nudge)
+        widths = [widths[1], hi - lo]
+        f = _bernstein_value(c, ratios, t)
+        if f == 0.0:
+            return start + width * t
+        if (f < 0.0) == negative:
+            lo, f_lo = t, f
+            if side < 0:  # hi kept twice: halve its value
+                f_hi *= 0.5
+            side = -1
+        else:
+            hi, f_hi = t, f
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
+    return start + width * (0.5 * (lo + hi))
+
+
+def _bernstein_value(c: list, ratios: list, t: float) -> float:
+    """The polynomial with Bernstein coefficients c at t in [0, 1].
+
+    The O(m) Horner scheme of Schumaker & Volk (CAGD 1986) in
+    min(t, 1 - t), whose terms stay finite up to about 1750 coefficients;
+    past that, where a term overflows, de Casteljau's averages.
+    """
+    if t > 0.5:
+        c, t = c[::-1], 1.0 - t
+    s, value, term = 1.0 - t, c[0], 1.0
+    for ratio, x in zip(ratios, c[1:]):
+        term *= t * ratio
+        value = value * s + term * x
+    if not math.isfinite(value):
+        b = np.array(c)
+        for _ in range(len(c) - 1):
+            b = s * b[:-1] + t * b[1:]
+        value = float(b[0])
+    return value
 
 
 def _de_casteljau(control: np.ndarray, u: np.ndarray):

@@ -45,6 +45,24 @@ def one_sided_tangents(curve, knot):
     return t, t
 
 
+def reference_speed_kinks(curve) -> np.ndarray:
+    """The bezier kink search that Bernstein subdivision replaced: each
+    coordinate of dP/ds interpolated at N-1 Chebyshev points and solved by
+    numpy's colleague matrix, roots with |imag| <= 1e-6 taken as real."""
+    degree = len(curve.keypoints) - 2
+    x = np.polynomial.chebyshev.chebpts1(degree + 1)
+    tan = curve.tangents((x + 1.0) / 2.0)
+    if degree < 1 or not np.all(np.isfinite(tan)):
+        return np.empty(0)
+    roots = np.concatenate([  # each coordinate scaled to 1, so the fit cannot overflow
+        np.polynomial.Chebyshev.fit(x, coord / np.abs(coord).max(), degree,
+                                    domain=[-1.0, 1.0]).roots()
+        for coord in tan.T if coord.any()
+    ] + [np.empty(0)])
+    u = (roots.real[np.abs(roots.imag) <= 1e-6] + 1.0) / 2.0
+    return u[(u > 0.0) & (u < 1.0)]
+
+
 def reference_ks_rows(z):
     """Row-wise K-S statistic against the normal fitted to each row, unblocked."""
     from scipy.special import ndtr

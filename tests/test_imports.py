@@ -37,7 +37,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         main(["sim", "run", data + "/demo_route_speeds.csv", data + "/demo_scene.json",
               "--out", out + "/sim"]),
     ]
-    report["path_sim"] = loaded(("scipy", "numpy.ma."), sys.modules)
+    report["path_sim"] = loaded(("scipy", "numpy.ma.", "numpy.polynomial"), sys.modules)
     codes.append(main(["study", "analyze", data + "/synthetic_study.csv",
                        "--replicates", "200", "--out", out + "/study"]))
 report["study"] = loaded(("scipy",), sys.modules)
@@ -55,7 +55,7 @@ def test_scipy_is_loaded_only_by_study_analyze(tmp_path):
     report = json.loads(proc.stdout)
     assert report["codes"] == [0, 0, 0]
     assert report["import"] == []  # no scipy*, xml.sax*, urllib*, numpy.polynomial* or numpy.ma*
-    assert report["path_sim"] == []  # no scipy* or numpy.ma* (np.unique loads numpy.ma)
+    assert report["path_sim"] == []  # no scipy*, numpy.ma* (np.unique's) or numpy.polynomial*
     assert "scipy.special" in report["study"]  # the lazy import does run
 
 

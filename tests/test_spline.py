@@ -2,6 +2,8 @@ import math
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from searoam.spline import (
     PathCurve,
 )
 
-from conftest import chordal_arc_length, one_sided_tangents
+from conftest import chordal_arc_length, one_sided_tangents, reference_speed_kinks
 
 # Full-range arc lengths of the demo-route curves, frozen from a
 # 10^6-point chordal-sum oracle (see chordal_arc_length).
@@ -328,11 +330,11 @@ coord = st.floats(-1e3, 1e3)
 
 
 @st.composite
-def routes(draw, max_points, coords=coord):
+def routes(draw, max_points, coords=coord, min_points=2):
     """Keypoint arrays with repeated consecutive keypoints and, half the
     time, all on the x axis, where reversals make cusps."""
     pts = np.array(draw(st.lists(st.tuples(coords, coords, coords),
-                                 min_size=2, max_size=max_points)))
+                                 min_size=min_points, max_size=max_points)))
     repeats = draw(st.lists(st.integers(1, 3), min_size=len(pts), max_size=len(pts)))
     pts = np.repeat(pts, repeats, axis=0)[:max(max_points, 2)]
     if draw(st.booleans()):
@@ -383,6 +385,102 @@ REPEATED_BEZIER = np.array([(-898, 0, 9)] * 2 + [(233, 0, -111)] * 2 + [(203, 0,
 def test_bezier_arc_length_with_repeated_control_points():
     curve = PathCurve.bezier(REPEATED_BEZIER)
     assert curve.arc_length() == pytest.approx(quad_arc_length(curve, 0.0, 1.0), rel=1e-8, abs=1e-10)
+
+
+def exact_bernstein(coefs, t):
+    """The polynomial with Bernstein coefficients coefs at t, in exact rationals."""
+    t, b = Fraction(float(t)), [Fraction(float(x)) for x in coefs]
+    for _ in range(len(b) - 1):
+        b = [(1 - t) * x + t * y for x, y in zip(b, b[1:])]
+    return b[0]
+
+
+# A kink on a knot: x' is 30 (1 - s)^3 (5 s - 1), zero at the knot s = 0.2.
+# A kink found a few ulps off it would leave a sliver interval beside it.
+KNOT_KINK_BEZIER = np.array([(4, 0, 0), (-2, -4, 1)] + [(4, 2, -2)] * 3 + [(4, -2, 2)],
+                            dtype=float)
+REVERSING_BEZIER = np.array([(x, 0, 0) for x in (0, 3, -1, 2, 0.5, 0.5, 4)], dtype=float)
+FLAT_BEZIER = np.array([(0, 0, 5), (1, 2, 5), (3, -1, 5), (4, 1, 5), (2, 2, 5)], dtype=float)
+# x' has a root 1e-24 past the first midpoint, s = 0.5, so the value there
+# rounds to 0 or to -4e-24 by the order of the sum.
+MIDPOINT_ROOT_BEZIER = np.array([(x, 0, 0) for x in (0, 0, -1, 0, -3.12657482e-23)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(pts=routes(100, min_points=3))
+@example(pts=REPEATED_BEZIER)
+@example(pts=NEAR_CUSP_BEZIER)
+@example(pts=KNOT_KINK_BEZIER)
+@example(pts=REVERSING_BEZIER)
+@example(pts=FLAT_BEZIER)
+@example(pts=MIDPOINT_ROOT_BEZIER)
+def test_bezier_kinks_hold_every_sign_change(pts):
+    curve = PathCurve.bezier(pts)
+    with warnings.catch_warnings(), \
+            mock.patch.object(spline, "_sign_changes", wraps=spline._sign_changes) as examined:
+        warnings.simplefilter("error")
+        kinks = np.sort(curve._speed_kinks())
+    assert np.all((kinks > 0.0) & (kinks < 1.0))
+    # Each halving adds two pieces to the k nonzero coordinates, of degree m.
+    k, m = np.count_nonzero(np.diff(pts, axis=0).any(axis=0)), len(pts) - 2
+    assert examined.call_count <= k + 2 * spline._KINK_DEPTH * (k * m // 2)
+    # Every sign change of a coordinate of dP/ds on a fine grid holds a kink.
+    grid = np.linspace(0.0, 1.0, 4097)
+    signs = np.sign(curve.tangents(grid))
+    for coord in signs.T:
+        change = np.flatnonzero(coord[:-1] * coord[1:] < 0.0)
+        first = np.searchsorted(kinks, grid[change] - 1e-9)
+        assert np.all(first < len(kinks))
+        assert np.all(kinks[first] <= grid[change + 1] + 1e-9)
+    # Every simple root of the Chebyshev search, 1e-6 from any other, to 1e-12:
+    # a coordinate, scaled to its largest coefficient, changes sign across it
+    # with slope at least 0.1.  Where they differ by more, the Chebyshev root
+    # must be the less accurate one: its exact residual is the larger.
+    reference = np.sort(reference_speed_kinks(curve))
+    diffs = np.diff(pts, axis=0)
+    for i, root in enumerate(reference):
+        if np.any(np.abs(np.delete(reference, i) - root) <= 1e-6) or not 1e-6 < root < 1.0 - 1e-6:
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            below, above = curve.tangents([root - 1e-6, root + 1e-6]) / np.abs(diffs).max(axis=0)
+        for a in np.flatnonzero((below * above < 0.0) & (np.minimum(abs(below), abs(above)) >= 1e-7)):
+            nearest = kinks[np.abs(kinks - root).argmin()]
+            if abs(nearest - root) > 1e-12:
+                assert abs(exact_bernstein(diffs[:, a], nearest)) <= abs(exact_bernstein(diffs[:, a], root))
+
+
+def test_bezier_kinks_of_1100_keypoints_stay_finite():
+    pts = np.cumsum(np.random.default_rng(11).uniform(-1.0, 1.0, (1100, 3)), axis=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning either
+        kinks = PathCurve.bezier(pts)._speed_kinks()
+    assert len(kinks) and np.all((kinks > 0.0) & (kinks < 1.0))
+    # Past about 1750 coefficients a Horner term overflows near t = 0.5,
+    # and de Casteljau's averages give the value.
+    c = np.random.default_rng(12).uniform(-1.0, 1.0, 2000)
+    ratios = [(1999 - i) / (i + 1) for i in range(1999)]
+    for t in (0.3, 0.5, 0.7):
+        b = c.copy()
+        for _ in range(1999):
+            b = (1.0 - t) * b[:-1] + t * b[1:]
+        assert spline._bernstein_value(c.tolist(), ratios, t) == pytest.approx(b[0], abs=1e-12)
+
+
+def test_kink_on_a_knot_is_one_cut():
+    curve = PathCurve.bezier(KNOT_KINK_BEZIER)
+    knots = curve.grid(1)
+    cuts = spline._cuts(knots, curve._speed_kinks())
+    assert np.isin(knots, cuts).all()
+    assert np.all(np.diff(cuts) > 4.0 * np.spacing(cuts[1:]))
+
+
+def test_cuts_keep_every_knot_and_merge_kinks_within_4_ulps():
+    ulp = np.spacing(0.5)
+    knots = np.array([0.0, 0.5, 0.5 + ulp, 1.0])
+    kinks = np.array([0.5 - 4 * ulp, 0.5 + 2 * ulp, 0.5 + 6 * ulp, 0.5 + 11 * ulp, 0.25, 0.25,
+                      0.75, 0.75 + 4 * ulp, 0.75 + 8 * ulp])
+    expected = [0.0, 0.25, 0.5, 0.5 + ulp, 0.5 + 11 * ulp, 0.75, 1.0]
+    assert spline._cuts(knots, kinks).tolist() == expected
 
 
 @settings(max_examples=100, deadline=None)
