@@ -46,7 +46,6 @@ from .stats import (
     NormalityResult,
     RegressionFit,
     StatsReport,
-    StudyRecord,
     UndefinedCorrelationError,
     UndefinedFitError,
     analyze_study,
@@ -75,7 +74,7 @@ __all__ = [
     "SceneSpec", "SimResult", "SimTooLargeError", "SpeedProfile", "Trajectory",
     "cast_ray", "perturb_direction", "run_ray_task", "sample_trajectory", "simulate", "traverse",
     "CorrelationResult", "DegenerateSampleError", "NormalityResult", "RegressionFit",
-    "StatsReport", "StudyRecord", "UndefinedCorrelationError", "UndefinedFitError",
+    "StatsReport", "UndefinedCorrelationError", "UndefinedFitError",
     "analyze_study", "ks_normality", "linear_fit_with_band", "load_study",
     "pearson", "serialize_study", "spearman", "synthesize_study",
     "render_path_compare", "render_scatter_band", "smoothness_csv",

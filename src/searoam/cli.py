@@ -161,13 +161,13 @@ _SCATTER_AXES = {
 
 
 def _cmd_study_analyze(args) -> int:
-    records = stats.load_study(_read_text(args.study))
-    rep = stats.analyze_study(records, alpha=args.alpha, seed=args.seed,
+    study = stats.load_study(_read_text(args.study))
+    rep = stats.analyze_study(study, alpha=args.alpha, seed=args.seed,
                               replicates=args.replicates)
-    engagement = np.array([r.engagement for r in records], dtype=float)
+    engagement = np.array(study["engagement"], dtype=float)
     files = {"stats_report.json": _json_text(rep.to_dict())}
     for var, label in _SCATTER_AXES.items():
-        values = np.array([getattr(r, var) for r in records], dtype=float)
+        values = np.array(study[var], dtype=float)
         fit = stats.linear_fit_with_band(engagement, values)
         files[f"scatter_engagement_vs_{var}.svg"] = report.render_scatter_band(
             engagement, values, fit, x_label="engagement score", y_label=label,
@@ -179,8 +179,7 @@ def _cmd_study_analyze(args) -> int:
 def _cmd_study_synth(args) -> int:
     if args.n > MAX_STUDY_SIZE:
         raise ValueError(f"--n {args.n} exceeds the limit of {MAX_STUDY_SIZE} participants")
-    records = stats.synthesize_study(n=args.n, seed=args.seed)
-    content = stats.serialize_study(records)
+    content = stats.serialize_study(stats.synthesize_study(n=args.n, seed=args.seed))
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(content, encoding="utf-8")
     print(f"wrote {args.out}")

@@ -231,7 +231,8 @@ class SpeedProfile:
     """Per-keypoint speeds, interpolated linearly in global s between knots."""
 
     speeds: np.ndarray
-    # Global s of each keypoint, the knots speeds are interpolated between.
+    # Global s of each keypoint, the knots speeds are interpolated between:
+    # j/(N-1), the bits of PathCurve.grid(1).
     knots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -240,7 +241,7 @@ class SpeedProfile:
             raise ValueError("need a speed per keypoint (at least 2)")
         if not np.all(np.isfinite(speeds)) or np.any(speeds <= 0):
             raise ValueError("speeds must be finite and > 0")
-        knots = np.linspace(0.0, 1.0, len(speeds))
+        knots = np.arange(len(speeds)) / (len(speeds) - 1)
         with np.errstate(over="ignore"):  # the slopes of the stepper's and np.interp's lines
             steep = np.flatnonzero(~np.isfinite(np.diff(speeds) / np.diff(knots)))
         if len(steep):
@@ -533,7 +534,7 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
     # interval k by one search.  Each way it is the interval _s_at's search
     # finds: the last entry at or below ell starts it.
     knots, speeds = profile.knots.tolist(), profile.speeds.tolist()
-    knot_lengths = lengths[np.searchsorted(rows[2], curve.grid(1))].tolist()
+    knot_lengths = lengths[np.searchsorted(rows[2], profile.knots)].tolist()
     # Piece ends: the first and last knots, and each knot where the speed
     # changes on either side.  An endless piece closes the list.
     ends = [j for j in range(len(knots))

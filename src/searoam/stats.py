@@ -141,14 +141,12 @@ def average_ranks(x) -> np.ndarray:
     """Ranks 1..n with tied values sharing the average of their positions."""
     x = np.asarray(x, dtype=float)
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x), dtype=float)
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ordered = x[order]
+    # A tie group starts where the sorted value changes (NaN never ties).
+    first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    last = np.append(first[1:], len(x)) - 1
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
 
 
@@ -332,40 +330,35 @@ def linear_fit_with_band(x, y, confidence: float = 0.95) -> RegressionFit:
 # --- study data -----------------------------------------------------------
 
 STUDY_HEADER = ["participant", "enjoyment", "engagement", "time_s", "collisions", "accuracy"]
+STUDY_VARIABLES = tuple(STUDY_HEADER[1:])
 
 # Questionnaire scores are sums of five 1-5 items.
 SCORE_MIN, SCORE_MAX = 5, 25
 
 
-@dataclass(frozen=True)
-class StudyRecord:
-    """One participant's questionnaire scores and task metrics."""
-
-    participant: str
-    enjoyment: int
-    engagement: int
-    time_s: float
-    collisions: int
-    accuracy: float
-
-    def __post_init__(self):
-        for name in ("enjoyment", "engagement"):
-            score = getattr(self, name)
-            if not isinstance(score, int) or not SCORE_MIN <= score <= SCORE_MAX:
-                raise ValueError(
-                    f"{name} must be an integer in [{SCORE_MIN}, {SCORE_MAX}], got {score!r}"
-                )
-        if not (math.isfinite(self.time_s) and self.time_s >= 0):
-            raise ValueError(f"time_s must be >= 0, got {self.time_s!r}")
-        if not isinstance(self.collisions, int) or self.collisions < 0:
-            raise ValueError(f"collisions must be a nonnegative integer, got {self.collisions!r}")
-        if not (math.isfinite(self.accuracy) and 0.0 <= self.accuracy <= 1.0):
-            raise ValueError(f"accuracy must be in [0, 1], got {self.accuracy!r}")
+def _study_row(row: list[str]) -> tuple:
+    """One data row's values, typed and checked in column order."""
+    values = (row[0], int(row[1]), int(row[2]), float(row[3]), int(row[4]), float(row[5]))
+    _, enjoyment, engagement, time_s, collisions, accuracy = values
+    for name, score in (("enjoyment", enjoyment), ("engagement", engagement)):
+        if not SCORE_MIN <= score <= SCORE_MAX:
+            raise ValueError(
+                f"{name} must be an integer in [{SCORE_MIN}, {SCORE_MAX}], got {score!r}"
+            )
+    if not (math.isfinite(time_s) and time_s >= 0):
+        raise ValueError(f"time_s must be >= 0, got {time_s!r}")
+    if collisions < 0:
+        raise ValueError(f"collisions must be a nonnegative integer, got {collisions!r}")
+    if not (math.isfinite(accuracy) and 0.0 <= accuracy <= 1.0):
+        raise ValueError(f"accuracy must be in [0, 1], got {accuracy!r}")
+    return values
 
 
-def load_study(source: str) -> list[StudyRecord]:
+def load_study(source: str) -> dict[str, tuple]:
     """Parse study CSV content (header: participant,enjoyment,engagement,
-    time_s,collisions,accuracy).  Data rows are numbered from 1 in errors."""
+    time_s,collisions,accuracy) into one tuple per column: participant
+    strings, int scores and collisions, float time_s and accuracy.  Data
+    rows are numbered from 1 in errors."""
     rows = [r for r in csv.reader(io.StringIO(source)) if r]
     if not rows:
         raise ValueError("study file is empty")
@@ -374,37 +367,26 @@ def load_study(source: str) -> list[StudyRecord]:
         raise ValueError(
             f"expected header '{','.join(STUDY_HEADER)}', got {','.join(header)}"
         )
-    records = []
+    parsed = []
     for i, row in enumerate(rows[1:], start=1):
         if len(row) != len(STUDY_HEADER):
             raise ValueError(f"row {i}: expected {len(STUDY_HEADER)} columns, got {len(row)}")
         try:
-            records.append(StudyRecord(
-                participant=row[0],
-                enjoyment=int(row[1]),
-                engagement=int(row[2]),
-                time_s=float(row[3]),
-                collisions=int(row[4]),
-                accuracy=float(row[5]),
-            ))
+            parsed.append(_study_row(row))
         except ValueError as exc:
             raise ValueError(f"row {i}: {exc}") from None
-    return records
+    return {name: tuple(row[j] for row in parsed) for j, name in enumerate(STUDY_HEADER)}
 
 
-def serialize_study(records: list[StudyRecord]) -> str:
+def serialize_study(study: dict[str, tuple]) -> str:
+    """The CSV text of a study's columns (load_study's inverse)."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(STUDY_HEADER)
-    for r in records:
-        writer.writerow([
-            r.participant, r.enjoyment, r.engagement,
-            repr(r.time_s), r.collisions, repr(r.accuracy),
-        ])
+    writer.writerows(zip(*(study[name] for name in STUDY_HEADER)))
     return out.getvalue()
 
 
-STUDY_VARIABLES = ("enjoyment", "engagement", "time_s", "collisions", "accuracy")
 CORRELATION_PAIRS = (
     ("engagement", "enjoyment"),
     ("engagement", "time_s"),
@@ -432,7 +414,7 @@ class StatsReport:
 
 
 def analyze_study(
-    records: list[StudyRecord],
+    study: dict[str, tuple],
     alpha: float = 0.05,
     seed: int = 0,
     replicates: int = DEFAULT_KS_REPLICATES,
@@ -446,13 +428,11 @@ def analyze_study(
     """
     if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    if len(records) < 4:
-        raise ValueError(
-            f"insufficient sample: need at least 4 study records, got {len(records)}"
-        )
-    _check_null(len(records), replicates)
-    columns = {name: np.array([getattr(r, name) for r in records], dtype=float)
-               for name in STUDY_VARIABLES}
+    columns = {name: np.array(study[name], dtype=float) for name in STUDY_VARIABLES}
+    n = len(columns["engagement"])
+    if n < 4:
+        raise ValueError(f"insufficient sample: need at least 4 study records, got {n}")
+    _check_null(n, replicates)
     for name, values in columns.items():
         _as_sample(values, 4, f"column '{name}'")
         if values.max() == values.min():
@@ -472,9 +452,7 @@ def analyze_study(
         test = pearson if (is_normal[a] and is_normal[b]) else spearman
         correlations[f"{a}_vs_{b}"] = test(columns[a], columns[b])
 
-    return StatsReport(
-        n=len(records), alpha=alpha, normality=normality, correlations=correlations
-    )
+    return StatsReport(n=n, alpha=alpha, normality=normality, correlations=correlations)
 
 
 DEFAULT_STUDY_SEED = 26
@@ -483,8 +461,8 @@ DEFAULT_STUDY_SIZE = 50
 
 def synthesize_study(
     n: int = DEFAULT_STUDY_SIZE, seed: int = DEFAULT_STUDY_SEED
-) -> list[StudyRecord]:
-    """Generate a seeded synthetic study dataset.
+) -> dict[str, tuple]:
+    """Generate a seeded synthetic study dataset, as load_study's columns.
 
     A latent skill variable drives all columns so that engagement
     correlates positively with enjoyment and accuracy and negatively with
@@ -506,14 +484,11 @@ def synthesize_study(
         0.72 + 0.035 * (engagement - 18.5) + rng.normal(0.0, 0.09, n), 0.0, 1.0
     )
 
-    return [
-        StudyRecord(
-            participant=f"P{i + 1:02d}",
-            enjoyment=int(enjoyment[i]),
-            engagement=int(engagement[i]),
-            time_s=float(np.round(time_s[i], 3)),
-            collisions=int(collisions[i]),
-            accuracy=float(np.round(accuracy[i], 4)),
-        )
-        for i in range(n)
-    ]
+    return {
+        "participant": tuple(f"P{i + 1:02d}" for i in range(n)),
+        "enjoyment": tuple(enjoyment.astype(int).tolist()),
+        "engagement": tuple(engagement.astype(int).tolist()),
+        "time_s": tuple(np.round(time_s, 3).tolist()),
+        "collisions": tuple(collisions.tolist()),
+        "accuracy": tuple(np.round(accuracy, 4).tolist()),
+    }

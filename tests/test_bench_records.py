@@ -51,3 +51,10 @@ def test_bench_record_fields(path):
             better = (lambda c, p: c < p) if entry["better"] == "lower" else (lambda c, p: c > p)
             wins = sum(better(c, p) for c, p in zip(entry["change"]["runs"], entry["parent"]["runs"]))
             assert entry["wins"] == wins, (name, metric)
+
+
+def test_latest_record_counts_the_current_source():
+    # The highest-numbered record is the last change's: its size is today's.
+    latest = max(RECORDS, key=lambda p: int(p.stem.split("_")[1]))
+    lines = sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "searoam").glob("*.py"))
+    assert json.loads(latest.read_text())["src_lines"]["after"] == lines, latest.name

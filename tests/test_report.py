@@ -105,9 +105,9 @@ def test_compare_deterministic(demo_pts):
 
 
 def scatter_inputs():
-    records = synthesize_study()
-    x = np.array([r.engagement for r in records], dtype=float)
-    y = np.array([r.enjoyment for r in records], dtype=float)
+    study = synthesize_study()
+    x = np.array(study["engagement"], dtype=float)
+    y = np.array(study["enjoyment"], dtype=float)
     return x, y, linear_fit_with_band(x, y)
 
 

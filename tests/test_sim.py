@@ -131,6 +131,14 @@ def test_speed_profile_interpolates_linearly():
         SpeedProfile(np.array([1.0, 0.0]))
 
 
+def test_speed_knots_are_the_curve_knots():
+    # The stepper's speed pieces end where its table's keypoint lengths are
+    # taken: np.linspace(0, 1, N) is an ulp off j/(N-1) at N = 6, 12 and most sizes.
+    for n in range(2, 201):
+        curve = PathCurve("polyline", np.arange(3.0 * n).reshape(n, 3))
+        assert SpeedProfile(np.ones(n)).knots.tobytes() == curve.grid(1).tobytes()
+
+
 def test_speed_profile_refuses_overflowing_speed_lines():
     # (1e308 - 1) / 0.5 overflows: the speed line from knot 0 to knot 1, in
     # the stepper and in np.interp alike, would be infinite.
@@ -495,7 +503,7 @@ def reference_step_states(curve, profile, dt, budget, lookup=None):
     """The step loop of sim._step_states, one step at a time, reading s off
     lookup (default: table_lookup)."""
     total, s_at = lookup or table_lookup(curve)
-    knots = np.linspace(0.0, 1.0, len(profile.speeds))
+    knots = np.arange(len(profile.speeds)) / (len(profile.speeds) - 1)
     times, s_values = [0.0], [0.0]
     t, s, ell = 0.0, 0.0, 0.0
     completed = total == 0.0

@@ -13,7 +13,6 @@ from searoam.stats import (
     DegenerateSampleError,
     UndefinedCorrelationError,
     UndefinedFitError,
-    StudyRecord,
     analyze_study,
     average_ranks,
     ks_normality,
@@ -137,7 +136,7 @@ def test_average_ranks_match_brute_force():
     for _ in range(100):
         n = rng.integers(3, 21)
         x = rng.integers(0, 6, size=n).astype(float)  # plenty of ties
-        assert np.allclose(average_ranks(x), brute_force_ranks(x), atol=1e-12)
+        assert average_ranks(x).tobytes() == np.array(brute_force_ranks(x)).tobytes()
 
 
 def test_spearman_monotone_pairs():
@@ -323,14 +322,14 @@ def test_null_is_refused_before_any_draw(monkeypatch, replicates, message):
         raise AssertionError("reached past the replicate check")
 
     x = np.random.default_rng(4).standard_normal(10)
-    records = synthesize_study(10, seed=1)
+    study = synthesize_study(10, seed=1)
     monkeypatch.setattr(stats, "ks_statistic_normal", never)
     monkeypatch.setattr(stats, "_null_exceedances", never)
     with pytest.raises(ValueError, match=message):
         ks_normality(x, replicates)
     monkeypatch.setattr(stats, "ks_normality", never)
     with pytest.raises(ValueError, match=message):
-        analyze_study(records, replicates=replicates)
+        analyze_study(study, replicates=replicates)
 
 
 def test_null_refuses_fewer_than_four_values():
@@ -442,13 +441,19 @@ def test_overflowing_sample_is_refused():
             call()
 
 
+def study_columns(rows):
+    """load_study's columns of the given (participant, enjoyment, engagement,
+    time_s, collisions, accuracy) rows."""
+    return dict(zip(stats.STUDY_HEADER, zip(*rows)))
+
+
 def test_analyze_overflowing_column_names_it():
-    records = [
-        StudyRecord(f"P{i}", 15 + (i % 5), 12 + i, (10 + i) * 1e199, i % 3, 0.5 + 0.01 * i)
+    study = study_columns(
+        (f"P{i}", 15 + (i % 5), 12 + i, (10 + i) * 1e199, i % 3, 0.5 + 0.01 * i)
         for i in range(12)
-    ]
+    )
     with pytest.raises(ValueError, match="^column 'time_s' is too large"):
-        analyze_study(records, replicates=100)
+        analyze_study(study, replicates=100)
 
 
 def test_fit_errors():
@@ -458,22 +463,47 @@ def test_fit_errors():
         linear_fit_with_band([1, 2, 3], [1, 2, 3], confidence=1.5)
 
 
-# --- study records and pipeline ----------------------------------------------
+# --- study table and pipeline ------------------------------------------------
+
+STUDY_CSV_HEADER = "participant,enjoyment,engagement,time_s,collisions,accuracy\n"
+
 
 def test_study_record_validation():
-    with pytest.raises(ValueError):
-        StudyRecord("p", 4, 20, 100.0, 0, 0.5)  # enjoyment below scale sum
-    with pytest.raises(ValueError):
-        StudyRecord("p", 20, 26, 100.0, 0, 0.5)
-    with pytest.raises(ValueError):
-        StudyRecord("p", 20, 20, 100.0, -1, 0.5)
-    with pytest.raises(ValueError):
-        StudyRecord("p", 20, 20, 100.0, 0, 1.5)
+    # Each row is checked in column order; the message names the column.
+    for row, message in [
+        ("p,4,20,100.0,0,0.5", "enjoyment must be an integer in [5, 25], got 4"),  # below scale sum
+        ("p,20,26,100.0,0,0.5", "engagement must be an integer in [5, 25], got 26"),
+        ("p,20,20,100.0,-1,0.5", "collisions must be a nonnegative integer, got -1"),
+        ("p,20,20,100.0,0,1.5", "accuracy must be in [0, 1], got 1.5"),
+        ("p,20,20,-1,0,0.5", "time_s must be >= 0, got -1.0"),
+        ("p,20,20,nan,0,0.5", "time_s must be >= 0, got nan"),
+        ("p,20,20,100.0,0,nan", "accuracy must be in [0, 1], got nan"),
+        ("p,4,26,-1,-1,1.5", "enjoyment must be an integer in [5, 25], got 4"),
+        ("p,20.5,20,100.0,0,0.5", "invalid literal for int() with base 10: '20.5'"),
+        ("p,4,20,fast,0,0.5", "could not convert string to float: 'fast'"),
+        ("p,20,20,100.0,0", "expected 6 columns, got 5"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            load_study(f"{STUDY_CSV_HEADER}P0,20,18,200,2,0.8\n{row}\n")
+        assert str(exc.value) == f"row 2: {message}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "study file is empty"),
+    ("participant,enjoyment\n", "expected header 'participant,enjoyment,engagement,time_s,"
+                                 "collisions,accuracy', got participant,enjoyment"),
+])
+def test_study_file_validation(text, message):
+    with pytest.raises(ValueError) as exc:
+        load_study(text)
+    assert str(exc.value) == message
 
 
 def test_study_round_trip():
-    records = synthesize_study(12, seed=5)
-    assert load_study(serialize_study(records)) == records
+    study = synthesize_study(12, seed=5)
+    loaded = load_study(serialize_study(study))
+    assert loaded == study
+    assert [type(v) for v in next(zip(*loaded.values()))] == [str, int, int, float, int, float]
 
 
 def test_load_study_row_diagnostics():
@@ -489,17 +519,16 @@ def test_load_study_row_diagnostics():
 
 def test_analyze_insufficient_sample():
     with pytest.raises(ValueError) as exc:
-        analyze_study(synthesize_study(12, seed=5)[:2])
+        analyze_study({k: v[:2] for k, v in synthesize_study(12, seed=5).items()})
     assert "insufficient sample" in str(exc.value)
 
 
 def test_analyze_constant_column_names_it():
-    records = [
-        StudyRecord(f"P{i}", 15 + (i % 5), 18, 100.0 + i, i % 3, 0.5 + 0.01 * i)
-        for i in range(10)
-    ]
+    study = study_columns(
+        (f"P{i}", 15 + (i % 5), 18, 100.0 + i, i % 3, 0.5 + 0.01 * i) for i in range(10)
+    )
     with pytest.raises(UndefinedCorrelationError) as exc:
-        analyze_study(records)
+        analyze_study(study)
     assert "engagement" in str(exc.value)
 
 
