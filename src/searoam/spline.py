@@ -53,11 +53,9 @@ _LOBATTO_WEIGHTS = np.array([
     0.32753976118389744, 0.32753976118389744, 0.2920426836796838, 0.22488934206312663,
     0.1333059908510702, 0.022222222222222185])
 
-# Parameter values per evaluation block: a bezier evaluation holds two
-# arrays of at most N x DE_CASTELJAU_ROWS x 3 floats at once, 96 KB per
-# control point, small enough to stay in cache; polyline and catmull_rom
-# temporaries stay at 96 KB whatever the number of parameters.
-DE_CASTELJAU_ROWS = 1 << 12
+# Parameter values per evaluation block: every kind's temporaries are a few
+# 96 KB arrays, whatever the number of parameters and keypoints.
+EVAL_ROWS = 1 << 12
 
 
 class ArcLengthError(ValueError):
@@ -131,11 +129,8 @@ class PathCurve:
                 self._p0, self._p1 = padded[1:-2], padded[2:-1]
                 self._m0 = self.tension * (padded[2:-1] - padded[:-3])
                 self._m1 = self.tension * (padded[3:] - padded[1:-2])
-            elif kind == "polyline":
-                self._starts = pts[:-1]
-                self._diffs = pts[1:] - pts[:-1]
-            else:  # bezier
-                self._control = pts
+            else:  # polyline chords, or the bezier's control differences
+                self._starts, self._diffs = pts[:-1], pts[1:] - pts[:-1]
 
     @classmethod
     def polyline(cls, keypoints) -> "PathCurve":
@@ -167,45 +162,63 @@ class PathCurve:
     def _evaluate(self, ss, deriv: bool) -> np.ndarray:
         """Positions (deriv False) or dP/ds (deriv True) at global parameters.
 
-        Evaluated DE_CASTELJAU_ROWS parameters at a time; rows are
-        independent, so the blocking does not change any result bit.
-        Overflowing curve data gives inf and NaN rows (0 * inf) without a
-        warning; the callers' named checks reject them.
+        Evaluated EVAL_ROWS parameters at a time; rows are independent, so
+        the blocking does not change any result bit.  Overflowing curve
+        data gives inf and NaN rows (0 * inf) without a warning; the
+        callers' named checks reject them.
         """
         ss = _check_parameters(ss)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.kind == "bezier":
-                return _de_casteljau(self._control, ss)[deriv]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             out = np.empty((len(ss), 3))
-            term = np.empty((min(len(ss), DE_CASTELJAU_ROWS), 3))
-            for start in range(0, len(ss), DE_CASTELJAU_ROWS):
-                block = slice(start, start + DE_CASTELJAU_ROWS)
+            term = np.empty((min(len(ss), EVAL_ROWS), 3))
+            for start in range(0, len(ss), EVAL_ROWS):
+                block = slice(start, start + EVAL_ROWS)
                 self._evaluate_block(ss[block], deriv, out[block], term)
             return out
 
     def _evaluate_block(self, ss, deriv: bool, out: np.ndarray, term: np.ndarray) -> None:
-        """_evaluate for polyline and catmull_rom on one block, into out.
+        """_evaluate on one block, into out, with term as scratch.
 
-        In place, with term as scratch: the same products as the plain
-        expressions, summed in the same order, so the same bits.
+        Polyline and catmull_rom: in place, the same products as the plain
+        expressions, summed in the same order, so the same bits.  Bezier, in
+        (3, rows) temporaries whatever its degree m: the linear-time recurrence
+        of Wozny & Chudy (CAD 2020) over P_0..P_m, or, for dP/ds, m times it
+        over the differences.  Q_0 = P_0, h_0 = 1, and for k = 1..m
+        h_k = (m-k+1) t h_{k-1} / (k (1-t) + (m-k+1) t h_{k-1}), here divided
+        through by k t, and Q_k = Q_{k-1} + h_k (P_k - Q_{k-1}), a convex
+        combination.  t = 0 gives h = 0 and P_0 exactly; at t = 1, where every
+        h is 1 and the sums round, P_m is set.
         """
-        idx, u = self._locate(ss)
-        term = term[:len(ss)]
-        if self.kind == "polyline":
+        if self.kind == "bezier":
+            control = self._diffs if deriv else self.keypoints
+            m, r = len(control) - 1, len(ss)
+            rest, a, h = (1.0 - ss) / ss, np.empty(r), np.ones(r)  # rest: inf at t = 0
+            q, d = term[:r].reshape(3, r), out.reshape(3, r)  # coordinate-major
+            q[:] = control[0, :, None]
+            for k in range(1, m + 1):
+                np.multiply(h, (m - k + 1) / k, out=a)
+                np.divide(a, np.add(a, rest, out=h), out=h)
+                np.subtract(control[k, :, None], q, out=d)
+                d *= h
+                q += d
+            out[:] = q.T
+            out[ss == 1.0] = control[m]
+        elif self.kind == "polyline":
+            idx, u = self._locate(ss)
             np.take(self._diffs, idx, axis=0, out=out)
-            if deriv:
-                out *= self.n_segments
-            else:
+            if not deriv:
                 out *= u[:, None]
-                out += np.take(self._starts, idx, axis=0, out=term)
-            return
-        h00, h10, h01, h11 = (_hermite_weights_deriv if deriv else _hermite_weights)(u)
-        np.take(self._p0, idx, axis=0, out=out)
-        out *= h00[:, None]
-        for h, rows in ((h10, self._m0), (h01, self._p1), (h11, self._m1)):
-            np.take(rows, idx, axis=0, out=term)
-            term *= h[:, None]
-            out += term
+                out += np.take(self._starts, idx, axis=0, out=term[:len(ss)])
+        else:
+            idx, u = self._locate(ss)
+            term = term[:len(ss)]
+            h00, h10, h01, h11 = (_hermite_weights_deriv if deriv else _hermite_weights)(u)
+            np.take(self._p0, idx, axis=0, out=out)
+            out *= h00[:, None]
+            for h, rows in ((h10, self._m0), (h01, self._p1), (h11, self._m1)):
+                np.take(rows, idx, axis=0, out=term)
+                term *= h[:, None]
+                out += term
         if deriv:
             out *= self.n_segments
 
@@ -230,12 +243,8 @@ class PathCurve:
         return self.tangents(float(s))[0]
 
     def sample(self, samples: int) -> tuple[np.ndarray, np.ndarray]:
-        """positions and tangents at grid(samples); for bezier both come
-        from one de Casteljau pass, with the bits of the two calls."""
+        """positions and tangents at grid(samples)."""
         ss = self.grid(samples)
-        if self.kind == "bezier":
-            with np.errstate(over="ignore", invalid="ignore"):
-                return _de_casteljau(self._control, ss)
         return self.positions(ss), self.tangents(ss)
 
     def arc_length(self, s0: float = 0.0, s1: float = 1.0) -> float:
@@ -296,8 +305,7 @@ class PathCurve:
             segment = np.broadcast_to(np.arange(self.n_segments)[:, None], u.shape)
             inside = (u > 0.0) & (u < 1.0)
             return (segment[inside] + u[inside]) / self.n_segments
-        with np.errstate(over="ignore"):
-            rows = np.diff(self._control, axis=0).T
+        rows = self._diffs.T
         if rows.shape[1] < 2 or not np.all(np.isfinite(rows)):
             return np.empty(0)
         rows = rows[rows.any(axis=1)]
@@ -458,7 +466,7 @@ def _bernstein_roots(rows: np.ndarray) -> np.ndarray:
     form, the stable one (Farouki & Rajan, CAGD 1987).  A piece's
     coefficients change sign at least as often as the polynomial does on it
     (variation diminishing), so a piece with one change holds one root, which
-    _bracket_root narrows; one with more is halved by de Casteljau's rule,
+    _bracket_root narrows; one with more is halved at its midpoint,
     as one product with H[k, j] = C(k, j) / 2**k; a zero coefficient at a
     piece's right end is a root there.  The halves' changes add up to at
     most their piece's, so at most _KINK_DEPTH * (k m // 2) pieces are
@@ -483,7 +491,7 @@ def _bernstein_roots(rows: np.ndarray) -> np.ndarray:
             if half is None:
                 half = np.zeros((m + 1, m + 1))
                 half[0, 0] = 1.0
-                for k in range(1, m + 1):  # de Casteljau's averages: no entry overflows
+                for k in range(1, m + 1):  # halved pairwise sums: no entry overflows
                     np.add(half[k - 1, 1:], half[k - 1, :-1], out=half[k, 1:])
                     half[k, 0] = half[k - 1, 0]
                     half[k] *= 0.5
@@ -545,7 +553,8 @@ def _bernstein_value(c: list, ratios: list, t: float) -> float:
 
     The O(m) Horner scheme of Schumaker & Volk (CAGD 1986) in
     min(t, 1 - t), whose terms stay finite up to about 1750 coefficients;
-    past that, where a term overflows, de Casteljau's averages.
+    past that, where a term overflows, the O(m^2) averages
+    c_i <- (1 - t) c_i + t c_{i+1}.
     """
     if t > 0.5:
         c, t = c[::-1], 1.0 - t
@@ -560,53 +569,3 @@ def _bernstein_value(c: list, ratios: list, t: float) -> float:
         value = float(b[0])
     return value
 
-
-def _de_casteljau(control: np.ndarray, u: np.ndarray):
-    """Evaluate a Bezier curve and its derivative by de Casteljau recursion.
-
-    Returns (positions, derivatives), each (len(u), 3), for control points
-    of shape (n+1, 3) evaluated at parameters u in [0, 1].  The parameters
-    are processed in blocks of DE_CASTELJAU_ROWS; rows are independent, so
-    the blocking does not change any result bit.
-
-    The working array is point-major, (n+1, rows, 3), and each recursion
-    step overwrites it with (1-w)*a + w*b, computed as w*b into a scratch
-    array, then a *= (1-w) and a += w*b: the same products and sum, so the
-    same bits.  The working, scratch and weight arrays are allocated once
-    and reused by every block.
-    """
-    n = len(control) - 1
-    pos = np.empty((len(u), 3))
-    deriv = np.empty((len(u), 3))
-    if n < 1:
-        pos[:] = control[0]
-        deriv[:] = 0.0
-        return pos, deriv
-    rows = max(1, min(len(u), DE_CASTELJAU_ROWS))
-    b_buf = np.empty((n + 1) * rows * 3)
-    scratch_buf = np.empty(n * rows * 3)
-    # Weights as full (rows, 3) rows: broadcasting them over a length-3
-    # axis is several times slower.
-    w_buf = np.empty(rows * 3)
-    one_minus_w_buf = np.empty(rows * 3)
-    for start in range(0, len(u), rows):
-        block = slice(start, start + rows)
-        r = min(rows, len(u) - start)
-        b = b_buf[:(n + 1) * r * 3].reshape(n + 1, r, 3)
-        scratch = scratch_buf[:n * r * 3].reshape(n, r, 3)
-        w = w_buf[:r * 3].reshape(r, 3)
-        one_minus_w = one_minus_w_buf[:r * 3].reshape(r, 3)
-        b[:] = control[:, None, :]
-        w[:] = u[block, None]
-        np.subtract(1.0, w, out=one_minus_w)
-        for step in range(n - 1):
-            m = n - step
-            np.multiply(w, b[1:m + 1], out=scratch[:m])
-            b[:m] *= one_minus_w
-            b[:m] += scratch[:m]
-        np.subtract(b[1], b[0], out=deriv[block])
-        deriv[block] *= n
-        np.multiply(one_minus_w, b[0], out=pos[block])
-        np.multiply(w, b[1], out=scratch[0])
-        pos[block] += scratch[0]
-    return pos, deriv

@@ -53,8 +53,17 @@ def test_bench_record_fields(path):
             assert entry["wins"] == wins, (name, metric)
 
 
+def by_number(records):
+    return sorted(records, key=lambda p: int(p.stem.split("_")[1]))
+
+
 def test_latest_record_counts_the_current_source():
     # The highest-numbered record is the last change's: its size is today's.
-    latest = max(RECORDS, key=lambda p: int(p.stem.split("_")[1]))
+    latest = by_number(RECORDS)[-1]
     lines = sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "searoam").glob("*.py"))
     assert json.loads(latest.read_text())["src_lines"]["after"] == lines, latest.name
+
+
+def test_latest_record_starts_where_the_previous_one_ended():
+    previous, latest = (json.loads(p.read_text())["src_lines"] for p in by_number(RECORDS)[-2:])
+    assert latest["before"] == previous["after"]

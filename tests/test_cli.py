@@ -142,20 +142,21 @@ def test_path_compare_corridor_matches_golden(tmp_path):
 
 def test_path_compare_evaluates_each_curve_once(tmp_path, monkeypatch):
     # One evaluation of the whole grid per curve feeds the figure, the
-    # angular speeds and the knot corners: one de Casteljau pass for the
-    # bezier, positions and tangents for the others, none per knot.
+    # angular speeds and the knot corners: one positions and one tangents
+    # pass for each kind, none per knot.
     calls = []
 
     def counting(original, name):
-        def wrapper(*args):
-            calls.append(name)
-            return original(*args)
+        def wrapper(curve, *args):
+            calls.append((curve.kind, name))
+            return original(curve, *args)
         return wrapper
 
-    monkeypatch.setattr(spline, "_de_casteljau", counting(spline._de_casteljau, "de_casteljau"))
-    monkeypatch.setattr(PathCurve, "_evaluate", counting(PathCurve._evaluate, "evaluate"))
+    for name in ("positions", "tangents", "_evaluate"):
+        monkeypatch.setattr(PathCurve, name, counting(getattr(PathCurve, name), name))
     assert main(["path", "compare", str(CORRIDOR / "route.csv"), "--out", str(tmp_path)]) == 0
-    assert sorted(calls) == ["de_casteljau"] + ["evaluate"] * 4
+    assert sorted(calls) == sorted((kind, name) for kind in spline.KINDS
+                                   for name in ("positions", "tangents", "_evaluate", "_evaluate"))
 
 
 @pytest.mark.parametrize("argv", [
