@@ -134,6 +134,7 @@ def _cmd_path_compare(args) -> int:
 
 
 def _cmd_sim_run(args) -> int:
+    tension = spline.check_tension(args.tension)
     pts, keypoints = _projected_points(args)
     scene = sim.SceneSpec.from_json(_read_text(args.scene))
     profile = sim.SpeedProfile.from_keypoints(keypoints)
@@ -142,7 +143,7 @@ def _cmd_sim_run(args) -> int:
     files = {}
     for kind in kinds:
         result = sim.simulate(
-            spline.PathCurve(kind, pts, args.tension), profile, scene, dt=args.dt, seed=args.seed,
+            spline.PathCurve(kind, pts, tension), profile, scene, dt=args.dt, seed=args.seed,
             sigma=args.sigma, trigger_distance=args.trigger_distance,
         )
         doc = {"kind": kind, "dt": args.dt, "seed": args.seed, "sigma": args.sigma}

@@ -282,21 +282,12 @@ class Trajectory:
 
 
 _PATH_OVERFLOWS = "path length overflows (keypoint coordinates too large)"
-# Coefficients, in x on [-1, 1], of the polynomial through values at the ten
-# Lobatto nodes (_NODE_MONOMIALS @ values), the one the rule integrates; times
-# _INTEGRATE, those of its antiderivative x * sum(c[m] x^m).
-_NODE_MONOMIALS = np.linalg.inv(np.vander(_LOBATTO_NODES, increasing=True))
-_INTEGRATE = 1.0 / np.arange(1, len(_LOBATTO_NODES) + 1)
-
-
-def _horner(coef: np.ndarray, x) -> np.ndarray:
-    """sum(coef[m] * x**m) over the first axis of coef."""
-    out = coef[-1] * x
-    for c in coef[-2:0:-1]:
-        out += c
-        out *= x
-    out += coef[0]
-    return out
+# Coefficients, highest power first, in x on [-1, 1], of the polynomial
+# through values at the ten Lobatto nodes (_NODE_MONOMIALS @ values), the one
+# the rule integrates; times _INTEGRATE, those of its antiderivative
+# x * np.polyval(length, x).
+_NODE_MONOMIALS = np.linalg.inv(np.vander(_LOBATTO_NODES, increasing=True))[::-1]
+_INTEGRATE = (1.0 / np.arange(1, len(_LOBATTO_NODES) + 1))[::-1]
 
 
 def _arc_intervals(curve: PathCurve):
@@ -322,7 +313,7 @@ def _arc_intervals(curve: PathCurve):
     order = order[stops[order] > starts[order]]  # a half of width 0 has nothing to invert
     speeds = _NODE_MONOMIALS @ values[order].T
     length = speeds * _INTEGRATE[:, None]
-    parts = 0.5 * (stops - starts)[order] * (_horner(length, 1.0) + _horner(length, -1.0))
+    parts = 0.5 * (stops - starts)[order] * (np.polyval(length, 1.0) + np.polyval(length, -1.0))
     return np.append(starts[order], 1.0), parts, (speeds, length)
 
 
@@ -374,22 +365,22 @@ def _hermite_table(s: np.ndarray, parts: np.ndarray, interpolant) -> tuple:
 def _refine(s0, s1, parts, speeds, length) -> list:
     """_hermite_table's checks and splits: the intervals that pass, as
     (s0, w, h, b0, b1) per level."""
-    both = np.stack((length, speeds), axis=1)  # (10, 2, K): one _horner for both
+    both = np.stack((length, speeds), axis=1)  # (10, 2, K): one np.polyval for both
     budget = max(ARC_LENGTH_ABS_TOL, ARC_LENGTH_REL_TOL * float(parts.sum()))
     center, radius = 0.5 * (s0 + s1), 0.5 * (s1 - s0)
     floor = 2.0 ** -40 * parts  # the rounding of each half's polynomials
     # Pending pieces: their half k, ends s0 and s1, the antiderivative
-    # x * _horner(length, x) at their ends, length and end speeds.
+    # x * np.polyval(length, x) at their ends, length and end speeds.
     k, h = np.arange(len(parts)), parts
-    a0, a1 = -_horner(length, -1.0), _horner(length, 1.0)
-    v0, v1 = _horner(speeds, -1.0), _horner(speeds, 1.0)
+    a0, a1 = -np.polyval(length, -1.0), np.polyval(length, 1.0)
+    v0, v1 = np.polyval(speeds, -1.0), np.polyval(speeds, 1.0)
     done = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(ARC_LENGTH_MAX_DEPTH):
             w = s1 - s0
             b0, b1 = _hermite_slopes(w, h, v0, v1)
             x = (s0 + w * (0.5 + 0.125 * (b0 - b1)) - center[k]) / radius[k]  # _s_at at h / 2
-            miss = np.abs(radius[k] * (x * _horner(length.take(k, axis=1), x) - a0) - 0.5 * h)
+            miss = np.abs(radius[k] * (x * np.polyval(length.take(k, axis=1), x) - a0) - 0.5 * h)
             # s itself rounds by up to 4 ulp of 1 at the larger end speed.
             bad = miss > np.maximum(budget, floor[k] + 2.0 ** -50 * np.maximum(v0, v1))
             done.append((s0[~bad], w[~bad], h[~bad], b0[~bad], b1[~bad]))
@@ -407,7 +398,7 @@ def _refine(s0, s1, parts, speeds, length) -> list:
             lo = s0[owner] + w[owner] * (j / m[owner])
             k = k[owner]
             x = (lo - center[k]) / radius[k]
-            a_lo, v_lo = _horner(both.take(k, axis=2), x)
+            a_lo, v_lo = np.polyval(both.take(k, axis=2), x)
             a_lo *= x
             a_lo[first], v_lo[first] = a0[bad], v0[bad]
             hi, a_hi, v_hi = np.empty_like(lo), np.empty_like(lo), np.empty_like(lo)

@@ -180,29 +180,17 @@ class PathCurve:
         """_evaluate on one block, into out, with term as scratch.
 
         Polyline and catmull_rom: in place, the same products as the plain
-        expressions, summed in the same order, so the same bits.  Bezier, in
-        (3, rows) temporaries whatever its degree m: the linear-time recurrence
-        of Wozny & Chudy (CAD 2020) over P_0..P_m, or, for dP/ds, m times it
-        over the differences.  Q_0 = P_0, h_0 = 1, and for k = 1..m
-        h_k = (m-k+1) t h_{k-1} / (k (1-t) + (m-k+1) t h_{k-1}), here divided
-        through by k t, and Q_k = Q_{k-1} + h_k (P_k - Q_{k-1}), a convex
-        combination.  t = 0 gives h = 0 and P_0 exactly; at t = 1, where every
-        h is 1 and the sums round, P_m is set.
+        expressions, summed in the same order, so the same bits.  Bezier:
+        _wozny_chudy over P_0..P_m, or, for dP/ds, m times it over the
+        differences, in (3, rows) temporaries whatever the degree m.  At
+        t = 1, where every h is 1 and the sums round, P_m is set.
         """
         if self.kind == "bezier":
-            control = self._diffs if deriv else self.keypoints
-            m, r = len(control) - 1, len(ss)
-            rest, a, h = (1.0 - ss) / ss, np.empty(r), np.ones(r)  # rest: inf at t = 0
-            q, d = term[:r].reshape(3, r), out.reshape(3, r)  # coordinate-major
-            q[:] = control[0, :, None]
-            for k in range(1, m + 1):
-                np.multiply(h, (m - k + 1) / k, out=a)
-                np.divide(a, np.add(a, rest, out=h), out=h)
-                np.subtract(control[k, :, None], q, out=d)
-                d *= h
-                q += d
-            out[:] = q.T
-            out[ss == 1.0] = control[m]
+            control = (self._diffs if deriv else self.keypoints)[:, :, None]
+            q = term[:len(ss)].reshape(3, -1)  # coordinate-major
+            q[:] = control[0]
+            out[:] = _wozny_chudy(control, (1.0 - ss) / ss, q).T  # rest: inf at t = 0
+            out[ss == 1.0] = control[-1, :, 0]
         elif self.kind == "polyline":
             idx, u = self._locate(ss)
             np.take(self._diffs, idx, axis=0, out=out)
@@ -471,10 +459,10 @@ def _bernstein_roots(rows: np.ndarray) -> np.ndarray:
     piece's right end is a root there.  The halves' changes add up to at
     most their piece's, so at most _KINK_DEPTH * (k m // 2) pieces are
     halved, each in O(m^2); past that, as at _KINK_DEPTH, a piece is cut at
-    its midpoint.  At most k m roots take O(m) per bracketing step.
+    its midpoint.  At most k m roots take O(m) per bracketing step, each
+    value by _wozny_chudy, the recurrence that evaluates the curve.
     """
     m = rows.shape[1] - 1
-    ratios = [(m - i) / (i + 1) for i in range(m)]
     half, splits = None, _KINK_DEPTH * ((rows.size - len(rows)) // 2)
     roots, pieces = [], [(0.0, 1.0, row) for row in rows]
     while pieces:
@@ -484,7 +472,7 @@ def _bernstein_roots(rows: np.ndarray) -> np.ndarray:
             roots.append(start + width)
         changes = _sign_changes(c)
         if changes == 1:
-            roots.append(_bracket_root(c, ratios, start, width))
+            roots.append(_bracket_root(c, start, width))
         elif changes > 1 and (width <= 2.0**-_KINK_DEPTH or not splits):
             roots.append(start + 0.5 * width)
         elif changes > 1:
@@ -511,13 +499,14 @@ def _sign_changes(c: list) -> int:
     return max(changes, 0)
 
 
-def _bracket_root(c: list, ratios: list, start: float, width: float) -> float:
+def _bracket_root(c: list, start: float, width: float) -> float:
     """The one root in (start, start + width) of the polynomial with
     Bernstein coefficients c on that piece.
 
     Illinois steps (Dowell & Jarratt, BIT 1971) in the piece's parameter,
     kept 2 ulps inside the bracket, and a bisection where two steps did not
-    halve it, until the bracket is 4 ulps wide.  A zero end coefficient (a
+    halve it, until the bracket is 4 ulps wide, so every step evaluates
+    the piece by _wozny_chudy at a t in (0, 1).  A zero end coefficient (a
     repeated control point) takes its sign from the first nonzero one.
     """
     lo, hi, f_lo, f_hi = 0.0, 1.0, c[0], c[-1]
@@ -532,7 +521,7 @@ def _bracket_root(c: list, ratios: list, start: float, width: float) -> float:
         else:
             t = min(max((lo * f_hi - hi * f_lo) / (f_hi - f_lo), lo + nudge), hi - nudge)
         widths = [widths[1], hi - lo]
-        f = _bernstein_value(c, ratios, t)
+        f = _wozny_chudy(c, (1.0 - t) / t, c[0])
         if f == 0.0:
             return start + width * t
         if (f < 0.0) == negative:
@@ -548,24 +537,19 @@ def _bracket_root(c: list, ratios: list, start: float, width: float) -> float:
     return start + width * (0.5 * (lo + hi))
 
 
-def _bernstein_value(c: list, ratios: list, t: float) -> float:
-    """The polynomial with Bernstein coefficients c at t in [0, 1].
-
-    The O(m) Horner scheme of Schumaker & Volk (CAGD 1986) in
-    min(t, 1 - t), whose terms stay finite up to about 1750 coefficients;
-    past that, where a term overflows, the O(m^2) averages
-    c_i <- (1 - t) c_i + t c_{i+1}.
+def _wozny_chudy(control, rest, q):
+    """The polynomial of degree m = len(control) - 1 with Bernstein
+    coefficients control at t, given rest = (1 - t) / t and q = control[0],
+    by the linear-time recurrence of Wozny & Chudy (CAD 2020): h_0 = 1 and,
+    for k = 1..m, h_k = (m-k+1) t h_{k-1} / (k (1-t) + (m-k+1) t h_{k-1}),
+    here divided through by k t, and Q_k = Q_{k-1} + h_k (P_k - Q_{k-1}).
+    Every h lies in [0, 1], so no term overflows at any degree; rest = inf
+    (t = 0) gives h = 0 and control[0] exactly.  It runs on Python floats,
+    and on numpy arrays, where q is updated in place.
     """
-    if t > 0.5:
-        c, t = c[::-1], 1.0 - t
-    s, value, term = 1.0 - t, c[0], 1.0
-    for ratio, x in zip(ratios, c[1:]):
-        term *= t * ratio
-        value = value * s + term * x
-    if not math.isfinite(value):
-        b = np.array(c)
-        for _ in range(len(c) - 1):
-            b = s * b[:-1] + t * b[1:]
-        value = float(b[0])
-    return value
-
+    n, h = len(control), 1.0
+    for k in range(1, n):
+        a = h * ((n - k) / k)  # n - k = m - k + 1
+        h = a / (a + rest)
+        q += h * (control[k] - q)
+    return q

@@ -311,6 +311,22 @@ def test_sim_run_rejects_bad_ray_args(tmp_path, capsys, arg, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind_args, tension", [
+    (["--kind", "polyline"], "5"),
+    (["--kind", "bezier"], "nan"),
+    (["--kind", "catmull_rom"], "-0.5"),
+    ([], "5"),
+])
+def test_sim_run_rejects_bad_tension_for_every_kind(tmp_path, capsys, kind_args, tension):
+    # The tension is checked once, whether or not a catmull-rom curve runs.
+    out = tmp_path / "out"
+    code = main(["sim", "run", str(ROUTE_SPEEDS), str(SCENE), *kind_args, "--tension", tension,
+                 "--dt", "0.1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: tension must be in [0, 1], got {float(tension)!r}\n"
+    assert not out.exists()
+
+
 def test_sim_run_tiny_dt_hits_step_limit(tmp_path, capsys):
     out = tmp_path / "out"
     start = time.perf_counter()

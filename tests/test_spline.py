@@ -456,15 +456,25 @@ def test_bezier_kinks_of_1100_keypoints_stay_finite():
         warnings.simplefilter("error")  # no overflow warning either
         kinks = PathCurve.bezier(pts)._speed_kinks()
     assert len(kinks) and np.all((kinks > 0.0) & (kinks < 1.0))
-    # Past about 1750 coefficients a Horner term overflows near t = 0.5,
-    # and de Casteljau's averages give the value.
+    # The recurrence's weights stay in [0, 1] at any degree, so 2000
+    # coefficients give de Casteljau's value, with no overflowing term.
     c = np.random.default_rng(12).uniform(-1.0, 1.0, 2000)
-    ratios = [(1999 - i) / (i + 1) for i in range(1999)]
+    coefs = c.tolist()
     for t in (0.3, 0.5, 0.7):
         b = c.copy()
         for _ in range(1999):
             b = (1.0 - t) * b[:-1] + t * b[1:]
-        assert spline._bernstein_value(c.tolist(), ratios, t) == pytest.approx(b[0], abs=1e-12)
+        assert spline._wozny_chudy(coefs, (1.0 - t) / t, coefs[0]) == pytest.approx(b[0], abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=81),
+       t=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_kink_search_evaluates_like_the_curve(c, t):
+    # The kink search's scalar values are the bezier's x coordinate, bit for bit.
+    value = spline._wozny_chudy(c, (1.0 - t) / t, c[0])
+    x = PathCurve.bezier([(x, 0.0, 0.0) for x in c]).position(t)[0] if len(c) > 1 else c[0]
+    assert np.float64(value).tobytes() == np.float64(x).tobytes()
 
 
 def test_kink_on_a_knot_is_one_cut():
