@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .spline import (ARC_LENGTH_ABS_TOL, ARC_LENGTH_MAX_DEPTH, ARC_LENGTH_MAX_INTERVALS,
-                     ARC_LENGTH_REL_TOL, _LOBATTO_NODES, ArcLengthError, PathCurve,
-                     _adaptive_lobatto, _cross_rows, _cuts, _row_norms, _rowdot)
+                     ARC_LENGTH_REL_TOL, _LENGTH_OVERFLOWS, ArcLengthError, PathCurve,
+                     _arc_intervals, _cross_rows, _row_norms, _rowdot)
 
 DEFAULT_ENERGY_BUDGET = 300.0
 DEFAULT_AGENT_RADIUS = 1.0
@@ -254,7 +254,10 @@ class SpeedProfile:
     @classmethod
     def from_keypoints(cls, keypoints) -> "SpeedProfile":
         """The speed column of an (N, 4) keypoint array (geo.load_keypoints)."""
-        return cls(np.array(keypoints, dtype=float)[:, 3])
+        keypoints = np.array(keypoints, dtype=float)
+        if keypoints.ndim != 2 or keypoints.shape[1] != 4:
+            raise ValueError(f"expected an (N, 4) keypoint array, got shape {keypoints.shape}")
+        return cls(keypoints[:, 3])
 
 
 @dataclass(frozen=True)
@@ -281,42 +284,6 @@ class Trajectory:
     positions: np.ndarray
 
 
-_PATH_OVERFLOWS = "path length overflows (keypoint coordinates too large)"
-# Coefficients, highest power first, in x on [-1, 1], of the polynomial
-# through values at the ten Lobatto nodes (_NODE_MONOMIALS @ values), the one
-# the rule integrates; times _INTEGRATE, those of its antiderivative
-# x * np.polyval(length, x).
-_NODE_MONOMIALS = np.linalg.inv(np.vander(_LOBATTO_NODES, increasing=True))[::-1]
-_INTEGRATE = (1.0 / np.arange(1, len(_LOBATTO_NODES) + 1))[::-1]
-
-
-def _arc_intervals(curve: PathCurve):
-    """(s, parts, interpolant): the first intervals of the stepper's table,
-    K + 1 entries s from 0 to 1, every keypoint knot j/(N-1) among them,
-    and the K lengths.  A polyline's are its segments and _row_norms chords
-    (interpolant None).  The other kinds' are the halves that
-    spline._adaptive_lobatto accepts on the curve cut at the knots and the
-    speed kinks; interpolant is the (10, K) coefficients, in x on [-1, 1]
-    across each half, of the polynomial through the speeds its Lobatto rule
-    summed and of that polynomial's antiderivative, whose rise is the length.
-    """
-    knots = curve.grid(1)
-    if curve.kind == "polyline":
-        with np.errstate(over="ignore", invalid="ignore"):  # _step_states rejects the total
-            return knots, _row_norms(curve._diffs), None
-    cuts = _cuts(knots, curve._speed_kinks())
-    accepted = []
-    _adaptive_lobatto(lambda ss: _row_norms(curve.tangents(ss)), cuts[:-1], cuts[1:],
-                      accepted, _PATH_OVERFLOWS)
-    starts, stops, values = (np.concatenate(part) for part in zip(*accepted))
-    order = np.argsort(starts)
-    order = order[stops[order] > starts[order]]  # a half of width 0 has nothing to invert
-    speeds = _NODE_MONOMIALS @ values[order].T
-    length = speeds * _INTEGRATE[:, None]
-    parts = 0.5 * (stops - starts)[order] * (np.polyval(length, 1.0) + np.polyval(length, -1.0))
-    return np.append(starts[order], 1.0), parts, (speeds, length)
-
-
 def _hermite_slopes(w, h, v0, v1):
     """The end slopes (b0, b1) of _s_at on intervals of widths w, lengths h
     and end speeds |dP/ds| v0, v1: ds/dl = 1/|dP/ds| over the mean w/h,
@@ -330,7 +297,7 @@ def _hermite_slopes(w, h, v0, v1):
 
 
 def _hermite_table(s: np.ndarray, parts: np.ndarray, interpolant) -> tuple:
-    """The stepper's table (lengths, rows) from _arc_intervals: the
+    """The stepper's table (lengths, rows) from spline._arc_intervals: the
     cumulative length at every entry, and per interval the row (l0, h, s0,
     c1, c2, c3) of _s_at.
 
@@ -500,7 +467,7 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
     with np.errstate(over="ignore", invalid="ignore"):
         total = float(np.cumsum(parts)[-1])
     if not math.isfinite(total):
-        raise ArcLengthError(_PATH_OVERFLOWS)
+        raise ArcLengthError(_LENGTH_OVERFLOWS)
     # No step is slower than the slowest keypoint speed, so this bounds the
     # step count; ceil(x) > MAX_STEPS exactly when x > MAX_STEPS.
     estimate = min(budget, total / float(profile.speeds.min())) / dt

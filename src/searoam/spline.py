@@ -39,6 +39,8 @@ ARC_LENGTH_ABS_TOL = 1e-12
 # how many times an interval may be halved.
 ARC_LENGTH_MAX_INTERVALS = 1 << 16
 ARC_LENGTH_MAX_DEPTH = 60
+# The one message of every length that overflows, arc_length's and the sim's.
+_LENGTH_OVERFLOWS = "path length overflows (keypoint coordinates too large)"
 
 # The 10-point Gauss-Lobatto rule on [-1, 1]: both ends and the roots of
 # P'_9, the derivative of the Legendre polynomial of degree 9, with weights
@@ -59,7 +61,7 @@ EVAL_ROWS = 1 << 12
 
 
 class ArcLengthError(ValueError):
-    """The arc length cannot be computed: the speed overflows, or the
+    """The arc length cannot be computed: the length overflows, or the
     quadrature exceeds its bounds before it reaches its tolerance."""
 
 
@@ -131,6 +133,7 @@ class PathCurve:
                 self._m1 = self.tension * (padded[3:] - padded[1:-2])
             else:  # polyline chords, or the bezier's control differences
                 self._starts, self._diffs = pts[:-1], pts[1:] - pts[:-1]
+                self._chords = _row_norms(self._diffs)  # their lengths
 
     @classmethod
     def polyline(cls, keypoints) -> "PathCurve":
@@ -242,7 +245,7 @@ class PathCurve:
         integrate |dP/ds| by adaptive Gauss-Lobatto quadrature to
         ARC_LENGTH_REL_TOL relative or ARC_LENGTH_ABS_TOL absolute, split at
         the catmull_rom segment knots and wherever a coordinate of dP/ds
-        changes sign.  Raises ArcLengthError if the speed overflows or the
+        changes sign.  Raises ArcLengthError if the length overflows or the
         subdivision exceeds its bounds.
         """
         s0, s1 = float(s0), float(s1)
@@ -252,21 +255,20 @@ class PathCurve:
             return 0.0
 
         if self.kind == "polyline":
-            chord = _row_norms(self._diffs)
             x0, x1 = s0 * self.n_segments, s1 * self.n_segments
             i0 = min(int(math.floor(x0)), self.n_segments - 1)
             i1 = min(int(math.floor(x1)), self.n_segments - 1)
-            if i0 == i1:
-                return float(chord[i0] * (x1 - x0))
-            total = chord[i0] * (i0 + 1 - x0) + chord[i1] * (x1 - i1)
-            total += chord[i0 + 1:i1].sum()
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = self._chords[i0] * ((x1 if i0 == i1 else i0 + 1) - x0)
+                if i0 < i1 < x1:  # no share of chord i1, maybe NaN, when s1 is on its knot
+                    total += self._chords[i1] * (x1 - i1)
+                total += self._chords[i0 + 1:i1].sum()
+            if not math.isfinite(total):
+                raise ArcLengthError(_LENGTH_OVERFLOWS)
             return float(total)
 
-        inside = lambda ss: ss[(ss > s0) & (ss < s1)]
-        knots = inside(self.grid(1)) if self.kind == "catmull_rom" else np.empty(0)
-        cuts = _cuts(np.concatenate(([s0], knots, [s1])), inside(self._speed_kinks()))
-        speeds = lambda ss: _row_norms(self.tangents(ss))
-        return _adaptive_lobatto(speeds, cuts[:-1], cuts[1:])
+        knots = self.grid(1) if self.kind == "catmull_rom" else np.empty(0)
+        return _adaptive_lobatto(self, np.hstack((s0, knots[(knots > s0) & (knots < s1)], s1)))
 
     def _speed_kinks(self) -> np.ndarray:
         """Global parameters in (0, 1) where a coordinate of dP/ds changes sign.
@@ -352,11 +354,11 @@ def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, _NEXT] * b[:, _PREV] - a[:, _PREV] * b[:, _NEXT]
 
 
-def _lobatto(speeds, lo: np.ndarray, hi: np.ndarray):
-    """Gauss-Lobatto integrals of speeds over each interval [lo, hi], and
-    the (k, nodes) speeds they were summed from.
+def _lobatto(curve: PathCurve, lo: np.ndarray, hi: np.ndarray):
+    """Gauss-Lobatto integrals of the curve's speed |dP/ds| over each
+    interval [lo, hi], and the (k, nodes) speeds they were summed from.
 
-    All intervals are evaluated in one speeds call.  The end nodes are set
+    All intervals are evaluated in one tangents call.  The end nodes are set
     to lo and hi exactly, so rounding never takes a node out of [0, 1], and
     each row's first and last speed is the speed at lo and at hi.
     """
@@ -366,16 +368,13 @@ def _lobatto(speeds, lo: np.ndarray, hi: np.ndarray):
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _LOBATTO_NODES
     nodes[:, 0], nodes[:, -1] = lo, hi
-    values = speeds(nodes.ravel()).reshape(nodes.shape)
+    values = _row_norms(curve.tangents(nodes.ravel())).reshape(nodes.shape)
     return half * (values @ _LOBATTO_WEIGHTS), values
 
 
-_SPEED_OVERFLOWS = "arc length: the curve speed overflows (coordinates too large)"
-
-
-def _adaptive_lobatto(speeds, lo: np.ndarray, hi: np.ndarray, accepted: list | None = None,
-                      overflow: str = _SPEED_OVERFLOWS) -> float:
-    """Integral of speeds over the adjacent intervals [lo[i], hi[i]], summed.
+def _adaptive_lobatto(curve: PathCurve, knots: np.ndarray, accepted: list | None = None) -> float:
+    """The curve's arc length from knots[0] to knots[-1], integrated between
+    the knots (ascending, distinct) and its speed kinks among them (_cuts).
 
     Adaptive bisection after Guenter & Parent, "Computing the arc length of
     parametric curves" (IEEE CG&A 1990), one level at a time.  Every
@@ -385,29 +384,32 @@ def _adaptive_lobatto(speeds, lo: np.ndarray, hi: np.ndarray, accepted: list | N
     * w / W, where L is the current estimate of the whole integral and W
     the whole width, so the accepted differences add up to at most the
     tolerance of the whole range; the rest are halved again.  Each level
-    costs one speeds call over all pending intervals.  A list given as
+    costs one tangents call over all pending intervals.  A list given as
     accepted gets, per level, the accepted halves as (starts, stops, the
-    (k, 10) speeds at their Lobatto nodes).  A speed that overflows raises
-    ArcLengthError(overflow).
+    (k, 10) speeds at their Lobatto nodes).  A length that overflows raises
+    ArcLengthError.
 
     The rule is Lobatto, not Gauss-Legendre, because its nodes include the
     interval's ends.  Near-cusps sit at the cuts, so at interval ends, and
     a Gauss-Legendre rule, whose outer nodes stop short of the ends, can
     miss one in the whole and in both halves alike.
     """
+    kinks = curve._speed_kinks()
+    cuts = _cuts(knots, kinks[(kinks > knots[0]) & (kinks < knots[-1])])
+    lo, hi = cuts[:-1], cuts[1:]
     span = hi[-1] - lo[0]
-    whole = _lobatto(speeds, lo, hi)[0]
+    whole = _lobatto(curve, lo, hi)[0]
     total = 0.0
     for _ in range(ARC_LENGTH_MAX_DEPTH):
         mid = 0.5 * (lo + hi)
         n = len(lo)
         starts, stops = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-        halves, values = _lobatto(speeds, starts, stops)
+        halves, values = _lobatto(curve, starts, stops)
         left, right = halves[:n], halves[n:]
         both = left + right
         estimate = total + float(both.sum())
         if not math.isfinite(estimate):  # checked at once: NaN never converges
-            raise ArcLengthError(overflow)
+            raise ArcLengthError(_LENGTH_OVERFLOWS)
         # A subnormal span can overflow the budget to inf, which accepts
         # every interval: the span is then below the tolerance / 1.8e308, so
         # at a finite speed the whole length is below the tolerance too.
@@ -437,6 +439,37 @@ def _cuts(knots: np.ndarray, kinks: np.ndarray) -> np.ndarray:
     cuts, knot = cuts[order], order < len(knots)
     near = np.diff(cuts) <= 4.0 * np.spacing(cuts[1:])
     return cuts[knot | ~(np.append(False, near) | np.append(near & knot[1:], False))]
+
+
+# Coefficients, highest power first, in x on [-1, 1], of the polynomial
+# through values at the ten Lobatto nodes (_NODE_MONOMIALS @ values), the one
+# the rule integrates; times _INTEGRATE, those of its antiderivative
+# x * np.polyval(length, x).
+_NODE_MONOMIALS = np.linalg.inv(np.vander(_LOBATTO_NODES, increasing=True))[::-1]
+_INTEGRATE = (1.0 / np.arange(1, len(_LOBATTO_NODES) + 1))[::-1]
+
+
+def _arc_intervals(curve: PathCurve):
+    """(s, parts, interpolant): the first intervals of the sim's arc-length
+    table, K + 1 entries s from 0 to 1, every keypoint knot j/(N-1) among
+    them, and the K lengths.  A polyline's are its segments and _row_norms
+    chords (interpolant None).  The other kinds' are the halves that
+    _adaptive_lobatto accepts over the knots; interpolant is the (10, K)
+    coefficients, in x on [-1, 1] across each half, of the polynomial
+    through the speeds its Lobatto rule summed and of its antiderivative.
+    """
+    knots = curve.grid(1)
+    if curve.kind == "polyline":  # the sim rejects an overflowing total
+        return knots, curve._chords, None
+    accepted = []
+    _adaptive_lobatto(curve, knots, accepted)
+    starts, stops, values = (np.concatenate(part) for part in zip(*accepted))
+    order = np.argsort(starts)
+    order = order[stops[order] > starts[order]]  # a half of width 0 has nothing to invert
+    speeds = _NODE_MONOMIALS @ values[order].T
+    length = speeds * _INTEGRATE[:, None]
+    parts = 0.5 * (stops - starts)[order] * (np.polyval(length, 1.0) + np.polyval(length, -1.0))
+    return np.append(starts[order], 1.0), parts, (speeds, length)
 
 
 # A piece of the kink search whose coefficients still change sign more than

@@ -123,6 +123,13 @@ def test_scene_validation():
         SceneSpec.from_json("not json")
 
 
+def test_speed_profile_from_keypoints_needs_a_speed_column():
+    assert SpeedProfile.from_keypoints([[0, 0, 0, 2.0], [1, 0, 0, 3.0]]).speeds.tolist() == [2.0, 3.0]
+    for rows, shape in (([[0, 0, 0], [1, 0, 0]], r"\(2, 3\)"), ([1.0, 2.0], r"\(2,\)")):
+        with pytest.raises(ValueError, match=rf"\(N, 4\) keypoint array, got shape {shape}"):
+            SpeedProfile.from_keypoints(rows)
+
+
 def test_speed_profile_interpolates_linearly():
     profile = SpeedProfile(np.array([1.0, 3.0]))
     speeds = np.interp([0.0, 0.5, 1.0], profile.knots, profile.speeds)

@@ -379,12 +379,17 @@ def test_bezier_arc_length_matches_quad_reference(pts, s):
 # them at its first level.
 REPEATED_BEZIER = np.array([(-898, 0, 9)] * 2 + [(233, 0, -111)] * 2 + [(203, 0, -111)] * 3
                            + [(0, 167, 0)] * 2 + [(-598, 167, 314)] * 3, dtype=float)
+# Nine control points that test_bezier_arc_length_matches_quad_reference
+# drew at random: 3.9e-5 (6.5e-8 relative) short.
+REPEATED_BEZIER_9 = np.array([(0, 0, 0)] * 2 + [(0, 362, 180)] * 3 + [(15, 0.25, 0)] * 2
+                             + [(25, 0, 0), (0, 0, 0)], dtype=float)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="the adaptive quadrature accepts two estimates that are both short")
-def test_bezier_arc_length_with_repeated_control_points():
-    curve = PathCurve.bezier(REPEATED_BEZIER)
+@pytest.mark.parametrize("pts", [REPEATED_BEZIER, REPEATED_BEZIER_9], ids=["12", "9"])
+def test_bezier_arc_length_with_repeated_control_points(pts):
+    curve = PathCurve.bezier(pts)
     assert curve.arc_length() == pytest.approx(quad_arc_length(curve, 0.0, 1.0), rel=1e-8, abs=1e-10)
 
 
@@ -496,7 +501,7 @@ def test_cuts_keep_every_knot_and_merge_kinks_within_4_ulps():
 
 @settings(max_examples=100, deadline=None)
 @given(pts=routes(30, st.floats(allow_nan=False, allow_infinity=False)),
-       kind=st.sampled_from(["bezier", "catmull_rom"]), tension=st.sampled_from([0.0, 0.5, 1.0]),
+       kind=st.sampled_from(KINDS), tension=st.sampled_from([0.0, 0.5, 1.0]),
        s=ranges())
 def test_arc_length_is_finite_or_named_error(pts, kind, tension, s):
     with np.errstate(all="ignore"):
@@ -512,13 +517,26 @@ def test_arc_length_speed_overflow_is_named_error():
     pts = [(-1e308, 0, 0), (1e308, 0, 0), (-1e308, 1e308, 0), (1e308, -1e308, 1e308)]
     tracemalloc.start()
     try:
-        for kind in ("bezier", "catmull_rom"):
-            with np.errstate(all="ignore"), pytest.raises(ArcLengthError, match="overflows"):
+        for kind in KINDS:
+            with np.errstate(all="ignore"), pytest.raises(ArcLengthError,
+                                                          match="^path length overflows"):
                 PathCurve(kind, pts).arc_length()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000  # raised on the first quadrature pass
+
+
+def test_polyline_arc_length_overflow_is_named_error_and_shares_no_later_chord():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        there_and_back = PathCurve.polyline([[0, 0, 0], [1.7e308, 0, 0], [-1.7e308, 0, 0]])
+        twice_out = PathCurve.polyline([[0, 0, 0], [1e308, 0, 0], [0, 0, 0], [1e308, 0, 0]])
+        # The second chord's length is not finite; s1 = 0.5 is on its knot.
+        assert there_and_back.arc_length(0.0, 0.5) == 1.7e308
+        for curve in (there_and_back, twice_out):
+            with pytest.raises(ArcLengthError, match="^path length overflows"):
+                curve.arc_length()
 
 
 @pytest.mark.parametrize("kind", KINDS)
