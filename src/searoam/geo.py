@@ -94,7 +94,10 @@ def load_keypoints(source: str) -> np.ndarray:
     Raises PathTooShortError for fewer than two data rows and
     KeypointParseError for malformed headers or rows.
     """
-    rows = [r for r in csv.reader(io.StringIO(source)) if r]
+    try:
+        rows = [r for r in csv.reader(io.StringIO(source)) if r]
+    except csv.Error as exc:  # a cell longer than csv.field_size_limit(), say
+        raise KeypointParseError(f"keypoint file is not valid CSV: {exc}") from None
     if not rows:
         raise PathTooShortError("keypoint file is empty; a path needs at least 2 keypoints")
 

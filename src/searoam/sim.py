@@ -18,9 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .spline import (ARC_LENGTH_ABS_TOL, ARC_LENGTH_MAX_DEPTH, ARC_LENGTH_MAX_INTERVALS,
-                     ARC_LENGTH_REL_TOL, _LENGTH_OVERFLOWS, ArcLengthError, PathCurve,
-                     _arc_intervals, _cross_rows, _row_norms, _rowdot)
+from .spline import PathCurve, _arc_table, _cross_rows, _row_norms, _rowdot
 
 DEFAULT_ENERGY_BUDGET = 300.0
 DEFAULT_AGENT_RADIUS = 1.0
@@ -175,13 +173,15 @@ class SceneSpec:
             raise ValueError("target ids must be unique")
         centers = np.ascontiguousarray(targets[:, :3])
         obstacle_centers = np.ascontiguousarray(obstacles[:, :3])
+        with np.errstate(over="ignore"):  # an infinite reach meets every position
+            reach = obstacles[:, 3] + self.agent_radius
         for name, value in [
             ("obstacles", obstacles), ("targets", targets), ("target_ids", ids),
             ("target_centers", centers), ("_target_sort", _widest_sort(centers)),
             ("target_radii", np.ascontiguousarray(targets[:, 3])),
             ("obstacle_centers", obstacle_centers),
             ("_obstacle_sort", _widest_sort(obstacle_centers)),
-            ("obstacle_reach", obstacles[:, 3] + self.agent_radius),
+            ("obstacle_reach", reach),
         ]:
             object.__setattr__(self, name, value)
 
@@ -213,6 +213,8 @@ class SceneSpec:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"scene is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise ValueError("scene JSON is nested too deeply to parse") from None
         if not isinstance(doc, dict):
             raise ValueError("scene JSON must be an object")
         obstacles, _ = _scene_entries(doc, "obstacles")
@@ -230,10 +232,12 @@ class SceneSpec:
 class SpeedProfile:
     """Per-keypoint speeds, interpolated linearly in global s between knots."""
 
-    speeds: np.ndarray
+    speeds: np.ndarray = field(compare=False)
     # Global s of each keypoint, the knots speeds are interpolated between:
     # j/(N-1), the bits of PathCurve.grid(1).
     knots: np.ndarray = field(init=False, repr=False, compare=False)
+    # The speeds' bytes: profiles compare and hash by value, as scenes do.
+    _speed_bytes: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
         speeds = np.asarray(self.speeds, dtype=float)
@@ -250,6 +254,7 @@ class SpeedProfile:
                              f"(speeds {speeds[i]:g} and {speeds[i + 1]:g})")
         object.__setattr__(self, "speeds", speeds)
         object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "_speed_bytes", speeds.tobytes())
 
     @classmethod
     def from_keypoints(cls, keypoints) -> "SpeedProfile":
@@ -275,107 +280,13 @@ class SimResult:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time-sampled states along a curve under a speed profile."""
 
     times: np.ndarray
     s_values: np.ndarray
     positions: np.ndarray
-
-
-def _hermite_slopes(w, h, v0, v1):
-    """The end slopes (b0, b1) of _s_at on intervals of widths w, lengths h
-    and end speeds |dP/ds| v0, v1: ds/dl = 1/|dP/ds| over the mean w/h,
-    minus 1.  Both are 0, a linear inversion, where either ratio lies
-    outside (0, 3], so the cubic could fall back (Fritsch & Carlson, SIAM J.
-    Numer. Anal. 1980): at a cusp (|dP/ds| = 0) and at length 0."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a0, a1 = h / w / v0, h / w / v1
-    rises = (a0 > 0.0) & (a0 <= 3.0) & (a1 > 0.0) & (a1 <= 3.0)
-    return np.where(rises, a0 - 1.0, 0.0), np.where(rises, a1 - 1.0, 0.0)
-
-
-def _hermite_table(s: np.ndarray, parts: np.ndarray, interpolant) -> tuple:
-    """The stepper's table (lengths, rows) from spline._arc_intervals: the
-    cumulative length at every entry, and per interval the row (l0, h, s0,
-    c1, c2, c3) of _s_at.
-
-    Each interval's inverse cubic Hermite is checked where it puts half the
-    interval's length.  If the length from the interval's start to that s
-    misses the half by more than ARC_LENGTH_REL_TOL * L (at least
-    ARC_LENGTH_ABS_TOL; L the route length), the interval is split into m
-    equal widths, m from the miss, which shrinks about as the width to the
-    fourth; the pieces are checked at the next level (Wang, Kearney &
-    Atkinson, "Arc-length parameterized spline curves for real-time
-    simulation", 2002).  Inside a half, lengths and speeds come from its
-    polynomials, so no check or split evaluates the curve.  A miss below
-    the rounding of those polynomials or of s passes; pieces still missing
-    after ARC_LENGTH_MAX_DEPTH levels are kept.  A polyline's segments are
-    inverted linearly, which is exact.
-    """
-    s0, s1 = s[:-1], s[1:]
-    zeros = np.zeros(len(parts))
-    done = [(s0, s1 - s0, parts, zeros, zeros)]
-    if interpolant is not None:
-        done = _refine(s0, s1, parts, *interpolant)
-    s0, w, h, b0, b1 = (np.concatenate(part) for part in zip(*done))
-    order = np.argsort(s0)
-    s0, w, h, b0, b1 = s0[order], w[order], np.maximum(h[order], 0.0), b0[order], b1[order]
-    lengths = np.zeros(len(h) + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # the refined sum may round past 1.8e308
-        np.cumsum(h, out=lengths[1:])
-        rows = np.stack((lengths[:-1], h, s0, w * (1.0 + b0), -w * (b0 + b0 + b1), w * (b0 + b1)))
-    return lengths, rows
-
-
-def _refine(s0, s1, parts, speeds, length) -> list:
-    """_hermite_table's checks and splits: the intervals that pass, as
-    (s0, w, h, b0, b1) per level."""
-    both = np.stack((length, speeds), axis=1)  # (10, 2, K): one np.polyval for both
-    budget = max(ARC_LENGTH_ABS_TOL, ARC_LENGTH_REL_TOL * float(parts.sum()))
-    center, radius = 0.5 * (s0 + s1), 0.5 * (s1 - s0)
-    floor = 2.0 ** -40 * parts  # the rounding of each half's polynomials
-    # Pending pieces: their half k, ends s0 and s1, the antiderivative
-    # x * np.polyval(length, x) at their ends, length and end speeds.
-    k, h = np.arange(len(parts)), parts
-    a0, a1 = -np.polyval(length, -1.0), np.polyval(length, 1.0)
-    v0, v1 = np.polyval(speeds, -1.0), np.polyval(speeds, 1.0)
-    done = []
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(ARC_LENGTH_MAX_DEPTH):
-            w = s1 - s0
-            b0, b1 = _hermite_slopes(w, h, v0, v1)
-            x = (s0 + w * (0.5 + 0.125 * (b0 - b1)) - center[k]) / radius[k]  # _s_at at h / 2
-            miss = np.abs(radius[k] * (x * np.polyval(length.take(k, axis=1), x) - a0) - 0.5 * h)
-            # s itself rounds by up to 4 ulp of 1 at the larger end speed.
-            bad = miss > np.maximum(budget, floor[k] + 2.0 ** -50 * np.maximum(v0, v1))
-            done.append((s0[~bad], w[~bad], h[~bad], b0[~bad], b1[~bad]))
-            if not bad.any():
-                return done
-            m = np.minimum(np.ceil(2.0 * np.sqrt(np.sqrt(miss[bad] / budget))), 256).astype(np.intp)
-            if m.sum() > ARC_LENGTH_MAX_INTERVALS:
-                raise ArcLengthError(f"the arc-length table needs more than "
-                                     f"{ARC_LENGTH_MAX_INTERVALS} new intervals at once")
-            # Piece j of an interval's m runs from lo[j] to lo[j + 1].
-            owner = np.repeat(np.arange(len(m)), m)
-            j = np.arange(len(owner)) - np.repeat(np.cumsum(m) - m, m)
-            first, last = j == 0, j == m[owner] - 1
-            k, s0, s1, w = k[bad], s0[bad], s1[bad], w[bad]
-            lo = s0[owner] + w[owner] * (j / m[owner])
-            k = k[owner]
-            x = (lo - center[k]) / radius[k]
-            a_lo, v_lo = np.polyval(both.take(k, axis=2), x)
-            a_lo *= x
-            a_lo[first], v_lo[first] = a0[bad], v0[bad]
-            hi, a_hi, v_hi = np.empty_like(lo), np.empty_like(lo), np.empty_like(lo)
-            hi[:-1], a_hi[:-1], v_hi[:-1] = lo[1:], a_lo[1:], v_lo[1:]
-            hi[last], a_hi[last], v_hi[last] = s1, a1[bad], v1[bad]
-            wide = hi > lo  # m steps across a few ulps round to fewer
-            k, s0, s1, a0, a1, v0, v1 = (
-                part[wide] for part in (k, lo, hi, a_lo, a_hi, v_lo, v_hi))
-            h = radius[k] * (a1 - a0)
-    return done + [(s0, s1 - s0, h, *_hermite_slopes(s1 - s0, h, v0, v1))]
 
 
 def _s_at(table: tuple, ells: np.ndarray) -> np.ndarray:
@@ -451,9 +362,9 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
     _WINDOW intervals held as Python floats, so it costs the same whatever
     the table size.  Either way the values equal a step loop over a search
     of the table bit for bit.  Returns arrays (times, s_values) starting at
-    t=0, and completed.  Raises ArcLengthError when the path length
-    overflows and SimTooLargeError, before the table's inversion is
-    refined, when the estimated step count exceeds MAX_STEPS.
+    t=0, and completed.  Raises ArcLengthError where spline._arc_table does,
+    then SimTooLargeError when the step count estimated from the table's
+    total length exceeds MAX_STEPS.
     """
     if len(profile.speeds) != len(curve.keypoints):
         raise ValueError(
@@ -463,11 +374,8 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be > 0, got {dt!r}")
 
-    s_table, parts, interpolant = _arc_intervals(curve)
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.cumsum(parts)[-1])
-    if not math.isfinite(total):
-        raise ArcLengthError(_LENGTH_OVERFLOWS)
+    lengths, rows = table = _arc_table(curve)
+    total = float(lengths[-1])
     # No step is slower than the slowest keypoint speed, so this bounds the
     # step count; ceil(x) > MAX_STEPS exactly when x > MAX_STEPS.
     estimate = min(budget, total / float(profile.speeds.min())) / dt
@@ -476,8 +384,6 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
             f"about {estimate:.3g} time steps at dt={dt!r} exceed the limit of "
             f"{MAX_STEPS}; use a larger dt"
         )
-    lengths, rows = table = _hermite_table(s_table, parts, interpolant)
-    total = float(lengths[-1])  # the refined table's sum, up to rounding the same
 
     # Python floats: one step is a few scalar operations, which numpy calls
     # would dominate.  A piece (lo, hi, y, slope, hi_length) runs from knot
@@ -858,8 +764,9 @@ def run_ray_task(
         raise ValueError(f"expected (N, 3) trajectory points, got shape {points.shape}")
 
     centers = scene.target_centers
-    triggers = (TRIGGER_RADIUS_FACTOR * scene.target_radii
-                if trigger_distance is None else trigger_distance)
+    with np.errstate(over="ignore"):  # an infinite trigger zone holds every point
+        triggers = (TRIGGER_RADIUS_FACTOR * scene.target_radii
+                    if trigger_distance is None else trigger_distance)
     # Each (row, target) entry fires an attempt from its row, aimed at the
     # row's nearest target, lowest index on ties: never farther than the
     # entered one, so among the row's pairs, kept by the largest trigger and

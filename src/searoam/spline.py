@@ -449,27 +449,109 @@ _NODE_MONOMIALS = np.linalg.inv(np.vander(_LOBATTO_NODES, increasing=True))[::-1
 _INTEGRATE = (1.0 / np.arange(1, len(_LOBATTO_NODES) + 1))[::-1]
 
 
-def _arc_intervals(curve: PathCurve):
-    """(s, parts, interpolant): the first intervals of the sim's arc-length
-    table, K + 1 entries s from 0 to 1, every keypoint knot j/(N-1) among
-    them, and the K lengths.  A polyline's are its segments and _row_norms
-    chords (interpolant None).  The other kinds' are the halves that
-    _adaptive_lobatto accepts over the knots; interpolant is the (10, K)
-    coefficients, in x on [-1, 1] across each half, of the polynomial
-    through the speeds its Lobatto rule summed and of its antiderivative.
-    """
+def _arc_table(curve: PathCurve) -> tuple:
+    """The sim's arc-length table (lengths, rows): the cumulative length at
+    every entry s, from 0 at s = 0, each keypoint knot an entry, and per
+    interval the row (l0, h, s0, c1, c2, c3) of sim._s_at.  A polyline's
+    intervals are its segments and _row_norms chords, inverted linearly,
+    which is exact; the other kinds' come from _refine.  Raises ArcLengthError
+    if the total overflows or a level adds over ARC_LENGTH_MAX_INTERVALS."""
     knots = curve.grid(1)
-    if curve.kind == "polyline":  # the sim rejects an overflowing total
-        return knots, curve._chords, None
+    if curve.kind == "polyline":
+        done = [(knots[:-1], np.diff(knots), curve._chords, *np.zeros((2, curve.n_segments)))]
+    else:
+        done = _refine(curve, knots)
+    s0, w, h, b0, b1 = (np.concatenate(part) for part in zip(*done))
+    order = np.argsort(s0)
+    s0, w, h, b0, b1 = s0[order], w[order], np.maximum(h[order], 0.0), b0[order], b1[order]
+    with np.errstate(over="ignore"):  # the refined sum may round past 1.8e308
+        lengths = np.append(0.0, np.cumsum(h))
+    if not math.isfinite(lengths[-1]):
+        raise ArcLengthError(_LENGTH_OVERFLOWS)
+    return lengths, np.stack(
+        (lengths[:-1], h, s0, w * (1.0 + b0), -w * (b0 + b0 + b1), w * (b0 + b1)))
+
+
+def _hermite_slopes(w, h, v0, v1):
+    """The end slopes (b0, b1) of sim._s_at on intervals of widths w,
+    lengths h and end speeds |dP/ds| v0, v1: ds/dl = 1/|dP/ds| over the
+    mean w/h, minus 1.  Both are 0, a linear inversion, where either ratio
+    lies outside (0, 3], so the cubic could fall back (Fritsch & Carlson,
+    SIAM J. Numer. Anal. 1980): at a cusp (|dP/ds| = 0) and at length 0."""
+    a0, a1 = h / w / v0, h / w / v1
+    rises = (a0 > 0.0) & (a0 <= 3.0) & (a1 > 0.0) & (a1 <= 3.0)
+    return np.where(rises, a0 - 1.0, 0.0), np.where(rises, a1 - 1.0, 0.0)
+
+
+def _refine(curve: PathCurve, knots: np.ndarray) -> list:
+    """_arc_table's intervals for a bezier or catmull_rom, as (s0, w, h,
+    b0, b1) per level: start, width, length and _hermite_slopes.
+
+    They start as the halves that _adaptive_lobatto accepts over the knots.
+    Each interval's inverse cubic Hermite is checked where it puts half the
+    interval's length.  If the length up to that s misses the half by more
+    than ARC_LENGTH_REL_TOL * L (at least ARC_LENGTH_ABS_TOL; L the route
+    length), the interval is split into m equal widths, m from the miss,
+    which shrinks about as the width to the fourth; the pieces are checked
+    at the next level (Wang, Kearney & Atkinson, "Arc-length parameterized
+    spline curves for real-time simulation", 2002).  Inside a half, lengths
+    and speeds come from the polynomial through the speeds its Lobatto rule
+    summed and from its antiderivative, so nothing evaluates the curve.  A
+    miss below the rounding of those polynomials or of s passes; pieces
+    still missing after ARC_LENGTH_MAX_DEPTH levels are kept.
+    """
     accepted = []
     _adaptive_lobatto(curve, knots, accepted)
     starts, stops, values = (np.concatenate(part) for part in zip(*accepted))
     order = np.argsort(starts)
     order = order[stops[order] > starts[order]]  # a half of width 0 has nothing to invert
-    speeds = _NODE_MONOMIALS @ values[order].T
-    length = speeds * _INTEGRATE[:, None]
-    parts = 0.5 * (stops - starts)[order] * (np.polyval(length, 1.0) + np.polyval(length, -1.0))
-    return np.append(starts[order], 1.0), parts, (speeds, length)
+    s0, s1 = starts[order], stops[order]
+    done = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        speeds = _NODE_MONOMIALS @ values[order].T
+        length = speeds * _INTEGRATE[:, None]
+        both = np.stack((length, speeds), axis=1)  # (10, 2, K): one np.polyval for both
+        center, radius = 0.5 * (s0 + s1), 0.5 * (s1 - s0)
+        # Pending pieces: their half k, ends s0 and s1, the antiderivative
+        # x * np.polyval(length, x) at their ends, length and end speeds.
+        a0, a1 = -np.polyval(length, -1.0), np.polyval(length, 1.0)
+        v0, v1 = np.polyval(speeds, -1.0), np.polyval(speeds, 1.0)
+        k, h = np.arange(len(s0)), radius * (a1 - a0)
+        budget = max(ARC_LENGTH_ABS_TOL, ARC_LENGTH_REL_TOL * float(h.sum()))
+        floor = 2.0 ** -40 * h  # the rounding of each half's polynomials
+        for _ in range(ARC_LENGTH_MAX_DEPTH):
+            w = s1 - s0
+            b0, b1 = _hermite_slopes(w, h, v0, v1)
+            x = (s0 + w * (0.5 + 0.125 * (b0 - b1)) - center[k]) / radius[k]  # _s_at at h / 2
+            miss = np.abs(radius[k] * (x * np.polyval(length.take(k, axis=1), x) - a0) - 0.5 * h)
+            # s itself rounds by up to 4 ulp of 1 at the larger end speed.
+            bad = miss > np.maximum(budget, floor[k] + 2.0 ** -50 * np.maximum(v0, v1))
+            done.append((s0[~bad], w[~bad], h[~bad], b0[~bad], b1[~bad]))
+            if not bad.any():
+                return done
+            m = np.minimum(np.ceil(2.0 * np.sqrt(np.sqrt(miss[bad] / budget))), 256).astype(np.intp)
+            if m.sum() > ARC_LENGTH_MAX_INTERVALS:
+                raise ArcLengthError(f"the arc-length table needs more than "
+                                     f"{ARC_LENGTH_MAX_INTERVALS} new intervals at once; use "
+                                     "fewer keypoints or, for catmull_rom, a higher tension")
+            # Piece j of an interval's m runs from lo[j] to lo[j + 1].
+            owner = np.repeat(np.arange(len(m)), m)
+            j = np.arange(len(owner)) - np.repeat(np.cumsum(m) - m, m)
+            first, last = j == 0, j == m[owner] - 1
+            k, s0, s1, w = k[bad], s0[bad], s1[bad], w[bad]
+            lo = s0[owner] + w[owner] * (j / m[owner])
+            k = k[owner]
+            x = (lo - center[k]) / radius[k]
+            a_lo, v_lo = np.polyval(both.take(k, axis=2), x)
+            a_lo *= x
+            a_lo[first], v_lo[first] = a0[bad], v0[bad]
+            hi, a_hi, v_hi = (np.append(part[1:], 0.0) for part in (lo, a_lo, v_lo))
+            hi[last], a_hi[last], v_hi[last] = s1, a1[bad], v1[bad]
+            wide = hi > lo  # m steps across a few ulps round to fewer
+            k, s0, s1, a0, a1, v0, v1 = (
+                part[wide] for part in (k, lo, hi, a_lo, a_hi, v_lo, v_hi))
+            h = radius[k] * (a1 - a0)
+        return done + [(s0, s1 - s0, h, *_hermite_slopes(s1 - s0, h, v0, v1))]
 
 
 # A piece of the kink search whose coefficients still change sign more than

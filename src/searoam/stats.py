@@ -359,7 +359,10 @@ def load_study(source: str) -> dict[str, tuple]:
     time_s,collisions,accuracy) into one tuple per column: participant
     strings, int scores and collisions, float time_s and accuracy.  Data
     rows are numbered from 1 in errors."""
-    rows = [r for r in csv.reader(io.StringIO(source)) if r]
+    try:
+        rows = [r for r in csv.reader(io.StringIO(source)) if r]
+    except csv.Error as exc:  # a cell longer than csv.field_size_limit(), say
+        raise ValueError(f"study file is not valid CSV: {exc}") from None
     if not rows:
         raise ValueError("study file is empty")
     header = [c.strip().lower() for c in rows[0]]

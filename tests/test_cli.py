@@ -4,6 +4,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from searoam import spline
@@ -116,6 +117,21 @@ def test_path_compare_malformed_row_diagnostics(tmp_path, capsys):
     bad.write_text("longitude,latitude,height\n1,2,3\n4,5,6\nabc,8,9\n")
     assert main(["path", "compare", str(bad), "--out", str(tmp_path / "o")]) == 1
     assert "row 3" in capsys.readouterr().err
+
+
+# One cell longer than the csv module's field limit of 131072 characters.
+LONG_CELL = "1" * 200_000
+
+
+def test_path_compare_cell_over_csv_field_limit(tmp_path, capsys):
+    route = tmp_path / "long.csv"
+    route.write_text(f"longitude,latitude,height\n1,2,3\n{LONG_CELL},5,6\n")
+    out = tmp_path / "out"
+    assert main_without_warnings(["path", "compare", str(route), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: keypoint file is not valid CSV: ")
+    assert "field limit" in err[0]
+    assert not out.exists()
 
 
 def test_path_compare_scaled_projection(tmp_path):
@@ -280,15 +296,18 @@ def test_sim_run_empty_scene(tmp_path):
      "obstacle 0: sphere radius must be a number > 0"),
     ('{"obstacles": [{"center": [0, 0, 0], "radius": true}]}',
      "obstacle 0: sphere radius must be a number > 0"),
+    # Deeper than the JSON decoder's recursion limit.
+    ('{"obstacles": ' + "[" * 100_000 + "]" * 100_000 + "}", "scene JSON is nested too deeply"),
 ], ids=["not_json", "missing_radius", "string_radius", "obstacles_object", "missing_center",
-        "missing_id", "short_center", "nan_center", "negative_radius", "bool_radius"])
+        "missing_id", "short_center", "nan_center", "negative_radius", "bool_radius", "too_deep"])
 def test_sim_run_bad_scene_json(tmp_path, capsys, text, message):
     scene = tmp_path / "scene.json"
     scene.write_text(text)
     out = tmp_path / "out"
-    code = main(["sim", "run", str(ROUTE_SPEEDS), str(scene), "--out", str(out)])
+    code = main_without_warnings(["sim", "run", str(ROUTE_SPEEDS), str(scene), "--out", str(out)])
     assert code == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert not out.exists()
 
 
@@ -335,6 +354,32 @@ def test_sim_run_tiny_dt_hits_step_limit(tmp_path, capsys):
     elapsed = time.perf_counter() - start
     assert code == 1
     assert "time steps" in capsys.readouterr().err
+    assert elapsed < 1.0
+    assert not out.exists()
+
+
+def test_sim_run_table_interval_limit(tmp_path, capsys):
+    # A 2000-keypoint random walk at tension 0, whose arc-length table needs
+    # more new intervals at once than the limit allows.  The table is built
+    # before the step estimate, so this limit, which no --dt lifts, is what a
+    # --dt far too small for MAX_STEPS reports.
+    walk = np.cumsum(np.random.default_rng(7).uniform(-1.0, 1.0, (2000, 3)), axis=0)
+    walk[:, 2] -= walk[:, 2].min()  # heights >= 0
+    route = tmp_path / "walk.csv"
+    route.write_text("longitude,latitude,height,speed\n"
+                     + "".join(f"{x!r},{y!r},{z!r},1\n" for x, y, z in walk.tolist()))
+    scene = tmp_path / "empty.json"
+    scene.write_text("{}")
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    code = main_without_warnings(["sim", "run", str(route), str(scene), "--kind", "catmull_rom",
+                                  "--tension", "0", "--dt", "1e-6", "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the arc-length table needs more than "
+                                               f"{spline.ARC_LENGTH_MAX_INTERVALS} new intervals")
+    assert "fewer keypoints" in err[0] and "higher tension" in err[0]
     assert elapsed < 1.0
     assert not out.exists()
 
@@ -506,6 +551,26 @@ def test_sim_run_far_huge_target_gets_an_attempt(tmp_path):
                                   "polyline", "--sigma", "0.1", "--out", str(out)]) == 0
     assert json.loads((out / "sim_polyline.json").read_text())["ray_attempts"] == 1
 
+
+@pytest.mark.parametrize("doc, counts", [
+    # Reach 1.7e308 + 1.7e308 overflows to inf: every position is inside.
+    ({"obstacles": [{"center": [0, 0, 0], "radius": 1.7e308}], "agent_radius": 1.7e308},
+     {"collisions": 1, "ray_attempts": 0}),
+    # Trigger zone 3 * 1e308 overflows to inf: the first position enters it.
+    ({"targets": [{"id": "huge", "center": [0, 0, 0], "radius": 1e308}]},
+     {"collisions": 0, "ray_attempts": 1, "ray_hits": 1}),
+], ids=["obstacle_reach", "target_trigger"])
+def test_sim_run_infinite_zone_has_no_warning(tmp_path, capsys, doc, counts):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main_without_warnings(["sim", "run", str(ROUTE_SPEEDS), str(scene), "--sigma", "0.1",
+                                  "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    for kind in spline.KINDS:
+        result = json.loads((out / f"sim_{kind}.json").read_text())
+        assert {key: result[key] for key in counts} == counts
+
 # --- study analyze -----------------------------------------------------------
 
 def test_study_analyze_outputs(tmp_path):
@@ -572,6 +637,17 @@ def test_study_analyze_refuses_overflowing_column(tmp_path, capsys):
     assert main_without_warnings(["study", "analyze", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: column 'time_s' ") and "overflows" in err[0]
+    assert not out.exists()
+
+
+def test_study_analyze_cell_over_csv_field_limit(tmp_path, capsys):
+    study = tmp_path / "long.csv"
+    study.write_text(STUDY.read_text() + f"{LONG_CELL},20,18,200,2,0.8\n")
+    out = tmp_path / "out"
+    assert main_without_warnings(["study", "analyze", str(study), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: study file is not valid CSV: ")
+    assert "field limit" in err[0]
     assert not out.exists()
 
 
