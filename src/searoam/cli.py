@@ -40,35 +40,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Waypoint trajectory engine: path comparison, roaming simulation, study statistics.",
     )
     top = parser.add_subparsers(dest="command", required=True)
+    # The route options that path compare and sim run share, declared once.
+    route = argparse.ArgumentParser(add_help=False)
+    route.add_argument("keypoints", type=Path, help="keypoint CSV file")
+    route.add_argument("--tension", type=float, default=spline.DEFAULT_TENSION)
+    route.add_argument("--projection", choices=["raw", "scaled"], default="raw")
+    route.add_argument("--scale", type=float, nargs=3, default=(1.0, 1.0, 1.0),
+                       metavar=("SX", "SY", "SZ"))
+    route.add_argument("--out", type=Path, required=True, help="output directory")
 
     p_path = top.add_parser("path", help="path curve tools")
     path_sub = p_path.add_subparsers(dest="subcommand", required=True)
-    p_compare = path_sub.add_parser("compare", help="compare polyline, bezier and catmull-rom paths")
-    p_compare.add_argument("keypoints", type=Path, help="keypoint CSV file")
-    p_compare.add_argument("--tension", type=float, default=spline.DEFAULT_TENSION)
+    p_compare = path_sub.add_parser("compare", parents=[route],
+                                    help="compare polyline, bezier and catmull-rom paths")
     p_compare.add_argument("--samples", type=int, default=64, help="curve samples per segment")
-    p_compare.add_argument("--projection", choices=["raw", "scaled"], default="raw")
-    p_compare.add_argument("--scale", type=float, nargs=3, default=(1.0, 1.0, 1.0),
-                           metavar=("SX", "SY", "SZ"))
-    p_compare.add_argument("--out", type=Path, required=True, help="output directory")
 
     p_sim = top.add_parser("sim", help="roaming simulation")
     sim_sub = p_sim.add_subparsers(dest="subcommand", required=True)
-    p_run = sim_sub.add_parser("run", help="simulate roaming along the path")
-    p_run.add_argument("keypoints", type=Path, help="keypoint CSV file")
+    p_run = sim_sub.add_parser("run", parents=[route], help="simulate roaming along the path")
     p_run.add_argument("scene", type=Path, help="scene JSON file")
     p_run.add_argument("--kind", choices=list(spline.KINDS),
                        help="simulate only this curve kind (default: all three)")
-    p_run.add_argument("--tension", type=float, default=spline.DEFAULT_TENSION)
     p_run.add_argument("--dt", type=float, default=0.1, help="time step in seconds")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--sigma", type=float, default=0.0, help="aim noise (radians)")
     p_run.add_argument("--trigger-distance", type=float, default=None,
                        help="ray trigger distance (default: 3x target radius)")
-    p_run.add_argument("--projection", choices=["raw", "scaled"], default="raw")
-    p_run.add_argument("--scale", type=float, nargs=3, default=(1.0, 1.0, 1.0),
-                       metavar=("SX", "SY", "SZ"))
-    p_run.add_argument("--out", type=Path, required=True, help="output directory")
 
     p_study = top.add_parser("study", help="study data tools")
     study_sub = p_study.add_subparsers(dest="subcommand", required=True)
@@ -89,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_text(path: Path) -> str:
     if not path.is_file():
         raise ValueError(f"file not found: {path}")
-    return path.read_text(encoding="utf-8")
+    return path.read_text(encoding="utf-8-sig")  # a byte-order mark is not content
 
 
 def _projected_points(args) -> tuple[np.ndarray, np.ndarray]:

@@ -135,7 +135,7 @@ def _widest_sort(centers: np.ndarray) -> tuple:
     return axis, order, centers[order, axis]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SceneSpec:
     """Obstacle and target spheres plus agent radius and energy budget.
 
@@ -143,21 +143,23 @@ class SceneSpec:
     target_ids names each target row.  Scenes compare and hash by value.
     """
 
-    obstacles: np.ndarray = ()
-    targets: np.ndarray = ()
+    obstacles: np.ndarray = field(default=(), compare=False)
+    targets: np.ndarray = field(default=(), compare=False)
     target_ids: tuple[str, ...] = ()
     agent_radius: float = DEFAULT_AGENT_RADIUS
     energy_budget: float = DEFAULT_ENERGY_BUDGET
     # Contiguous columns for the vectorized scene tests: (T, 3) target
     # centers and (T,) radii, (O, 3) obstacle centers and (O,) reach
     # (obstacle radius + agent radius, the inclusive collision distance).
-    target_centers: np.ndarray = field(init=False, repr=False)
-    target_radii: np.ndarray = field(init=False, repr=False)
-    obstacle_centers: np.ndarray = field(init=False, repr=False)
-    obstacle_reach: np.ndarray = field(init=False, repr=False)
+    target_centers: np.ndarray = field(init=False, repr=False, compare=False)
+    target_radii: np.ndarray = field(init=False, repr=False, compare=False)
+    obstacle_centers: np.ndarray = field(init=False, repr=False, compare=False)
+    obstacle_reach: np.ndarray = field(init=False, repr=False, compare=False)
     # The centers sorted along their widest axis, for _box_pairs (see _widest_sort).
-    _target_sort: tuple = field(init=False, repr=False)
-    _obstacle_sort: tuple = field(init=False, repr=False)
+    _target_sort: tuple = field(init=False, repr=False, compare=False)
+    _obstacle_sort: tuple = field(init=False, repr=False, compare=False)
+    # The rows' bytes, -0.0 made 0.0: scenes compare and hash by value, as profiles do.
+    _row_bytes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         obstacles = _sphere_rows(self.obstacles, "obstacle")
@@ -182,22 +184,9 @@ class SceneSpec:
             ("obstacle_centers", obstacle_centers),
             ("_obstacle_sort", _widest_sort(obstacle_centers)),
             ("obstacle_reach", reach),
+            ("_row_bytes", ((obstacles + 0.0).tobytes(), (targets + 0.0).tobytes())),
         ]:
             object.__setattr__(self, name, value)
-
-    def _key(self) -> tuple:
-        return (tuple(self.obstacles.ravel().tolist()), tuple(self.targets.ravel().tolist()),
-                self.target_ids, self.agent_radius, self.energy_budget)
-
-    # By value: the generated dataclass methods would compare the arrays
-    # with ==, whose truth value is ambiguous, and could not hash them.
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @classmethod
     def from_json(cls, text: str) -> "SceneSpec":

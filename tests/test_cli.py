@@ -23,6 +23,43 @@ def read_outputs(out_dir: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
 
+# path compare and sim run share their route options through one parent parser.
+ROUTE_DEFAULTS = {"keypoints": Path("r.csv"), "tension": spline.DEFAULT_TENSION,
+                  "projection": "raw", "scale": (1.0, 1.0, 1.0), "out": Path("o")}
+ROUTE_GIVEN = {"keypoints": Path("r.csv"), "tension": 0.25, "projection": "scaled",
+               "scale": [1.0, 2.0, 3.0], "out": Path("o")}
+ROUTE_ARGS = ["--tension", "0.25", "--projection", "scaled", "--scale", "1", "2", "3"]
+SIM_DEFAULTS = {"command": "sim", "subcommand": "run", "scene": Path("s.json"), "kind": None,
+                "dt": 0.1, "seed": 0, "sigma": 0.0, "trigger_distance": None}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["path", "compare", "r.csv", "--out", "o"],
+     {"command": "path", "subcommand": "compare", "samples": 64, **ROUTE_DEFAULTS}),
+    (["path", "compare", "r.csv", *ROUTE_ARGS, "--out", "o"],
+     {"command": "path", "subcommand": "compare", "samples": 64, **ROUTE_GIVEN}),
+    (["sim", "run", "r.csv", "s.json", "--out", "o"], {**SIM_DEFAULTS, **ROUTE_DEFAULTS}),
+    (["sim", "run", "r.csv", "s.json", *ROUTE_ARGS, "--out", "o"], {**SIM_DEFAULTS, **ROUTE_GIVEN}),
+], ids=["compare_defaults", "compare_route_options", "sim_defaults", "sim_route_options"])
+def test_route_options_parse_alike(argv, expected):
+    assert vars(build_parser().parse_args(argv)) == expected
+
+
+@pytest.mark.parametrize("argv, plain", [
+    (["path", "compare", str(ROUTE)], ROUTE),
+    (["sim", "run", str(ROUTE_SPEEDS), str(SCENE), "--dt", "0.05"], SCENE),
+    (["study", "analyze", str(STUDY), "--replicates", "200"], STUDY),
+], ids=["route", "scene", "study"])
+def test_byte_order_mark_is_not_content(tmp_path, argv, plain):
+    # Spreadsheet programs that save "CSV UTF-8" start the file with U+FEFF.
+    marked = tmp_path / plain.name
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+    argv = [str(marked) if arg == str(plain) else arg for arg in argv]
+    assert main(argv + ["--out", str(tmp_path / "marked")]) == 0
+    assert read_outputs(tmp_path / "marked") == read_outputs(tmp_path / "plain")
+
+
 # --- path compare -----------------------------------------------------------
 
 def test_path_compare_writes_svg_and_smoothness(tmp_path, capsys):
@@ -117,6 +154,10 @@ def test_path_compare_malformed_row_diagnostics(tmp_path, capsys):
     bad.write_text("longitude,latitude,height\n1,2,3\n4,5,6\nabc,8,9\n")
     assert main(["path", "compare", str(bad), "--out", str(tmp_path / "o")]) == 1
     assert "row 3" in capsys.readouterr().err
+    bad.write_text("longitude,latitude,height\n1,2,3\n4,5\n")
+    assert main(["path", "compare", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: row 2: expected 3 columns, got 2\n"
+    assert not (tmp_path / "o").exists()
 
 
 # One cell longer than the csv module's field limit of 131072 characters.
@@ -189,6 +230,32 @@ def test_unit_scale_and_ignored_scale_match_default(tmp_path, argv):
     assert main(argv + ["--scale", "0", "5", "5", "--out", str(tmp_path / "raw")]) == 0
     assert read_outputs(tmp_path / "raw") == expected
 
+
+
+def test_path_compare_route_on_one_latitude(tmp_path):
+    # The latitudes span nothing, so the y range is widened by 1 each way
+    # and every curve lies on the panels' middle line, y = 170 of 340.
+    route = tmp_path / "flat.csv"
+    route.write_text("longitude,latitude,height\n0,5,0\n1,5,0\n3,5,1\n4,5,0\n")
+    out = tmp_path / "out"
+    assert main_without_warnings(["path", "compare", str(route), "--out", str(out)]) == 0
+    svg = (out / "compare.svg").read_text()
+    assert "nan" not in svg and "inf" not in svg
+    for kind in spline.KINDS:
+        points = svg.split(f'id="curve-{kind}"')[1].split('points="')[1].split('"')[0]
+        assert {pair.split(",")[1] for pair in points.split()} == {"170"}
+
+
+# The view directions of these routes are tiny, not zero, but their squares
+# underflow in spline._row_norms, as in test_sim_run_route_of_1e_300_takes_length_over_speed.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the squares of tiny view directions underflow to 0")
+@pytest.mark.parametrize("args", [
+    ["--tension", "1e-300"],
+    ["--projection", "scaled", "--scale", "1e-300", "1e-300", "1e-300"],
+], ids=["tension", "scale"])
+def test_path_compare_tiny_route(tmp_path, args):
+    assert main(["path", "compare", str(ROUTE), *args, "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("samples", [MAX_CURVE_SAMPLES // 5 + 1, 10**12])
@@ -298,8 +365,12 @@ def test_sim_run_empty_scene(tmp_path):
      "obstacle 0: sphere radius must be a number > 0"),
     # Deeper than the JSON decoder's recursion limit.
     ('{"obstacles": ' + "[" * 100_000 + "]" * 100_000 + "}", "scene JSON is nested too deeply"),
+    ("[]", "scene JSON must be an object"),
+    ('{"obstacles": [3]}', "obstacle 0: expected an object, got int"),
+    ('{"agent_radius": -1}', "agent_radius must be >= 0, got -1.0"),
 ], ids=["not_json", "missing_radius", "string_radius", "obstacles_object", "missing_center",
-        "missing_id", "short_center", "nan_center", "negative_radius", "bool_radius", "too_deep"])
+        "missing_id", "short_center", "nan_center", "negative_radius", "bool_radius", "too_deep",
+        "not_object", "entry_not_object", "negative_agent_radius"])
 def test_sim_run_bad_scene_json(tmp_path, capsys, text, message):
     scene = tmp_path / "scene.json"
     scene.write_text(text)
@@ -716,4 +787,11 @@ def test_study_synth_n_beyond_limit(tmp_path, capsys, n):
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == (
         f"error: --n {n} exceeds the limit of {MAX_STUDY_SIZE} participants\n")
+    assert not out.exists()
+
+
+def test_study_synth_n_below_four(tmp_path, capsys):
+    out = tmp_path / "synth.csv"
+    assert main(["study", "synth", "--n", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: need at least 4 participants, got 3\n"
     assert not out.exists()

@@ -55,6 +55,11 @@ def test_projection_rejects_nonpositive_scale():
         Projection((1.0, -2.0, 1.0))
 
 
+def test_projection_needs_three_factors():
+    with pytest.raises(ValueError, match="^scale must have exactly three factors$"):
+        Projection((1.0, 2.0))
+
+
 def test_keypoint_invariants():
     header = "longitude,latitude,height,speed\n0,0,0,1\n"
     with pytest.raises(ValueError, match="row 2: height must be >= 0, got -1.0"):

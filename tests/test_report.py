@@ -151,6 +151,12 @@ def test_scatter_rejects_mismatched_fit():
         render_scatter_band(x[:-1], y[:-1], fit)
 
 
+def test_scatter_rejects_unequal_series():
+    x, y, fit = scatter_inputs()
+    with pytest.raises(ValueError, match="^x and y must be equal-length 1-D series$"):
+        render_scatter_band(x, y[:-1], fit)
+
+
 def test_smoothness_csv_layout(demo_pts):
     rep = smoothness(PathCurve.polyline(demo_pts), "next_node", 16)
     text = smoothness_csv([("polyline", "next_node", rep)])

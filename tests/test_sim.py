@@ -100,6 +100,15 @@ def test_scenes_compare_and_hash_by_value():
     assert SceneSpec.from_json(json.dumps(doc)) == a
 
 
+def test_scenes_equal_across_signed_zero_and_differ_from_non_scenes():
+    # Rows compare as floats: 0.0 == -0.0, in a center and in the hash.
+    a = scene_of([((0.0, 1.0, 2.0), 1.0)], [("t", (3.0, 0.0, 4.0), 0.5)])
+    b = scene_of([((-0.0, 1.0, 2.0), 1.0)], [("t", (3.0, -0.0, 4.0), 0.5)])
+    assert a == b and hash(a) == hash(b)
+    for other in (None, 0.0, "scene", SpeedProfile([1.0, 2.0])):
+        assert a != other and other != a
+
+
 def test_scene_json_defaults():
     scene = SceneSpec.from_json('{"obstacles": [], "targets": []}')
     assert scene.agent_radius == 1.0
@@ -144,6 +153,8 @@ def test_speed_profile_interpolates_linearly():
     assert speeds.tolist() == [1.0, 2.0, 3.0]
     with pytest.raises(ValueError):
         SpeedProfile(np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="need a speed per keypoint"):
+        SpeedProfile([1.0])
 
 
 def test_speed_knots_are_the_curve_knots():
@@ -376,6 +387,12 @@ def test_run_ray_task_determinism():
 def test_run_ray_task_needs_targets():
     with pytest.raises(ValueError):
         run_ray_task([(0, 0, 0)], sigma=0.0, seed=0, scene=SceneSpec())
+
+
+def test_run_ray_task_needs_n_by_3_points():
+    scene = ray_scene(("t", (5, 5, 0), 1.0))
+    with pytest.raises(ValueError, match=r"expected \(N, 3\) trajectory points, got shape \(2, 2\)"):
+        run_ray_task([(0, 0), (5, 3)], sigma=0.0, seed=0, scene=scene)
 
 
 def test_run_ray_task_custom_trigger_distance():
@@ -796,7 +813,8 @@ def test_table_work_grows_linearly_in_the_keypoints(kind, n, tension, per_segmen
 # The first step ends about 3e-14 below the knot at s = 2/3, a speed knot,
 # and the next step reads its speed off the line of the piece that ends
 # there.  It makes no np.interp call: the stepper's np.interp fallback, for
-# an s behind its piece's start, is reached by no example and no test.
+# an s behind its piece's start, has its own test on a hand-made table
+# (test_step_states_speed_of_an_s_behind_its_piece).
 @example(kind="polyline", picks=[1, 2, 0, 1],
          pool=[(-3.0, 4.0, 2.0), (1.0, 0.0, -2.0), (0.0, 2.0, -2.0)],
          speeds=[1.0, 2.5, 0.5, 7.0, 1.0], dt=7.621232784633843, budget=300.0)
@@ -867,6 +885,29 @@ def test_step_states_equal_reference(kind, picks, pool, speeds, dt, budget):
     for window in (sim._WINDOW, 1, 2):
         with mock.patch.object(sim, "_WINDOW", window):
             times, s_values, completed = sim._step_states(curve, profile, dt, budget)
+        assert times.tobytes() == np.array(ref_times).tobytes()
+        assert s_values.tobytes() == np.array(ref_s).tobytes()
+        assert completed == ref_completed
+
+
+def test_step_states_speed_of_an_s_behind_its_piece():
+    # A hand-made one-interval table whose inverse cubic, s = 4x - 9x^2 + 6x^3
+    # at x = ell / 2, rises to 5/9 and falls to 4/9 before it reaches 1: the
+    # first step ends at s = 0.53125, past the speed knot s = 1/2, and the
+    # next, in the same interval, at s = 0.46 behind it, whose speed only
+    # np.interp gives.
+    curve = PathCurve("polyline", [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0)])
+    profile = SpeedProfile([1.0, 2.0, 1.0])
+    table = np.array([0.0, 2.0]), np.array([[0.0], [2.0], [0.0], [4.0], [-9.0], [6.0]])
+    with mock.patch.object(spline, "_arc_table", return_value=table):
+        ref_times, ref_s, ref_completed = reference_step_states(curve, profile, 0.5, 300.0)
+    assert ref_s[1] > 0.5 > ref_s[2]
+    for window in (sim._WINDOW, 1, 2):
+        with mock.patch.object(sim, "_WINDOW", window), \
+             mock.patch.object(sim, "_arc_table", return_value=table), \
+             mock.patch.object(sim.np, "interp", side_effect=np.interp) as interp:
+            times, s_values, completed = sim._step_states(curve, profile, 0.5, 300.0)
+        assert interp.call_count >= 1
         assert times.tobytes() == np.array(ref_times).tobytes()
         assert s_values.tobytes() == np.array(ref_s).tobytes()
         assert completed == ref_completed

@@ -95,6 +95,8 @@ def test_segment_rejects_bad_inputs():
         PathCurve.catmull_rom([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)], 1.5)
     with pytest.raises(ValueError):
         PathCurve.catmull_rom([(0, 0, math.nan), (1, 0, 0), (2, 0, 0), (3, 0, 0)], 0.5)
+    with pytest.raises(ValueError, match=r"expected an \(N, 3\) point array, got shape \(3, 2\)"):
+        PathCurve.catmull_rom([(0, 0), (1, 0), (2, 0)], 0.5)
     curve = PathCurve.catmull_rom([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)], 0.5)
     with pytest.raises(ValueError):
         curve.positions(1.1)
@@ -480,6 +482,18 @@ def test_kink_search_evaluates_like_the_curve(c, t):
     value = spline._wozny_chudy(c, (1.0 - t) / t, c[0])
     x = PathCurve.bezier([(x, 0.0, 0.0) for x in c]).position(t)[0] if len(c) > 1 else c[0]
     assert np.float64(value).tobytes() == np.float64(x).tobytes()
+
+
+def test_kink_search_cuts_at_the_midpoint_past_its_depth():
+    # x' is 3 (10 s^2 - 10 s + 2), with two roots, so x's Bernstein
+    # coefficients change sign twice.  At depth 0 the search halves nothing:
+    # it cuts the piece at its midpoint, and the quadrature still converges.
+    curve = PathCurve.bezier([(0, 0, 0), (2, 1, 0), (-1, 2, 0), (1, 3, 0)])
+    with mock.patch.object(spline, "_KINK_DEPTH", 0):
+        kinks = curve._speed_kinks()
+        length = curve.arc_length()
+    assert np.all((kinks > 0.0) & (kinks < 1.0)) and kinks.tolist() == [0.5]
+    assert length == pytest.approx(chordal_arc_length(curve), rel=1e-6)
 
 
 def test_kink_on_a_knot_is_one_cut():

@@ -127,6 +127,12 @@ def test_pearson_errors():
         pearson([1, 2], [1, 2])
     with pytest.raises(ValueError):
         pearson([1, 2, 3], [1, 2])
+    with pytest.raises(ValueError, match="^x must be one-dimensional$"):
+        pearson([[1, 2], [3, 4], [5, 6]], [1, 2, 3])
+    with pytest.raises(ValueError, match="^y must be finite$"):
+        pearson([1, 2, 3], [1, math.inf, 3])
+    with pytest.raises(ValueError, match="^x and y lengths differ: 4 vs 3$"):
+        pearson([1, 2, 3, 4], [1, 2, 3])
 
 
 # --- spearman ---------------------------------------------------------------
