@@ -19,6 +19,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +40,14 @@ class UndefinedFitError(ValueError):
 
 DEFAULT_KS_REPLICATES = 10_000
 # Limit on the Monte-Carlo replicates of one null.  A replicate costs about
-# 1.2 us at n = 50 (2-CPU x86 machine; about 4.2 us at n = 200), so a null
-# at the limit takes about 1.2 s; p-values finer than 1e-6 change no
-# decision at any usable alpha.  Only the counts, not the nulls, are kept.
+# 1.2 us at n = 50 (2-CPU x86 machine; about 4.2 us at n = 200), so analyze's
+# five nulls at the limit take about 6 s of CPU, spread over os.cpu_count()
+# threads; p-values finer than 1e-6 change no decision at any usable alpha.
+# Only the counts, not the nulls, are kept.
 MAX_KS_REPLICATES = 1_000_000
-# Values per null block: (KS_BLOCK_VALUES // n, n) float arrays, at least
-# one row: at most 200 KB (512 rows at n = 50), small enough to stay in cache.
+# Values per null block: _null_buffers' two (KS_BLOCK_VALUES // n, n) float
+# arrays, at least one row, take at most 200 KB each (512 rows at n = 50),
+# small enough to stay in cache; its bool masks take a quarter of one.
 KS_BLOCK_VALUES = 25_600
 P_DISPLAY_CAP = 0.2
 
@@ -215,15 +219,21 @@ def _check_null(n: int, replicates: int) -> None:
         raise ValueError(f"{replicates} replicates exceed the limit of {MAX_KS_REPLICATES}")
 
 
-def _null_exceedances(d: float, n: int, replicates: int, seed: int) -> int:
+def _null_buffers(n: int, replicates: int) -> tuple[np.ndarray, ...]:
+    """The block, scratch and mask buffers of a null of n-value samples."""
+    rows = min(replicates, max(1, KS_BLOCK_VALUES // n))
+    return np.empty((rows, n)), np.empty(rows * n), np.empty((2, rows, n), bool)
+
+
+def _null_exceedances(d: float, n: int, replicates: int, seed: int, buffers=None) -> int:
     """#{null >= d} over the seeded Lilliefors null of ``replicates`` samples.
 
     The standard-normal samples of size n are drawn and _standardized
-    KS_BLOCK_VALUES // n at a time (at least one) into two reused buffers,
-    which consumes the stream as one (replicates, n) draw does.  A row's
-    statistic is >= d when, at some rank i of its sorted z, fl((i + 1) / n -
-    ndtr(z_i)) or fl(ndtr(z_i) - i / n) is: both monotone in z_i, so rows
-    are counted against per-rank thresholds on z.
+    KS_BLOCK_VALUES // n at a time (at least one) into reused buffers (made by
+    _null_buffers unless given), which consumes the stream as one (replicates,
+    n) draw does.  A row's statistic is >= d when, at some rank i of its sorted
+    z, fl((i + 1) / n - ndtr(z_i)) or fl(ndtr(z_i) - i / n) is: both monotone
+    in z_i, so rows are counted against per-rank thresholds on z.
     """
     from scipy.special import ndtri
 
@@ -244,26 +254,31 @@ def _null_exceedances(d: float, n: int, replicates: int, seed: int) -> int:
     delta = np.array([[-1.0], [1.0]]) * 2.0 ** -40
     sure, clear = (ndtri(np.clip(edge + side, 0.0, 1.0)) for side in (delta, -delta))
     rng = np.random.default_rng(seed)
-    rows = min(replicates, max(1, KS_BLOCK_VALUES // n))
-    block = np.empty((rows, n))
-    scratch = np.empty(rows * n)
+    block, scratch, masks = buffers or _null_buffers(n, replicates)
+    rows = len(block)
     count = 0
     for start in range(0, replicates, rows):
         z = _standardized(rng.standard_normal(out=block[:min(rows, replicates - start)]), scratch)
-        hits = ((z < sure[0]) | (z > sure[1])).any(axis=1)
-        band = ((z <= clear[0]) | (z >= clear[1])).any(axis=1) & ~hits
+        lo, hi = masks[:, :len(z)]
+        np.less(z, sure[0], out=lo)
+        hits = np.logical_or(lo, np.greater(z, sure[1], out=hi), out=lo).any(axis=1)
+        np.less_equal(z, clear[0], out=lo)
+        band = np.logical_or(lo, np.greater_equal(z, clear[1], out=hi), out=lo).any(axis=1) & ~hits
         count += int(np.count_nonzero(hits))
         if band.any():
             count += int(np.count_nonzero(_ks_rows(z[band], scratch) >= d))
     return count
 
 
-def ks_normality(x, replicates: int = DEFAULT_KS_REPLICATES, seed: int = 0) -> NormalityResult:
-    """Normality test, parameters estimated: add-one Monte-Carlo p (1 + #{null >= d}) / (B + 1)."""
+def ks_normality(x, replicates: int = DEFAULT_KS_REPLICATES, seed: int = 0, *,
+                 buffers=None) -> NormalityResult:
+    """Normality test, parameters estimated: add-one Monte-Carlo p (1 + #{null >= d}) / (B + 1).
+
+    ``buffers``, _null_buffers(len(x), replicates) if given, are working memory only."""
     x = _as_sample(x, 4)
     _check_null(len(x), replicates)
     d = ks_statistic_normal(x)
-    exceed = _null_exceedances(d, len(x), replicates, seed)
+    exceed = _null_exceedances(d, len(x), replicates, seed, buffers)
     return NormalityResult(d=d, p_value=(1 + exceed) / (replicates + 1), n=len(x))
 
 
@@ -443,11 +458,21 @@ def analyze_study(
                 f"column '{name}' has zero variance; correlation undefined"
             )
 
+    from concurrent.futures import ThreadPoolExecutor
+    import scipy.special  # noqa: F401  imported here, where no two workers race its first import
+
+    # Threads overlap in the GIL-free draws and sorts; buffers made here keep their arenas small.
+    workers = min(len(STUDY_VARIABLES), os.cpu_count() or 1)
+    spare = [_null_buffers(n, replicates) for _ in range(workers)]
+    own = threading.local()
+
+    def null(name: str, child_seed: np.uint32) -> NormalityResult:
+        return ks_normality(columns[name], replicates, int(child_seed), buffers=own.buffers)
+
     child_seeds = np.random.SeedSequence(seed).generate_state(len(STUDY_VARIABLES))
-    normality = {
-        name: ks_normality(columns[name], replicates=replicates, seed=int(child_seeds[i]))
-        for i, name in enumerate(STUDY_VARIABLES)
-    }
+    pool = ThreadPoolExecutor(workers, initializer=lambda: setattr(own, "buffers", spare.pop()))
+    with pool:
+        normality = dict(zip(STUDY_VARIABLES, pool.map(null, STUDY_VARIABLES, child_seeds)))
     is_normal = {name: normality[name].p_value > alpha for name in STUDY_VARIABLES}
 
     correlations = {}

@@ -25,7 +25,7 @@ def loaded(prefixes, modules):
     return sorted(m for m in modules if m.startswith(prefixes))
 
 # "numpy.ma." and not "numpy.ma", which numpy.matrixlib matches; numpy.ma loads numpy.ma.core.
-heavy = ("scipy", "xml.sax", "urllib", "numpy.polynomial", "numpy.ma.")
+heavy = ("scipy", "xml.sax", "urllib", "numpy.polynomial", "numpy.ma.", "concurrent")
 before = set(sys.modules)
 import searoam
 from searoam.cli import main
@@ -54,7 +54,8 @@ def test_scipy_is_loaded_only_by_study_analyze(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["codes"] == [0, 0, 0]
-    assert report["import"] == []  # no scipy*, xml.sax*, urllib*, numpy.polynomial* or numpy.ma*
+    # no scipy*, xml.sax*, urllib*, numpy.polynomial*, numpy.ma* or concurrent*
+    assert report["import"] == []
     assert report["path_sim"] == []  # no scipy*, numpy.ma* (np.unique's) or numpy.polynomial*
     assert "scipy.special" in report["study"]  # the lazy import does run
 

@@ -559,6 +559,30 @@ def test_analyze_report_dict_shape():
         assert 0.0 <= res["p_value"] <= 1.0
 
 
+def serial_reference_report(study, seed, replicates):
+    """analyze_study's report with the nulls run one after another, in order."""
+    columns = {name: np.array(study[name], dtype=float) for name in stats.STUDY_VARIABLES}
+    child_seeds = np.random.SeedSequence(seed).generate_state(len(stats.STUDY_VARIABLES))
+    normality = {name: ks_normality(columns[name], replicates, int(child_seeds[i]))
+                 for i, name in enumerate(stats.STUDY_VARIABLES)}
+    correlations = {}
+    for a, b in stats.CORRELATION_PAIRS:
+        normal = normality[a].p_value > 0.05 and normality[b].p_value > 0.05
+        correlations[f"{a}_vs_{b}"] = (pearson if normal else spearman)(columns[a], columns[b])
+    return stats.StatsReport(len(columns["engagement"]), 0.05, normality, correlations)
+
+
+@pytest.mark.parametrize("n, replicates, seed", [
+    *((n, replicates, seed) for n in (4, 50) for replicates in (1, 200, 10_000) for seed in (0, 1, 7)),
+    (stats.KS_BLOCK_VALUES + 1, 3, 1),
+])
+def test_analyze_study_equals_serial_reference(n, replicates, seed):
+    # The nulls run on threads; the report is the serial loop's, every float's repr alike.
+    study = synthesize_study(n)
+    report = analyze_study(study, seed=seed, replicates=replicates)
+    assert repr(report.to_dict()) == repr(serial_reference_report(study, seed, replicates).to_dict())
+
+
 def test_synthesize_study_is_deterministic():
     assert synthesize_study(20, seed=1) == synthesize_study(20, seed=1)
     assert synthesize_study(20, seed=1) != synthesize_study(20, seed=2)
