@@ -113,6 +113,8 @@ def _cmd_path_compare(args) -> int:
         raise ValueError(
             f"--tension must be in (0, 1] for path compare, got {args.tension!r}: "
             "at tension 0 the catmull-rom tangent vanishes at every knot")
+    if args.samples < report.MIN_SAMPLES:
+        raise ValueError(f"--samples must be at least {report.MIN_SAMPLES}, got {args.samples}")
     pts, _ = _projected_points(args)
     if args.samples * (len(pts) - 1) > MAX_CURVE_SAMPLES:
         raise ValueError(f"--samples {args.samples} over {len(pts) - 1} segments exceeds the "
@@ -178,9 +180,7 @@ def _cmd_study_synth(args) -> int:
     if args.n > MAX_STUDY_SIZE:
         raise ValueError(f"--n {args.n} exceeds the limit of {MAX_STUDY_SIZE} participants")
     content = stats.serialize_study(stats.synthesize_study(n=args.n, seed=args.seed))
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(content, encoding="utf-8")
-    print(f"wrote {args.out}")
+    _write_all(args.out.parent, {args.out.name: content})
     return 0
 
 

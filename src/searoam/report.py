@@ -27,6 +27,8 @@ def escape(text: str) -> str:
 # Figure sizes in pixels: (width, height, margin around the drawing area).
 _COMPARE_SIZE = (960, 340, 34)
 _SCATTER_SIZE = (460, 360, 46)
+# Fewest curve samples per segment that path compare draws.
+MIN_SAMPLES = 16
 
 
 def _fmt(v: float) -> str:
@@ -86,12 +88,12 @@ def render_path_compare(curves, samples: int = 64, positions=None) -> str:
 
     All panels share identical axes (longitude on x, latitude on y; height
     is ignored) and mark the keypoints.  ``samples`` is the per-segment
-    sampling density (at least 16).  ``positions`` holds each curve's
-    positions at its grid(samples) when the caller has already evaluated
-    them.
+    sampling density (at least MIN_SAMPLES).  ``positions`` holds each
+    curve's positions at its grid(samples) when the caller has already
+    evaluated them.
     """
-    if samples < 16:
-        raise ValueError(f"need at least 16 samples per segment, got {samples}")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples per segment, got {samples}")
     pts = curves[0].keypoints
     if positions is None:
         positions = [c.positions(c.grid(samples)) for c in curves]

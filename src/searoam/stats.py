@@ -20,7 +20,6 @@ import csv
 import io
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +44,8 @@ DEFAULT_KS_REPLICATES = 10_000
 # threads; p-values finer than 1e-6 change no decision at any usable alpha.
 # Only the counts, not the nulls, are kept.
 MAX_KS_REPLICATES = 1_000_000
-# Values per null block: _null_buffers' two (KS_BLOCK_VALUES // n, n) float
-# arrays, at least one row, take at most 200 KB each (512 rows at n = 50),
+# Values per null block: a null's two (KS_BLOCK_VALUES // n, n) float
+# buffers, at least one row, take at most 200 KB each (512 rows at n = 50),
 # small enough to stay in cache; its bool masks take a quarter of one.
 KS_BLOCK_VALUES = 25_600
 P_DISPLAY_CAP = 0.2
@@ -117,8 +116,6 @@ def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 def _t_two_sided_p(t_stat: float, dof: int) -> float:
     from scipy.special import stdtr
 
-    if math.isinf(t_stat):
-        return 0.0
     return float(2.0 * stdtr(dof, -abs(t_stat)))
 
 
@@ -219,21 +216,15 @@ def _check_null(n: int, replicates: int) -> None:
         raise ValueError(f"{replicates} replicates exceed the limit of {MAX_KS_REPLICATES}")
 
 
-def _null_buffers(n: int, replicates: int) -> tuple[np.ndarray, ...]:
-    """The block, scratch and mask buffers of a null of n-value samples."""
-    rows = min(replicates, max(1, KS_BLOCK_VALUES // n))
-    return np.empty((rows, n)), np.empty(rows * n), np.empty((2, rows, n), bool)
-
-
-def _null_exceedances(d: float, n: int, replicates: int, seed: int, buffers=None) -> int:
+def _null_exceedances(d: float, n: int, replicates: int, seed: int) -> int:
     """#{null >= d} over the seeded Lilliefors null of ``replicates`` samples.
 
     The standard-normal samples of size n are drawn and _standardized
-    KS_BLOCK_VALUES // n at a time (at least one) into reused buffers (made by
-    _null_buffers unless given), which consumes the stream as one (replicates,
-    n) draw does.  A row's statistic is >= d when, at some rank i of its sorted
-    z, fl((i + 1) / n - ndtr(z_i)) or fl(ndtr(z_i) - i / n) is: both monotone
-    in z_i, so rows are counted against per-rank thresholds on z.
+    KS_BLOCK_VALUES // n at a time (at least one) into reused buffers, which
+    consumes the stream as one (replicates, n) draw does.  A row's statistic
+    is >= d when, at some rank i of its sorted z, fl((i + 1) / n - ndtr(z_i))
+    or fl(ndtr(z_i) - i / n) is: both monotone in z_i, so rows are counted
+    against per-rank thresholds on z.
     """
     from scipy.special import ndtri
 
@@ -254,8 +245,8 @@ def _null_exceedances(d: float, n: int, replicates: int, seed: int, buffers=None
     delta = np.array([[-1.0], [1.0]]) * 2.0 ** -40
     sure, clear = (ndtri(np.clip(edge + side, 0.0, 1.0)) for side in (delta, -delta))
     rng = np.random.default_rng(seed)
-    block, scratch, masks = buffers or _null_buffers(n, replicates)
-    rows = len(block)
+    rows = min(replicates, max(1, KS_BLOCK_VALUES // n))
+    block, scratch, masks = np.empty((rows, n)), np.empty(rows * n), np.empty((2, rows, n), bool)
     count = 0
     for start in range(0, replicates, rows):
         z = _standardized(rng.standard_normal(out=block[:min(rows, replicates - start)]), scratch)
@@ -270,15 +261,12 @@ def _null_exceedances(d: float, n: int, replicates: int, seed: int, buffers=None
     return count
 
 
-def ks_normality(x, replicates: int = DEFAULT_KS_REPLICATES, seed: int = 0, *,
-                 buffers=None) -> NormalityResult:
-    """Normality test, parameters estimated: add-one Monte-Carlo p (1 + #{null >= d}) / (B + 1).
-
-    ``buffers``, _null_buffers(len(x), replicates) if given, are working memory only."""
+def ks_normality(x, replicates: int = DEFAULT_KS_REPLICATES, seed: int = 0) -> NormalityResult:
+    """Normality test, parameters estimated: add-one Monte-Carlo p (1 + #{null >= d}) / (B + 1)."""
     x = _as_sample(x, 4)
     _check_null(len(x), replicates)
     d = ks_statistic_normal(x)
-    exceed = _null_exceedances(d, len(x), replicates, seed, buffers)
+    exceed = _null_exceedances(d, len(x), replicates, seed)
     return NormalityResult(d=d, p_value=(1 + exceed) / (replicates + 1), n=len(x))
 
 
@@ -461,17 +449,12 @@ def analyze_study(
     from concurrent.futures import ThreadPoolExecutor
     import scipy.special  # noqa: F401  imported here, where no two workers race its first import
 
-    # Threads overlap in the GIL-free draws and sorts; buffers made here keep their arenas small.
-    workers = min(len(STUDY_VARIABLES), os.cpu_count() or 1)
-    spare = [_null_buffers(n, replicates) for _ in range(workers)]
-    own = threading.local()
-
     def null(name: str, child_seed: np.uint32) -> NormalityResult:
-        return ks_normality(columns[name], replicates, int(child_seed), buffers=own.buffers)
+        return ks_normality(columns[name], replicates, int(child_seed))
 
+    # Threads overlap in the GIL-free draws and sorts; each null allocates its own buffers.
     child_seeds = np.random.SeedSequence(seed).generate_state(len(STUDY_VARIABLES))
-    pool = ThreadPoolExecutor(workers, initializer=lambda: setattr(own, "buffers", spare.pop()))
-    with pool:
+    with ThreadPoolExecutor(min(len(STUDY_VARIABLES), os.cpu_count() or 1)) as pool:
         normality = dict(zip(STUDY_VARIABLES, pool.map(null, STUDY_VARIABLES, child_seeds)))
     is_normal = {name: normality[name].p_value > alpha for name in STUDY_VARIABLES}
 

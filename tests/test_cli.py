@@ -273,6 +273,18 @@ def test_path_compare_samples_beyond_limit(tmp_path, capsys, samples):
                    f"{MAX_CURVE_SAMPLES} samples per curve"]
     assert not out.exists()
 
+
+@pytest.mark.parametrize("samples", [15, 0])
+@pytest.mark.parametrize("route", [ROUTE, DATA_DIR / "missing.csv"], ids=["demo", "missing"])
+def test_path_compare_samples_below_minimum(tmp_path, capsys, samples, route):
+    # Checked with --tension, before the keypoints are read.
+    out = tmp_path / "out"
+    code = main(["path", "compare", str(route), "--samples", str(samples), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --samples must be at least 16, got {samples}"]
+    assert not out.exists()
+
 # --- sim run -----------------------------------------------------------------
 
 def test_sim_run_all_kinds(tmp_path):
@@ -773,10 +785,11 @@ def test_study_analyze_replicates_below_one(tmp_path, capsys, replicates):
 
 # --- study synth ---------------------------------------------------------------
 
-def test_study_synth_reproduces_bundled_dataset(tmp_path):
+def test_study_synth_reproduces_bundled_dataset(tmp_path, capsys):
     out = tmp_path / "synth.csv"
     assert main(["study", "synth", "--out", str(out)]) == 0
     assert out.read_bytes() == STUDY.read_bytes()
+    assert capsys.readouterr().out == f"wrote {out}\n"
 
 
 def test_study_synth_custom_params(tmp_path):

@@ -79,6 +79,7 @@ def test_pearson_perfect_line():
     assert res.p_value == 0.0
     res = pearson(x, -x)
     assert res.r == -1.0
+    assert res.p_value == 0.0
 
 
 def test_pearson_pinned_case():
@@ -581,6 +582,16 @@ def test_analyze_study_equals_serial_reference(n, replicates, seed):
     study = synthesize_study(n)
     report = analyze_study(study, seed=seed, replicates=replicates)
     assert repr(report.to_dict()) == repr(serial_reference_report(study, seed, replicates).to_dict())
+
+
+@pytest.mark.parametrize("cpus", [None, 1])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_analyze_study_on_one_worker_equals_serial_reference(monkeypatch, cpus, seed):
+    # os.cpu_count() may return None; either way the pool has one worker.
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: cpus)
+    study = synthesize_study(50)
+    report = analyze_study(study, seed=seed, replicates=200)
+    assert repr(report.to_dict()) == repr(serial_reference_report(study, seed, 200).to_dict())
 
 
 def test_synthesize_study_is_deterministic():
