@@ -4,11 +4,11 @@ and simple linear regression with a mean-response confidence band.
 The normality test is a Kolmogorov-Smirnov test against a normal
 distribution with mean and standard deviation estimated from the sample,
 so the p-value comes from seeded Monte-Carlo resampling of the null
-distribution rather than the classical asymptotic formula; the replicates
-reaching the observed statistic are counted against per-rank thresholds,
-with the normal CDF only near a tie.  Following the usual reporting
-convention of stats packages, p-values above 0.2 carry a ``capped``
-display flag; the true Monte-Carlo p is always kept.
+distribution rather than the classical asymptotic formula.  That null
+depends only on the sample size (Lilliefors, 1967), so a study draws one
+and counts every variable's statistic against it.  Following the usual
+reporting convention of stats packages, p-values above 0.2 carry a
+``capped`` display flag; the true Monte-Carlo p is always kept.
 
 Correlation tests use the t approximation with n-2 degrees of freedom for
 two-sided p-values.  Spearman is the Pearson correlation of average ranks.
@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,15 +37,15 @@ class UndefinedFitError(ValueError):
 
 
 DEFAULT_KS_REPLICATES = 10_000
-# Limit on the Monte-Carlo replicates of one null.  A replicate costs about
-# 1.2 us at n = 50 (2-CPU x86 machine; about 4.2 us at n = 200), so analyze's
-# five nulls at the limit take about 6 s of CPU, spread over os.cpu_count()
-# threads; p-values finer than 1e-6 change no decision at any usable alpha.
-# Only the counts, not the nulls, are kept.
+# Limit on the Monte-Carlo replicates of the null.  A replicate costs about
+# 1.5 us at n = 50 (2-CPU x86 machine; about 7 us at n = 200), so analyze's
+# one shared null at the limit takes about 1.5 s; p-values finer than 1e-6
+# change no decision at any usable alpha.  Only the counts, not the null,
+# are kept.
 MAX_KS_REPLICATES = 1_000_000
-# Values per null block: a null's two (KS_BLOCK_VALUES // n, n) float
+# Values per null block: the null's two (KS_BLOCK_VALUES // n, n) float
 # buffers, at least one row, take at most 200 KB each (512 rows at n = 50),
-# small enough to stay in cache; its bool masks take a quarter of one.
+# small enough to stay in cache.
 KS_BLOCK_VALUES = 25_600
 P_DISPLAY_CAP = 0.2
 
@@ -216,49 +215,23 @@ def _check_null(n: int, replicates: int) -> None:
         raise ValueError(f"{replicates} replicates exceed the limit of {MAX_KS_REPLICATES}")
 
 
-def _null_exceedances(d: float, n: int, replicates: int, seed: int) -> int:
-    """#{null >= d} over the seeded Lilliefors null of ``replicates`` samples.
+def _null_exceedances(ds, n: int, replicates: int, seed: int) -> list[int]:
+    """#{null >= d} for each d in ds, over one seeded Lilliefors null of ``replicates`` samples.
 
-    The standard-normal samples of size n are drawn and _standardized
-    KS_BLOCK_VALUES // n at a time (at least one) into reused buffers, which
-    consumes the stream as one (replicates, n) draw does.  A row's statistic
-    is >= d when, at some rank i of its sorted z, fl((i + 1) / n - ndtr(z_i))
-    or fl(ndtr(z_i) - i / n) is: both monotone in z_i, so rows are counted
-    against per-rank thresholds on z.
+    The standard-normal samples of size n are drawn, _standardized and
+    reduced KS_BLOCK_VALUES // n at a time (at least one) into reused
+    buffers, which consumes the stream as one (replicates, n) draw does;
+    each block's statistics are counted against every d.
     """
-    from scipy.special import ndtri
-
-    # A value below sure[0, i] or above sure[1, i] makes its row count; a row
-    # with every value strictly between clear[0] and clear[1] does not; the
-    # rest (exact ties included) get ndtr.  A threshold is ndtri(q) at
-    # q = edge -+ 2^-40.  With u = 2^-53, q is off by at most 3u (two
-    # roundings), ndtri by under 2u in probability (relative error in z about
-    # 1e-15, times |z| phi(z) <= 0.25), and ndtr by e: about 2u measured
-    # against mpmath, under 2^-45 by its documented 3.4e-14 relative bound.
-    # So beyond a sure threshold ndtr(z_i) passes the edge by 2^-40 - 5u - e
-    # and, rounding being monotone, the subtraction gives at least d; inside
-    # the clear ones it falls as far short and rounds below d.  2^-40 exceeds
-    # those errors a thousandfold as measured, 30-fold at the documented worst.
-    # Clipping q to [0, 1] (ndtri: -inf, inf) empties a region or moves its
-    # threshold to where ndtr is 0 or 1 and q was beyond it.
-    edge = np.stack([np.arange(1, n + 1) / n - d, np.arange(0, n) / n + d])
-    delta = np.array([[-1.0], [1.0]]) * 2.0 ** -40
-    sure, clear = (ndtri(np.clip(edge + side, 0.0, 1.0)) for side in (delta, -delta))
+    ds = np.asarray(ds, dtype=float)
     rng = np.random.default_rng(seed)
     rows = min(replicates, max(1, KS_BLOCK_VALUES // n))
-    block, scratch, masks = np.empty((rows, n)), np.empty(rows * n), np.empty((2, rows, n), bool)
-    count = 0
+    block, scratch = np.empty((rows, n)), np.empty(rows * n)
+    counts = np.zeros(len(ds), dtype=np.int64)
     for start in range(0, replicates, rows):
         z = _standardized(rng.standard_normal(out=block[:min(rows, replicates - start)]), scratch)
-        lo, hi = masks[:, :len(z)]
-        np.less(z, sure[0], out=lo)
-        hits = np.logical_or(lo, np.greater(z, sure[1], out=hi), out=lo).any(axis=1)
-        np.less_equal(z, clear[0], out=lo)
-        band = np.logical_or(lo, np.greater_equal(z, clear[1], out=hi), out=lo).any(axis=1) & ~hits
-        count += int(np.count_nonzero(hits))
-        if band.any():
-            count += int(np.count_nonzero(_ks_rows(z[band], scratch) >= d))
-    return count
+        counts += np.count_nonzero(_ks_rows(z, scratch)[:, None] >= ds, axis=0)
+    return counts.tolist()
 
 
 def ks_normality(x, replicates: int = DEFAULT_KS_REPLICATES, seed: int = 0) -> NormalityResult:
@@ -266,7 +239,7 @@ def ks_normality(x, replicates: int = DEFAULT_KS_REPLICATES, seed: int = 0) -> N
     x = _as_sample(x, 4)
     _check_null(len(x), replicates)
     d = ks_statistic_normal(x)
-    exceed = _null_exceedances(d, len(x), replicates, seed)
+    (exceed,) = _null_exceedances([d], len(x), replicates, seed)
     return NormalityResult(d=d, p_value=(1 + exceed) / (replicates + 1), n=len(x))
 
 
@@ -429,8 +402,9 @@ def analyze_study(
 
     Each variable is K-S tested against a fitted normal; a correlation pair
     uses Pearson when both variables pass (p > alpha) and Spearman when
-    either fails.  Per-variable Monte-Carlo seeds derive deterministically
-    from ``seed``.
+    either fails.  All five statistics are counted against one Monte-Carlo
+    null drawn from ``seed``, so each variable's result is
+    ``ks_normality(column, replicates, seed)``.
     """
     if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
@@ -446,16 +420,10 @@ def analyze_study(
                 f"column '{name}' has zero variance; correlation undefined"
             )
 
-    from concurrent.futures import ThreadPoolExecutor
-    import scipy.special  # noqa: F401  imported here, where no two workers race its first import
-
-    def null(name: str, child_seed: np.uint32) -> NormalityResult:
-        return ks_normality(columns[name], replicates, int(child_seed))
-
-    # Threads overlap in the GIL-free draws and sorts; each null allocates its own buffers.
-    child_seeds = np.random.SeedSequence(seed).generate_state(len(STUDY_VARIABLES))
-    with ThreadPoolExecutor(min(len(STUDY_VARIABLES), os.cpu_count() or 1)) as pool:
-        normality = dict(zip(STUDY_VARIABLES, pool.map(null, STUDY_VARIABLES, child_seeds)))
+    ds = [ks_statistic_normal(columns[name]) for name in STUDY_VARIABLES]
+    exceed = _null_exceedances(ds, n, replicates, seed)
+    normality = {name: NormalityResult(d=d, p_value=(1 + k) / (replicates + 1), n=n)
+                 for name, d, k in zip(STUDY_VARIABLES, ds, exceed)}
     is_normal = {name: normality[name].p_value > alpha for name in STUDY_VARIABLES}
 
     correlations = {}

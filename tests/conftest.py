@@ -83,7 +83,11 @@ def reference_lilliefors_null(n, replicates, seed):
     return d
 
 
+def reference_exceedances(d, null):
+    """#{null >= d} in a sorted null."""
+    return len(null) - int(np.searchsorted(null, d, side="left"))
+
+
 def reference_pvalue(d, null):
     """Add-one Monte-Carlo p-value (1 + #{null >= d}) / (B + 1) against a sorted null."""
-    exceed = len(null) - int(np.searchsorted(null, d, side="left"))
-    return (1 + exceed) / (len(null) + 1)
+    return (1 + reference_exceedances(d, null)) / (len(null) + 1)

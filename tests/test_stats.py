@@ -25,7 +25,13 @@ from searoam.stats import (
     synthesize_study,
 )
 
-from conftest import DATA_DIR, reference_ks_rows, reference_lilliefors_null, reference_pvalue
+from conftest import (
+    DATA_DIR,
+    reference_exceedances,
+    reference_ks_rows,
+    reference_lilliefors_null,
+    reference_pvalue,
+)
 
 
 # --- independent oracles ----------------------------------------------------
@@ -292,20 +298,25 @@ def test_lilliefors_null_is_seeded():
        power=st.sampled_from([1, 2, 3]))
 def test_blocked_lilliefors_null_equals_reference(n, replicates, seed, power):
     # The blocked, counted null gives the p of the unblocked sorted one, bit
-    # for bit; squares and cubes of a normal sample give small p as well as large.
-    x = np.random.default_rng(seed ^ 1).standard_normal(n) ** power
-    d = ks_statistic_normal(x)
-    assert (ks_normality(x, replicates, seed).p_value
-            == reference_pvalue(d, reference_lilliefors_null(n, replicates, seed)))
+    # for bit, and so do several statistics counted on one draw; squares and
+    # cubes of a normal sample give small p as well as large.
+    null = reference_lilliefors_null(n, replicates, seed)
+    x = np.random.default_rng(seed ^ 1).standard_normal(n)
+    ds = [ks_statistic_normal(x ** k) for k in (1, 2, 3)]
+    tie = null[len(null) // 2]
+    ds += [tie, np.nextafter(tie, -np.inf), np.nextafter(tie, np.inf)]
+    assert (stats._null_exceedances(ds, n, replicates, seed)
+            == [reference_exceedances(d, null) for d in ds])
+    assert ks_normality(x ** power, replicates, seed).p_value == reference_pvalue(ds[power - 1], null)
 
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(4, 200), replicates=st.integers(1, 40), seed=st.integers(0, 2**64 - 1))
 def test_null_exceedances_count_ties_and_their_neighbours(n, replicates, seed):
     null = reference_lilliefors_null(n, replicates, seed)
-    for d in np.concatenate([null, np.nextafter(null, -np.inf), np.nextafter(null, np.inf)]):
-        want = len(null) - int(np.searchsorted(null, d, side="left"))
-        assert stats._null_exceedances(float(d), n, replicates, seed) == want
+    ds = np.concatenate([null, np.nextafter(null, -np.inf), np.nextafter(null, np.inf)])
+    assert (stats._null_exceedances(ds, n, replicates, seed)
+            == [reference_exceedances(d, null) for d in ds])
 
 
 @settings(max_examples=100, deadline=None)
@@ -355,8 +366,20 @@ def traced_null_peak(n, replicates):
         tracemalloc.stop()
 
 
+def traced_analyze_peak(replicates):
+    study = synthesize_study(50)
+    analyze_study(study, replicates=1)
+    tracemalloc.start()
+    try:
+        analyze_study(study, replicates=replicates)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_lilliefors_null_memory_stays_below_a_megabyte():
     assert traced_null_peak(50, DEFAULT_KS_REPLICATES) < 1 << 20
+    assert traced_analyze_peak(DEFAULT_KS_REPLICATES) < 1 << 20
 
 
 def test_lilliefors_null_memory_does_not_grow_with_study_size():
@@ -367,6 +390,8 @@ def test_lilliefors_null_memory_does_not_grow_with_study_size():
 def test_lilliefors_null_memory_does_not_grow_with_replicates():
     # A sorted null of 200,000 statistics alone would take 1.6 MB.
     assert traced_null_peak(50, 200_000) < 1 << 20
+    # Keeping a study's 100,000 null statistics would add 800 KB.
+    assert traced_analyze_peak(100_000) < traced_analyze_peak(10_000) + (1 << 16)
 
 
 # --- regression --------------------------------------------------------------
@@ -561,11 +586,10 @@ def test_analyze_report_dict_shape():
 
 
 def serial_reference_report(study, seed, replicates):
-    """analyze_study's report with the nulls run one after another, in order."""
+    """analyze_study's report from one ks_normality per variable and a plain gating loop."""
     columns = {name: np.array(study[name], dtype=float) for name in stats.STUDY_VARIABLES}
-    child_seeds = np.random.SeedSequence(seed).generate_state(len(stats.STUDY_VARIABLES))
-    normality = {name: ks_normality(columns[name], replicates, int(child_seeds[i]))
-                 for i, name in enumerate(stats.STUDY_VARIABLES)}
+    normality = {name: ks_normality(columns[name], replicates, seed)
+                 for name in stats.STUDY_VARIABLES}
     correlations = {}
     for a, b in stats.CORRELATION_PAIRS:
         normal = normality[a].p_value > 0.05 and normality[b].p_value > 0.05
@@ -578,20 +602,34 @@ def serial_reference_report(study, seed, replicates):
     (stats.KS_BLOCK_VALUES + 1, 3, 1),
 ])
 def test_analyze_study_equals_serial_reference(n, replicates, seed):
-    # The nulls run on threads; the report is the serial loop's, every float's repr alike.
+    # The five variables share one null, and each gets ks_normality's result
+    # on its own column at the same seed, every float's repr alike.
     study = synthesize_study(n)
     report = analyze_study(study, seed=seed, replicates=replicates)
     assert repr(report.to_dict()) == repr(serial_reference_report(study, seed, replicates).to_dict())
 
 
-@pytest.mark.parametrize("cpus", [None, 1])
-@pytest.mark.parametrize("seed", [0, 7])
-def test_analyze_study_on_one_worker_equals_serial_reference(monkeypatch, cpus, seed):
-    # os.cpu_count() may return None; either way the pool has one worker.
-    monkeypatch.setattr(stats.os, "cpu_count", lambda: cpus)
-    study = synthesize_study(50)
-    report = analyze_study(study, seed=seed, replicates=200)
-    assert repr(report.to_dict()) == repr(serial_reference_report(study, seed, 200).to_dict())
+@pytest.mark.parametrize("n, replicates", [(50, 1), (50, 1_000), (stats.KS_BLOCK_VALUES + 1, 2)])
+def test_analyze_study_draws_one_null(monkeypatch, n, replicates):
+    # One null per variable would build five generators, or draw five times
+    # as many normals from one, and give the same p-values.
+    study = synthesize_study(n)
+    default_rng = np.random.default_rng
+    built = []
+
+    class CountingGenerator:
+        def __init__(self, seed):
+            self.rng, self.normals = default_rng(seed), 0
+            built.append(self)
+
+        def standard_normal(self, *args, **kwargs):
+            values = self.rng.standard_normal(*args, **kwargs)
+            self.normals += values.size
+            return values
+
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    analyze_study(study, seed=3, replicates=replicates)
+    assert [g.normals for g in built] == [replicates * n]
 
 
 def test_synthesize_study_is_deterministic():
