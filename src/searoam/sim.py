@@ -361,7 +361,7 @@ def _step_states(curve: PathCurve, profile: SpeedProfile, dt: float, budget: flo
             f"{len(curve.keypoints)} keypoints"
         )
     if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be > 0, got {dt!r}")
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
 
     lengths, rows = table = _arc_table(curve)
     total = float(lengths[-1])

@@ -6,7 +6,8 @@ distribution with mean and standard deviation estimated from the sample,
 so the p-value comes from seeded Monte-Carlo resampling of the null
 distribution rather than the classical asymptotic formula.  That null
 depends only on the sample size (Lilliefors, 1967), so a study draws one
-and counts every variable's statistic against it.  Following the usual
+and counts every variable's statistic against it; one kernel computes the
+statistics of the samples and of the null alike.  Following the usual
 reporting convention of stats packages, p-values above 0.2 carry a
 ``capped`` display flag; the true Monte-Carlo p is always kept.
 
@@ -43,9 +44,9 @@ DEFAULT_KS_REPLICATES = 10_000
 # change no decision at any usable alpha.  Only the counts, not the null,
 # are kept.
 MAX_KS_REPLICATES = 1_000_000
-# Values per null block: the null's two (KS_BLOCK_VALUES // n, n) float
-# buffers, at least one row, take at most 200 KB each (512 rows at n = 50),
-# small enough to stay in cache.
+# Values per null block: the block of draws and _ks_rows's scratch, two
+# (KS_BLOCK_VALUES // n, n) float buffers of at least one row, take at most
+# 200 KB each (512 rows at n = 50), small enough to stay in cache.
 KS_BLOCK_VALUES = 25_600
 P_DISPLAY_CAP = 0.2
 
@@ -157,14 +158,20 @@ def spearman(x, y) -> CorrelationResult:
     return CorrelationResult("spearman", result.r, result.p_value, result.n)
 
 
-def _standardized(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Standardize each row of z (C-contiguous) in place and sort it.
+def _ks_rows(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """K-S statistic of each row of z (C-contiguous) against the normal fitted to it.
 
-    scratch, a flat buffer of at least z.size floats, is overwritten.  The
-    row means and the centered values are computed once and reused for the
-    variance: z.std(axis=1, ddof=1) does the same mean, subtract, square,
-    sum and divide, so the bits are those of (z - mean) / std.
+    Works in place: each row of z is standardized, sorted and mapped through
+    ndtr, and scratch, a flat buffer of at least z.size floats, is
+    overwritten.  The row means and the centered values are computed once
+    and reused for the variance: z.std(axis=1, ddof=1) does the same mean,
+    subtract, square, sum and divide, so the bits are those of
+    (z - mean) / std, and a row whose scale is 0 raises
+    DegenerateSampleError.  The two deviations are reduced over a transposed
+    (n, rows) view of scratch; max is exact, so its order does not matter.
     """
+    from scipy.special import ndtr
+
     rows, n = z.shape
     center = z.sum(axis=1, keepdims=True)
     center /= n
@@ -174,21 +181,10 @@ def _standardized(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     scale = squares.sum(axis=1, keepdims=True)
     scale /= n - 1
     np.sqrt(scale, out=scale)
+    if not scale.all():
+        raise DegenerateSampleError("normality test undefined for zero-variance sample")
     z /= scale
     z.sort(axis=1)
-    return z
-
-
-def _ks_rows(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """K-S statistic of each _standardized row of z against the standard normal.
-
-    Works in place on z and scratch (as _standardized).  The two deviations
-    are reduced over a transposed (n, rows) view of scratch; max is exact,
-    so its order does not matter.
-    """
-    from scipy.special import ndtr
-
-    rows, n = z.shape
     ndtr(z, out=z)
     dev = scratch[:z.size].reshape(n, rows)
     np.subtract((np.arange(1, n + 1) / n)[:, None], z.T, out=dev)
@@ -200,10 +196,7 @@ def _ks_rows(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 def ks_statistic_normal(x) -> float:
     """Largest deviation between the sample ECDF and the fitted normal CDF."""
     x = _as_sample(x, 4)
-    if x.std(ddof=1) == 0.0:
-        raise DegenerateSampleError("normality test undefined for zero-variance sample")
-    scratch = np.empty(len(x))
-    return float(_ks_rows(_standardized(x[None, :].copy(), scratch), scratch)[0])
+    return float(_ks_rows(x[None, :].copy(), np.empty(len(x)))[0])
 
 
 def _check_null(n: int, replicates: int) -> None:
@@ -215,32 +208,31 @@ def _check_null(n: int, replicates: int) -> None:
         raise ValueError(f"{replicates} replicates exceed the limit of {MAX_KS_REPLICATES}")
 
 
-def _null_exceedances(ds, n: int, replicates: int, seed: int) -> list[int]:
-    """#{null >= d} for each d in ds, over one seeded Lilliefors null of ``replicates`` samples.
+def _normality(samples: np.ndarray, replicates: int, seed: int) -> list[NormalityResult]:
+    """Normality test of each row of the (k, n) samples against one seeded Lilliefors null.
 
-    The standard-normal samples of size n are drawn, _standardized and
-    reduced KS_BLOCK_VALUES // n at a time (at least one) into reused
-    buffers, which consumes the stream as one (replicates, n) draw does;
-    each block's statistics are counted against every d.
+    The null's standard-normal samples of size n are drawn and reduced
+    KS_BLOCK_VALUES // n at a time (at least one) into reused buffers,
+    which consumes the stream as one (replicates, n) draw does; each
+    block's statistics are counted against all k.
     """
-    ds = np.asarray(ds, dtype=float)
+    k, n = samples.shape
+    _check_null(n, replicates)
+    ds = _ks_rows(samples.copy(), np.empty(samples.size))
     rng = np.random.default_rng(seed)
     rows = min(replicates, max(1, KS_BLOCK_VALUES // n))
     block, scratch = np.empty((rows, n)), np.empty(rows * n)
-    counts = np.zeros(len(ds), dtype=np.int64)
+    counts = np.zeros(k, dtype=np.int64)
     for start in range(0, replicates, rows):
-        z = _standardized(rng.standard_normal(out=block[:min(rows, replicates - start)]), scratch)
-        counts += np.count_nonzero(_ks_rows(z, scratch)[:, None] >= ds, axis=0)
-    return counts.tolist()
+        null = _ks_rows(rng.standard_normal(out=block[:min(rows, replicates - start)]), scratch)
+        counts += np.count_nonzero(null[:, None] >= ds, axis=0)
+    return [NormalityResult(d=d, p_value=(1 + exceed) / (replicates + 1), n=n)
+            for d, exceed in zip(ds.tolist(), counts.tolist())]
 
 
 def ks_normality(x, replicates: int = DEFAULT_KS_REPLICATES, seed: int = 0) -> NormalityResult:
     """Normality test, parameters estimated: add-one Monte-Carlo p (1 + #{null >= d}) / (B + 1)."""
-    x = _as_sample(x, 4)
-    _check_null(len(x), replicates)
-    d = ks_statistic_normal(x)
-    (exceed,) = _null_exceedances([d], len(x), replicates, seed)
-    return NormalityResult(d=d, p_value=(1 + exceed) / (replicates + 1), n=len(x))
+    return _normality(_as_sample(x, 4)[None, :], replicates, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -402,8 +394,9 @@ def analyze_study(
 
     Each variable is K-S tested against a fitted normal; a correlation pair
     uses Pearson when both variables pass (p > alpha) and Spearman when
-    either fails.  All five statistics are counted against one Monte-Carlo
-    null drawn from ``seed``, so each variable's result is
+    either fails.  The five columns, which must be equally long, are
+    tested as one (5, n) array whose statistics are counted against one
+    Monte-Carlo null drawn from ``seed``, so each variable's result is
     ``ks_normality(column, replicates, seed)``.
     """
     if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
@@ -415,15 +408,15 @@ def analyze_study(
     _check_null(n, replicates)
     for name, values in columns.items():
         _as_sample(values, 4, f"column '{name}'")
+        if len(values) != n:
+            raise ValueError(f"column '{name}' has {len(values)} values, expected {n}")
         if values.max() == values.min():
             raise UndefinedCorrelationError(
                 f"column '{name}' has zero variance; correlation undefined"
             )
 
-    ds = [ks_statistic_normal(columns[name]) for name in STUDY_VARIABLES]
-    exceed = _null_exceedances(ds, n, replicates, seed)
-    normality = {name: NormalityResult(d=d, p_value=(1 + k) / (replicates + 1), n=n)
-                 for name, d, k in zip(STUDY_VARIABLES, ds, exceed)}
+    normality = dict(zip(STUDY_VARIABLES, _normality(np.stack(list(columns.values())),
+                                                     replicates, seed)))
     is_normal = {name: normality[name].p_value > alpha for name in STUDY_VARIABLES}
 
     correlations = {}

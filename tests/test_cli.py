@@ -429,6 +429,15 @@ def test_sim_run_rejects_bad_tension_for_every_kind(tmp_path, capsys, kind_args,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dt", ["nan", "inf", "0", "-1"])
+def test_sim_run_rejects_dt_that_is_not_finite_and_positive(tmp_path, capsys, dt):
+    out = tmp_path / "out"
+    code = main(["sim", "run", str(ROUTE_SPEEDS), str(SCENE), f"--dt={dt}", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: dt must be finite and > 0, got {float(dt)!r}\n"
+    assert not out.exists()
+
+
 def test_sim_run_tiny_dt_hits_step_limit(tmp_path, capsys):
     out = tmp_path / "out"
     start = time.perf_counter()

@@ -1,9 +1,10 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from searoam import stats
@@ -291,6 +292,29 @@ def test_lilliefors_null_is_seeded():
     assert p[0] == p[1] != p[2]
 
 
+def normality_of_statistics(ds, n, replicates, seed):
+    """_normality's results with the sample statistics replaced by ds: its
+    first kernel call, on the samples, returns ds; the null's calls run."""
+    kernel = stats._ks_rows
+    calls = []
+
+    def samples_then_null(z, scratch):
+        calls.append(z.shape)
+        return np.array(ds, dtype=float) if len(calls) == 1 else kernel(z, scratch)
+
+    with mock.patch.object(stats, "_ks_rows", samples_then_null):
+        results = stats._normality(np.zeros((len(ds), n)), replicates, seed)
+    assert calls[0] == (len(ds), n)
+    return results
+
+
+def assert_counted(results, ds, null):
+    # Each p is (1 + the reference count) / (B + 1), bit for bit.
+    assert [r.d for r in results] == [float(d) for d in ds]
+    assert [r.p_value for r in results] == [
+        (1 + reference_exceedances(d, null)) / (len(null) + 1) for d in ds]
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(4, 200),
        replicates=st.integers(1, 3000) | st.sampled_from([511, 512, 513, 1024, 1537]),
@@ -298,25 +322,30 @@ def test_lilliefors_null_is_seeded():
        power=st.sampled_from([1, 2, 3]))
 def test_blocked_lilliefors_null_equals_reference(n, replicates, seed, power):
     # The blocked, counted null gives the p of the unblocked sorted one, bit
-    # for bit, and so do several statistics counted on one draw; squares and
+    # for bit, and so do several samples tested on one draw; squares and
     # cubes of a normal sample give small p as well as large.
     null = reference_lilliefors_null(n, replicates, seed)
     x = np.random.default_rng(seed ^ 1).standard_normal(n)
-    ds = [ks_statistic_normal(x ** k) for k in (1, 2, 3)]
+    samples = np.stack([x ** k for k in (1, 2, 3)])
+    ds = [ks_statistic_normal(row) for row in samples]
+    assert_counted(stats._normality(samples, replicates, seed), ds, null)
     tie = null[len(null) // 2]
-    ds += [tie, np.nextafter(tie, -np.inf), np.nextafter(tie, np.inf)]
-    assert (stats._null_exceedances(ds, n, replicates, seed)
-            == [reference_exceedances(d, null) for d in ds])
+    ties = [tie, np.nextafter(tie, -np.inf), np.nextafter(tie, np.inf)]
+    assert_counted(normality_of_statistics(ties, n, replicates, seed), ties, null)
     assert ks_normality(x ** power, replicates, seed).p_value == reference_pvalue(ds[power - 1], null)
 
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(4, 200), replicates=st.integers(1, 40), seed=st.integers(0, 2**64 - 1))
 def test_null_exceedances_count_ties_and_their_neighbours(n, replicates, seed):
+    # The null's own draws, tested as samples, tie its statistics exactly;
+    # the statistics' float neighbours are counted on either side.
     null = reference_lilliefors_null(n, replicates, seed)
+    draws = np.random.default_rng(seed).standard_normal((replicates, n))
+    assert_counted(stats._normality(draws, replicates, seed),
+                   reference_ks_rows(draws.copy()), null)
     ds = np.concatenate([null, np.nextafter(null, -np.inf), np.nextafter(null, np.inf)])
-    assert (stats._null_exceedances(ds, n, replicates, seed)
-            == [reference_exceedances(d, null) for d in ds])
+    assert_counted(normality_of_statistics(ds, n, replicates, seed), ds, null)
 
 
 @settings(max_examples=100, deadline=None)
@@ -330,6 +359,21 @@ def test_ks_statistic_equals_reference_and_keeps_its_input(x):
     assert d == float(reference_ks_rows(x[None, :].copy())[0])
 
 
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 6), n=st.integers(4, 300), seed=st.integers(0, 2**32 - 1),
+       levels=st.sampled_from([None, 2, 3, 10]))
+def test_stacked_ks_rows_equal_one_row_calls(k, n, seed, levels):
+    # One (k, n) kernel call gives each row's statistic bit for bit as a
+    # one-row call does; rounded to a few levels, the rows have ties.
+    z = np.random.default_rng(seed).standard_normal((k, n))
+    if levels is not None:
+        z = np.round(z * levels)
+    assume(np.all(z.max(axis=1) > z.min(axis=1)))
+    stacked = stats._ks_rows(z.copy(), np.empty(z.size))
+    rows = [stats._ks_rows(row[None, :].copy(), np.empty(n)) for row in z]
+    assert stacked.tobytes() == np.concatenate(rows).tobytes()
+
+
 @pytest.mark.parametrize("replicates, message", [
     (0, "^need at least 1 replicate, got 0$"),
     (-3, "^need at least 1 replicate, got -3$"),
@@ -341,13 +385,28 @@ def test_null_is_refused_before_any_draw(monkeypatch, replicates, message):
 
     x = np.random.default_rng(4).standard_normal(10)
     study = synthesize_study(10, seed=1)
-    monkeypatch.setattr(stats, "ks_statistic_normal", never)
-    monkeypatch.setattr(stats, "_null_exceedances", never)
+    monkeypatch.setattr(stats, "_ks_rows", never)
+    monkeypatch.setattr(np.random, "default_rng", never)
     with pytest.raises(ValueError, match=message):
         ks_normality(x, replicates)
-    monkeypatch.setattr(stats, "ks_normality", never)
     with pytest.raises(ValueError, match=message):
         analyze_study(study, replicates=replicates)
+
+
+def test_subnormal_sum_of_squares_is_zero_variance():
+    # The squared deviations sum to one subnormal, which the division by
+    # n - 1 rounds to 0: the scale, like x.std(ddof=1), is 0.
+    x = np.array([0.0] * 9 + [2e-162])
+    dev = x - x.mean()
+    assert np.dot(dev, dev) > 0.0 and x.std(ddof=1) == 0.0
+    message = "^normality test undefined for zero-variance sample$"
+    with pytest.raises(DegenerateSampleError, match=message):
+        ks_statistic_normal(x)
+    with pytest.raises(DegenerateSampleError, match=message):
+        ks_normality(x, 10)
+    study = {**synthesize_study(10, seed=1), "accuracy": tuple(x.tolist())}
+    with pytest.raises(DegenerateSampleError, match=message):
+        analyze_study(study, replicates=10)
 
 
 def test_null_refuses_fewer_than_four_values():
@@ -562,6 +621,17 @@ def test_analyze_constant_column_names_it():
     with pytest.raises(UndefinedCorrelationError) as exc:
         analyze_study(study)
     assert "engagement" in str(exc.value)
+
+
+def test_analyze_unequal_column_names_it_before_any_draw(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("drew a null")
+
+    study = synthesize_study(50, seed=1)
+    study["time_s"] = study["time_s"][:49]
+    monkeypatch.setattr(np.random, "default_rng", never)
+    with pytest.raises(ValueError, match="^column 'time_s' has 49 values, expected 50$"):
+        analyze_study(study, replicates=100)
 
 
 def test_analyze_gating_uses_spearman_for_non_normal_collisions():
