@@ -13,6 +13,13 @@ reporting convention of stats packages, p-values above 0.2 carry a
 
 Correlation tests use the t approximation with n-2 degrees of freedom for
 two-sided p-values.  Spearman is the Pearson correlation of average ranks.
+
+Only numpy and the standard library are used: the normal CDF is math.erf
+and math.erfc in the branches of scipy.special.ndtr, evaluated only at the
+ranks that a logistic screen leaves in play (see _ks_rows); the t
+distribution is the regularized incomplete beta (continued fraction, and
+DiDonato & Morris's asymptotic expansion for large degrees of freedom),
+and its quantile Hill's Algorithm 396 polished by Newton steps.
 """
 
 from __future__ import annotations
@@ -39,16 +46,25 @@ class UndefinedFitError(ValueError):
 
 DEFAULT_KS_REPLICATES = 10_000
 # Limit on the Monte-Carlo replicates of the null.  A replicate costs about
-# 1.5 us at n = 50 (2-CPU x86 machine; about 7 us at n = 200), so analyze's
-# one shared null at the limit takes about 1.5 s; p-values finer than 1e-6
+# 1.5-2 us at n = 50 (2-CPU x86 machine; about 6 us at n = 200), so analyze's
+# one shared null at the limit takes about 2 s; p-values finer than 1e-6
 # change no decision at any usable alpha.  Only the counts, not the null,
 # are kept.
 MAX_KS_REPLICATES = 1_000_000
 # Values per null block: the block of draws and _ks_rows's scratch, two
 # (KS_BLOCK_VALUES // n, n) float buffers of at least one row, take at most
-# 200 KB each (512 rows at n = 50), small enough to stay in cache.
+# 200 KB each (512 rows at n = 50), small enough to stay in cache.  They are
+# the only block-sized buffers: _ks_rows screens in the block and keeps the
+# sorted values in the scratch, and its other temporaries (a boolean mask,
+# 25 KB, and arrays of about one value per row) stay below 128 KB.
 KS_BLOCK_VALUES = 25_600
+# Margin of the K-S candidate screen: Bowling et al.'s logistic
+# 1 / (1 + exp(-(1.5976 z + 0.070566 z^3))) is within 1.41e-4 of the normal
+# CDF everywhere (JIEM 2009); 2^-12 covers that and the rounding.
+KS_SCREEN_EPS = 2.0 ** -12
 P_DISPLAY_CAP = 0.2
+SQRT1_2 = math.sqrt(0.5)
+LN_SQRT_PI = 0.5 * math.log(math.pi)  # ln Gamma(1/2)
 
 
 def _as_sample(x, min_n: int, what: str = "sample") -> np.ndarray:
@@ -113,10 +129,135 @@ def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _t_two_sided_p(t_stat: float, dof: int) -> float:
-    from scipy.special import stdtr
+def _log_gamma_ratio(a: float) -> float:
+    """ln Gamma(a + 1/2) - ln Gamma(a) for a >= 1/2, to about 1e-15.  Above 10
+    the difference is taken inside Stirling's series, where the two
+    math.lgamma values, each about a ln a, would lose a ulp of that size."""
+    if a < 10.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
 
-    return float(2.0 * stdtr(dof, -abs(t_stat)))
+    def rest(x):  # ln Gamma(x) - (x - 1/2) ln x + x - ln sqrt(2 pi)
+        w = 1.0 / (x * x)
+        return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (
+            1 / 1680 - w * (1 / 1188 - w * 691 / 360360))))) / x
+
+    return a * math.log1p(0.5 / a) + 0.5 * math.log(a) - 0.5 + rest(a + 0.5) - rest(a)
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of I_x(a, b) / (x^a (1 - x)^b / (a B(a, b))) by the
+    modified Lentz method; it converges fast for x < (a + 1) / (a + b + 2)."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 1000):
+        for coef in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                     -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + coef * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + coef / c
+            c = c if abs(c) > tiny else tiny
+            h *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            break
+    return h
+
+
+def _beta_expansion(a: float, lnx: float) -> float:
+    """I_x(a, 1/2) for a >= 15 by DiDonato & Morris's asymptotic expansion
+    (BGRAT, ACM TOMS 1992), a series in incomplete gamma functions of
+    z = -(a - 1/4) ln x.  Unlike the continued fraction near x = 1, its error
+    does not grow with a."""
+    nu = a - 0.25
+    z = -nu * lnx
+    r = math.sqrt(z / math.pi) * math.exp(-z)
+    u = r * math.exp(_log_gamma_ratio(a)) / math.sqrt(nu)
+    v, t2 = 0.25 / (nu * nu), 0.25 * lnx * lnx
+    j = math.erfc(math.sqrt(z)) / r
+    total, t, cn, c, d = j, 1.0, 1.0, [], []
+    for n in range(1, 31):
+        bp2n = 2 * n - 1.5
+        j = (bp2n * (bp2n + 1) * j + (z + bp2n + 1) * t) * v
+        t *= t2
+        cn /= 2 * n * (2 * n + 1)
+        c.append(cn)
+        d.append(-0.5 * cn + sum((0.5 * i - n) * c[i - 1] * d[n - 1 - i] for i in range(1, n)) / n)
+        total += d[-1] * j
+        if abs(d[-1] * j) <= 1e-15 * total:
+            break
+    return u * total
+
+
+def _t_two_sided_p(t_stat: float, dof: float) -> float:
+    """P(|T| >= |t|) for Student's t: I_x(dof/2, 1/2) at x = dof / (dof + t^2),
+    twice scipy.special.stdtr(dof, -|t|), and exactly 0.0 at |t| = inf.
+
+    y = 1 - x and ln x are formed from t^2 / dof without cancellation.  Near
+    t = 0 the tail is 1 - I_y(1/2, dof/2) by the continued fraction in y.
+    Beyond, the continued fraction in x loses about dof/2 ulps as x nears 1,
+    so from dof = 30 to x = 0.7 the asymptotic expansion takes over, short
+    of tails below e^-700, where exp(-z) in it would underflow."""
+    tt = t_stat * t_stat
+    if tt == 0.0:
+        return 1.0
+    a = 0.5 * dof
+    x, y = 1.0 / (1.0 + tt / dof), 1.0 / (1.0 + dof / tt)
+    lnx = -math.log1p(tt / dof)
+    # x^a y^(1/2) / B(a, 1/2)
+    front = math.exp(a * lnx - 0.5 * math.log1p(dof / tt) - LN_SQRT_PI + _log_gamma_ratio(a))
+    if x >= (a + 1.0) / (a + 2.5):
+        return 1.0 - 2.0 * front * _beta_fraction(0.5, a, y)
+    if a >= 15.0 and y < 0.3 and -a * lnx < 700.0:
+        return _beta_expansion(a, lnx)
+    return front / a * _beta_fraction(a, 0.5, x)
+
+
+def _hill_t_quantile(p2: float, n: int) -> float:
+    """Hill's Algorithm 396 (CACM 1970): t with P(|T| > t) near p2, n degrees
+    of freedom; the normal deviate is Abramowitz & Stegun's 26.2.23."""
+    if n == 2:
+        return math.sqrt(2.0 / (p2 * (2.0 - p2)) - 2.0)
+    if n == 1:
+        return 1.0 / math.tan(p2 * math.pi / 2)
+    a = 1.0 / (n - 0.5)
+    b = 48.0 / (a * a)
+    c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
+    d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(a * math.pi / 2) * n
+    y = (d * p2) ** (2.0 / n)
+    if y > 0.05 + a:  # asymptotic inverse expansion about the normal
+        s = math.sqrt(-2.0 * math.log(0.5 * p2))
+        x = s - (2.515517 + s * (0.802853 + s * 0.010328)) / (
+            1.0 + s * (1.432788 + s * (0.189269 + s * 0.001308)))
+        if n < 5:
+            c += 0.3 * (n - 4.5) * (x + 0.6)
+        c = (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b + c
+        y = x * x
+        y = (((((0.4 * y + 6.3) * y + 36.0) * y + 94.5) / c - y - 3.0) / b + 1.0) * x
+        y = math.expm1(a * y * y)
+    else:
+        y = ((1.0 / (((n + 6.0) / (n * y) - 0.089 * d - 0.822) * (n + 2.0) * 3.0)
+              + 0.5 / (n + 4.0)) * y - 1.0) * (n + 1.0) / (n + 2.0) + 1.0 / y
+    return math.sqrt(n * y)
+
+
+def _t_quantile(p: float, dof: int) -> float:
+    """The t with P(T <= t) = p (scipy.special.stdtrit): Hill's start, then
+    Newton steps on the tail q = min(p, 1 - p), which is exact in floating
+    point, until a step moves t by at most 1e-10 of itself (quadratic
+    convergence leaves an error far below a ulp after such a step)."""
+    q = min(p, 1.0 - p)
+    if q == 0.5 or q == 0.0:
+        return math.copysign(0.0 if q else math.inf, p - 0.5)
+    t = _hill_t_quantile(2.0 * q, dof)
+    a = 0.5 * dof
+    for _ in range(10):
+        log_density = -(a + 0.5) * math.log1p(t * t / dof) + _log_gamma_ratio(a) - LN_SQRT_PI
+        step = (0.5 * _t_two_sided_p(t, dof) - q) / math.exp(log_density) * math.sqrt(dof)
+        t += step
+        if abs(step) <= 1e-10 * t:
+            break
+    return t if p > 0.5 else -t
 
 
 def pearson(x, y) -> CorrelationResult:
@@ -158,20 +299,43 @@ def spearman(x, y) -> CorrelationResult:
     return CorrelationResult("spearman", result.r, result.p_value, result.n)
 
 
+def _ndtr(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of each value of z by math.erf and math.erfc, in the
+    branches of scipy.special.ndtr: with x = z / sqrt(2), 1/2 + erf(x)/2 where
+    |x| < sqrt(1/2), else erfc(|x|)/2 reflected to the sign of x."""
+    x = z * SQRT1_2
+    ax = np.abs(x)
+    central = ax < SQRT1_2
+    cdf = np.empty_like(x)
+    cdf[central] = np.fromiter(map(math.erf, x[central].tolist()), float) * 0.5 + 0.5
+    tail = ~central
+    half = np.fromiter(map(math.erfc, ax[tail].tolist()), float) * 0.5
+    cdf[tail] = np.where(x[tail] > 0, 1.0 - half, half)
+    return cdf
+
+
 def _ks_rows(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """K-S statistic of each row of z (C-contiguous) against the normal fitted to it.
 
-    Works in place: each row of z is standardized, sorted and mapped through
-    ndtr, and scratch, a flat buffer of at least z.size floats, is
-    overwritten.  The row means and the centered values are computed once
-    and reused for the variance: z.std(axis=1, ddof=1) does the same mean,
-    subtract, square, sum and divide, so the bits are those of
-    (z - mean) / std, and a row whose scale is 0 raises
-    DegenerateSampleError.  The two deviations are reduced over a transposed
-    (n, rows) view of scratch; max is exact, so its order does not matter.
-    """
-    from scipy.special import ndtr
+    Works in place: each row of z is standardized and sorted, and both z
+    and scratch, a flat buffer of at least z.size floats, are overwritten.
+    The row means and the centered values are computed once and reused for
+    the variance: z.std(axis=1, ddof=1) does the same mean, subtract,
+    square, sum and divide, so the bits are those of (z - mean) / std, and
+    a row whose scale is 0 raises DegenerateSampleError.
 
+    With mid = (i + 1/2) / n at rank i, the larger of the two deviations
+    (i + 1) / n - Phi and Phi - i / n is 1 / (2n) + |Phi - mid|, so the rank
+    that attains D maximizes |Phi - mid|.  A screen finds the ranks that
+    can: the sorted values go to scratch as an (n, rows) transpose, and z's
+    buffer, seen as (n, rows), takes 2 |Phi~ - mid| for the logistic Phi~
+    of KS_SCREEN_EPS, computed as |tanh(y / 2) - (2 mid - 1)| since
+    1 / (1 + exp(-y)) = (1 + tanh(y / 2)) / 2, which cannot overflow.  The
+    exact CDF (_ndtr) is evaluated only at the ranks whose |Phi~ - mid| is
+    within 2 KS_SCREEN_EPS of their row's largest, about 1.05 per row, and
+    D is the largest of their exact deviations: the same float as
+    evaluating every rank, since the rank that attains D always passes.
+    """
     rows, n = z.shape
     center = z.sum(axis=1, keepdims=True)
     center /= n
@@ -185,12 +349,27 @@ def _ks_rows(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         raise DegenerateSampleError("normality test undefined for zero-variance sample")
     z /= scale
     z.sort(axis=1)
-    ndtr(z, out=z)
-    dev = scratch[:z.size].reshape(n, rows)
-    np.subtract((np.arange(1, n + 1) / n)[:, None], z.T, out=dev)
-    d = np.maximum.reduce(dev, axis=0)
-    np.subtract(z.T, (np.arange(0, n) / n)[:, None], out=dev)
-    return np.maximum(d, np.maximum.reduce(dev, axis=0), out=d)
+    ranked = scratch[:z.size].reshape(n, rows)
+    np.copyto(ranked, z.T)
+    screen = z.reshape(n, rows)
+    np.multiply(ranked, ranked, out=screen)
+    screen *= 0.070566 / 2
+    screen += 1.5976 / 2
+    screen *= ranked
+    np.tanh(screen, out=screen)
+    screen -= ((2 * np.arange(n) + 1) / n - 1)[:, None]
+    np.abs(screen, out=screen)
+    # Proof that the rank i attaining D passes: with e = |Phi - mid| and e~ its
+    # screen value, |e~ - e| <= eps at every rank, so for every rank j
+    # e~_i >= e_i - eps >= e_j - eps >= e~_j - 2 eps, i.e. e~_i >= max e~ - 2 eps.
+    floor = np.maximum.reduce(screen, axis=0)
+    floor -= 2 * (2 * KS_SCREEN_EPS)  # screen values are 2 e~
+    candidates = np.flatnonzero(screen >= floor)  # rank * rows + row
+    rank = candidates // rows
+    cdf = _ndtr(ranked.ravel()[candidates])
+    d = np.zeros(rows)
+    np.maximum.at(d, candidates - rank * rows, np.maximum((rank + 1) / n - cdf, cdf - rank / n))
+    return d
 
 
 def ks_statistic_normal(x) -> float:
@@ -268,8 +447,6 @@ def linear_fit_with_band(x, y, confidence: float = 0.95) -> RegressionFit:
     t_{1-alpha/2, n-2} * s * sqrt(1/n + (x - xbar)^2 / Sxx), narrowest at
     the predictor mean.
     """
-    from scipy.special import stdtrit
-
     x, y = _as_pair(x, y)
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
@@ -282,7 +459,7 @@ def linear_fit_with_band(x, y, confidence: float = 0.95) -> RegressionFit:
     intercept = float(y.mean() - slope * x.mean())
     resid = y - (intercept + slope * x)
     resid_std = math.sqrt(float(np.dot(resid, resid)) / (n - 2))
-    t_crit = float(stdtrit(n - 2, 0.5 + confidence / 2.0))
+    t_crit = _t_quantile(0.5 + confidence / 2.0, n - 2)
     return RegressionFit(
         slope=slope,
         intercept=intercept,

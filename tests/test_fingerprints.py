@@ -6,9 +6,9 @@ seeded study tables of the benchmark's dense_scene workload, `path compare`
 on the demo route plain and scaled, and `sim run` per curve kind with the
 benchmark's arguments on the demo files and on dense_scene 2101.  Each run
 is pinned by its exit code and the SHA-256 of stdout, stderr and every
-output file.  The hashes depend on numpy's generator and sort, and on
-scipy's special functions, so the versions that made them are recorded and
-named in any failure.
+output file.  The hashes depend on numpy's generator and sort, and on the
+platform's math library (math.erf, math.erfc), so the versions that made
+them are recorded and named in any failure.
 
 After a change that moves a hash on purpose, regenerate the file from the
 repository root with
@@ -30,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from searoam.cli import main
 
@@ -77,8 +76,7 @@ RUNS = {**STUDY_RUNS, **ROUTE_RUNS}
 
 
 def versions() -> dict[str, str]:
-    return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__}
+    return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def sha256(data: bytes) -> str:

@@ -374,6 +374,107 @@ def test_stacked_ks_rows_equal_one_row_calls(k, n, seed, levels):
     assert stacked.tobytes() == np.concatenate(rows).tobytes()
 
 
+# The K-S kernel screens the ranks with a logistic CDF and evaluates the
+# exact one only where it can decide D.  Extreme rows: heavy tails, one huge
+# outlier (the other ranks nearly tie), two levels, and scales far from 1.
+EXTREME_ROWS = {
+    "normal": lambda rng, shape: rng.standard_normal(shape),
+    "cauchy": lambda rng, shape: rng.standard_cauchy(shape),
+    "outlier": lambda rng, shape: np.concatenate(
+        [rng.standard_normal((shape[0], shape[1] - 1)), np.full((shape[0], 1), 1e12)], axis=1),
+    "two levels": lambda rng, shape: rng.integers(0, 2, shape).astype(float),
+    "tiny": lambda rng, shape: rng.standard_normal(shape) * 1e-150,
+    "huge": lambda rng, shape: rng.standard_normal(shape) * 1e150 + 1e151,
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(4, 300), fill=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(sorted(EXTREME_ROWS)), levels=st.sampled_from([None, 2, 3, 10]))
+def test_ks_rows_screen_equals_every_rank_exact(n, fill, seed, kind, levels):
+    # Up to one null block of rows; rounded to a few levels, rows have ties.
+    from scipy.special import ndtr
+
+    rows = 1 + round(fill * (stats.KS_BLOCK_VALUES // n - 1))
+    z = EXTREME_ROWS[kind](np.random.default_rng(seed), (rows, n))
+    if levels is not None:
+        z = np.round(z * levels)
+    z = z[z.max(axis=1) > z.min(axis=1)]
+    assume(len(z) > 0)
+    d = stats._ks_rows(z.copy(), np.empty(z.size))
+    assert d.tobytes() == reference_ks_rows(z.copy()).tobytes()
+    assert np.abs(d - reference_ks_rows(z.copy(), ndtr)).max() <= 2.0 ** -45
+
+
+def test_ndtr_matches_scipy_within_two_to_the_minus_52():
+    # 2^-52 is two ulps of values in [1/2, 1); scipy's ndtr changes formula at |z| = 1.
+    from scipy.special import ndtr
+
+    edges = np.array([-1.0, 1.0])
+    z = np.concatenate([np.linspace(-40.0, 40.0, 400_001),
+                        np.random.default_rng(3).uniform(-40.0, 40.0, 100_000),
+                        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    assert np.abs(stats._ndtr(z) - ndtr(z)).max() <= 2.0 ** -52
+
+
+def log_uniform(low, high):
+    return st.floats(math.log(low), math.log(high)).map(math.exp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dof=st.integers(1, 10_000) | st.sampled_from([1, 2, 29, 30, 31, 10_000]),
+       t=log_uniform(1e-3, 1e3) | st.sampled_from([1e-3, 1.0, 2.0, 1e3]))
+def test_t_two_sided_p_matches_scipy(dof, t):
+    # Below |t| = 1e-3 scipy's stdtr at one degree of freedom is itself off by
+    # up to 3e-12 (against 40-digit arithmetic); the quadrature oracle covers it.
+    from scipy.special import stdtr
+
+    expected = 2.0 * stdtr(dof, -t)
+    assert stats._t_two_sided_p(t, dof) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+    assert stats._t_two_sided_p(-t, dof) == stats._t_two_sided_p(t, dof)
+
+
+@pytest.mark.parametrize("dof", [30, 1_000, 3_001, 10_000])
+def test_t_two_sided_p_keeps_large_dof_tails_exact(dof):
+    # For |t| < 2 scipy sums a finite series, exact to a few ulps.  There the
+    # continued fraction in x alone, near x = 1, is off by up to 1e-12 at
+    # large dof; the asymptotic expansion keeps to 1e-13.
+    from scipy.special import stdtr
+
+    t = np.linspace(1.0, 2.0, 201)[:-1]
+    p = np.array([stats._t_two_sided_p(v, dof) for v in t])
+    assert np.abs(p / (2.0 * stdtr(dof, -t)) - 1.0).max() <= 1e-13
+
+
+def test_t_two_sided_p_ends():
+    for dof in (1, 2, 48, 10_000):
+        assert stats._t_two_sided_p(math.inf, dof) == 0.0
+        assert stats._t_two_sided_p(-math.inf, dof) == 0.0
+        assert stats._t_two_sided_p(0.0, dof) == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(dof=st.integers(1, 10_000) | st.sampled_from([1, 2, 3, 4, 5, 48, 10_000]),
+       t=log_uniform(0.5, 1e3), sign=st.sampled_from([-1.0, 1.0]))
+def test_t_quantile_matches_scipy(dof, t, sign):
+    # scipy's stdtrit loses relative accuracy as t nears 0 (1e-10 at
+    # t = 1e-3 against 40-digit arithmetic), so the comparison starts at 0.5.
+    from scipy.special import stdtr, stdtrit
+
+    p = float(stdtr(dof, sign * t))
+    assume(1e-300 < p < 1.0)
+    assert stats._t_quantile(p, dof) == pytest.approx(stdtrit(dof, p), rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dof=st.integers(1, 10_000), t=log_uniform(1e-9, 0.5))
+def test_t_quantile_inverts_the_tail_near_zero(dof, t):
+    p = 1.0 - 0.5 * stats._t_two_sided_p(t, dof)
+    assert stats._t_quantile(p, dof) == pytest.approx(t, rel=1e-9, abs=1e-14)
+    assert stats._t_quantile(1.0 - p, dof) == -stats._t_quantile(p, dof)
+    assert stats._t_quantile(0.5, dof) == 0.0
+
+
 @pytest.mark.parametrize("replicates, message", [
     (0, "^need at least 1 replicate, got 0$"),
     (-3, "^need at least 1 replicate, got -3$"),
@@ -416,7 +517,7 @@ def test_null_refuses_fewer_than_four_values():
 
 def traced_null_peak(n, replicates):
     x = np.random.default_rng(n).standard_normal(n)
-    ks_normality(x, 1)  # imports scipy.special before tracing starts
+    ks_normality(x, 1)  # one untraced call first, so numpy's one-time set-up is not counted
     tracemalloc.start()
     try:
         ks_normality(x, replicates)
