@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -127,12 +127,21 @@ def _scene_number(doc: dict, key: str, default: float) -> float:
         raise ValueError(f"scene {key!r} must be a number, got {value!r}") from None
 
 
-def _widest_sort(centers: np.ndarray) -> tuple:
-    """(axis, order, keys): the centers' widest axis, order and sorted values on it."""
+def _reach_classes(centers: np.ndarray, reach: np.ndarray) -> tuple:
+    """The spheres grouped by the frexp exponent of their reach (within 2x of each other),
+    each class as (axis, order, keys): its centers' widest axis, order and sorted values on it."""
+    exponents = np.frexp(np.minimum(reach, np.finfo(float).max))[1]  # inf: the top class
     with np.errstate(over="ignore"):
-        axis = int(np.ptp(centers, axis=0).argmax()) if len(centers) else 0
-    order = np.argsort(centers[:, axis])
-    return axis, order, centers[order, axis]
+        members = [np.flatnonzero(exponents == e) for e in sorted(set(exponents.tolist()))]
+        axes = [int(np.ptp(centers[m], axis=0).argmax()) for m in members]
+    orders = [m[np.argsort(centers[m, axis])] for m, axis in zip(members, axes)]
+    return tuple((axis, order, centers[order, axis]) for axis, order in zip(axes, orders))
+
+
+def _part(classes, first: int, stop: int) -> list:
+    """The classes restricted to the spheres first <= index < stop, emptied ones dropped."""
+    keeps = [(sort, (first <= sort[1]) & (sort[1] < stop)) for sort in classes]
+    return [(axis, order[keep], keys[keep]) for (axis, order, keys), keep in keeps if keep.any()]
 
 
 @dataclass(frozen=True)
@@ -141,6 +150,8 @@ class SceneSpec:
 
     obstacles and targets are (k, 4) arrays of (x, y, z, radius) rows, and
     target_ids names each target row.  Scenes compare and hash by value.
+    The sphere tests search one index over both, obstacles first (sphere
+    i < O) then targets, grouped into reach classes (_reach_classes).
     """
 
     obstacles: np.ndarray = field(default=(), compare=False)
@@ -155,9 +166,10 @@ class SceneSpec:
     target_radii: np.ndarray = field(init=False, repr=False, compare=False)
     obstacle_centers: np.ndarray = field(init=False, repr=False, compare=False)
     obstacle_reach: np.ndarray = field(init=False, repr=False, compare=False)
-    # The centers sorted along their widest axis, for _box_pairs (see _widest_sort).
-    _target_sort: tuple = field(init=False, repr=False, compare=False)
-    _obstacle_sort: tuple = field(init=False, repr=False, compare=False)
+    # The index: the (O + T, 3) centers, viewed by obstacle_centers and target_centers, and
+    # their reach classes for the obstacle reach and the default trigger distance.
+    _centers: np.ndarray = field(init=False, repr=False, compare=False)
+    _classes: tuple = field(init=False, repr=False, compare=False)
     # The rows' bytes, -0.0 made 0.0: scenes compare and hash by value, as profiles do.
     _row_bytes: tuple = field(init=False, repr=False)
 
@@ -173,20 +185,19 @@ class SceneSpec:
             raise ValueError(f"need one id per target: {len(ids)} ids for {len(targets)} targets")
         if len(set(ids)) != len(ids):
             raise ValueError("target ids must be unique")
-        centers = np.ascontiguousarray(targets[:, :3])
-        obstacle_centers = np.ascontiguousarray(obstacles[:, :3])
+        centers = np.concatenate([obstacles[:, :3], targets[:, :3]])
         with np.errstate(over="ignore"):  # an infinite reach meets every position
             reach = obstacles[:, 3] + self.agent_radius
         for name, value in [
             ("obstacles", obstacles), ("targets", targets), ("target_ids", ids),
-            ("target_centers", centers), ("_target_sort", _widest_sort(centers)),
+            ("target_centers", centers[len(obstacles):]),
             ("target_radii", np.ascontiguousarray(targets[:, 3])),
-            ("obstacle_centers", obstacle_centers),
-            ("_obstacle_sort", _widest_sort(obstacle_centers)),
-            ("obstacle_reach", reach),
+            ("obstacle_centers", centers[:len(obstacles)]), ("obstacle_reach", reach),
+            ("_centers", centers),
             ("_row_bytes", ((obstacles + 0.0).tobytes(), (targets + 0.0).tobytes())),
         ]:
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_classes", _reach_classes(centers, _reach(self, None)))
 
     @classmethod
     def from_json(cls, text: str) -> "SceneSpec":
@@ -453,8 +464,8 @@ def sample_trajectory(
     return Trajectory(times, s_values, curve.positions(s_values))
 
 
-# Slack of the chunk boxes in _entry_pairs, relative to the box's coordinate
-# scale plus the largest reach (see there).
+# Slack of the boxes of _grown, relative to the box's coordinate scale plus
+# the reach (see there).
 _BOX_SLACK = 2.0 ** -40
 # Absolute slack on top, for offsets whose squares are subnormal.
 _BOX_FLOOR = 2.0 ** -499
@@ -474,12 +485,30 @@ def _runs(starts: np.ndarray, counts: np.ndarray, limit):
         first = last
 
 
+def _grown(lo: np.ndarray, hi: np.ndarray, reach) -> tuple:
+    """The boxes [lo[q], hi[q]] ((q, 3) bounds) grown to hold every center whose
+    _distances from a point inside is at most reach (a number, or one per box in a column)."""
+    # With u = 2^-53, rounding (monotone, relatively within u) makes that
+    # distance at least (1 - 4u) |p_a - c_a| on each axis a when
+    # |p_a - c_a| >= 2^-500, so the center lies within (1 + 5u) reach, or
+    # 2^-500 (1 + 2u), of the box on every axis.  The margin exceeds the
+    # reach by 2^-40 (|bound| + reach) + 2^-499, more than that plus the
+    # rounding of the margin and the bounds.  Overflowing bounds only widen
+    # the box; a NaN bound (a NaN point) leaves its axis unfiltered.
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = reach + _BOX_SLACK * (np.maximum(np.abs(lo), np.abs(hi)) + reach) + _BOX_FLOOR
+        lo, hi = lo - margin, hi + margin
+    loose = ~(lo <= hi)
+    lo[loose], hi[loose] = -math.inf, math.inf
+    return lo, hi
+
+
 def _box_pairs(sort: tuple, centers: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Yield (query, center) in query order: each of the (k, 3) centers inside
-    the box [lo[q], hi[q]] ((q, 3) bounds, inclusive) with its query q.  Sweep
-    and prune: a binary search on the axis of sort (the centers' _widest_sort)
-    finds each box's slab, in batches of at most DISTANCE_BLOCK // 8 slab
-    pairs or one query's, then all three axes are tested."""
+    """Yield (query, center) in query order: each center of the reach class
+    sort (see _reach_classes) inside the box [lo[q], hi[q]] ((q, 3) bounds,
+    inclusive) with its query q.  Sweep and prune: a binary search on the
+    class's axis finds each box's slab, in batches of at most
+    DISTANCE_BLOCK // 8 slab pairs or one query's, then all three axes are tested."""
     axis, order, keys = sort
     first = np.searchsorted(keys, lo[:, axis], "left")
     counts = np.searchsorted(keys, hi[:, axis], "right") - first
@@ -491,61 +520,50 @@ def _box_pairs(sort: tuple, centers: np.ndarray, lo: np.ndarray, hi: np.ndarray)
 
 
 def _distances(points: np.ndarray, rows: np.ndarray, centers: np.ndarray, cols: np.ndarray):
-    """Per pair p, |points[rows[p]] - centers[cols[p]]| (_row_norms)."""
-    offsets = points.T.take(rows, axis=1)  # (3, pairs): _row_norms reads contiguous columns
+    """Per pair p, |points[:, rows[p]] - centers[cols[p]]| (_row_norms) for
+    (3, N) points, one row per coordinate."""
+    offsets = points.take(rows, axis=1)  # (3, pairs): _row_norms reads contiguous columns
     with np.errstate(over="ignore", invalid="ignore"):
-        offsets -= centers.T.take(cols, axis=1)
+        for axis, column in enumerate(offsets):  # a column at a time: one (pairs,) temporary
+            column -= centers[:, axis].take(cols)
     return _row_norms(offsets.T)
 
 
-def _entry_pairs(points: np.ndarray, centers: np.ndarray, reach, sort: tuple):
-    """Yield (rows, cols, dist, entries) over batches of (point, center) pairs.
+def _entries(points: np.ndarray, rows: np.ndarray, centers: np.ndarray, cols, reach) -> tuple:
+    """(rows, cols, dist) of the pairs whose point is within reach[cols] (inclusive) while
+    the point before it, if any, is not, with their _distances dist."""
+    dist = _distances(points, rows, centers, cols)
+    entries = dist <= reach[cols]
+    # Each pair within reach checks its previous row: nothing carries over.
+    inside = np.flatnonzero(entries & (rows > 0))
+    was = _distances(points, rows[inside] - 1, centers, cols[inside]) <= reach[cols[inside]]
+    entries[inside[was]] = False
+    return rows[entries], cols[entries], dist[entries]
 
-    Each chunk of _CHUNK_ROWS consecutive points is paired with the centers
-    in its bounding box grown by the largest reach (_box_pairs over sort,
-    the centers' _widest_sort); no other center is within reach of its
-    points.  A batch pairs the rows of whole chunks with their chunk's
-    centers, at most DISTANCE_BLOCK // 8 pairs or one chunk.  dist holds
-    the _distances, and entries[p] is True where points[rows[p]] is within
-    reach[cols[p]] (inclusive) and the point before it, if any, is not.
+
+def _entry_pairs(points: np.ndarray, centers: np.ndarray, reach: np.ndarray, classes) -> tuple:
+    """The (rows, cols, dist) _entries of every (point, center) pair, for (3, N) points.
+
+    Each chunk of _CHUNK_ROWS consecutive points is paired, class by class
+    (see _reach_classes), with the centers of the class inside its bounding
+    box grown by the class's own largest reach (_grown, _box_pairs): no
+    other center of the class is within reach of its points.  A batch
+    measures the rows of whole (chunk, center) pairs, at most
+    DISTANCE_BLOCK // 8 or one pair's, and keeps only its entries.
     """
-    if not (len(points) and len(centers)):
-        return
-    reach = np.broadcast_to(np.asarray(reach, dtype=float), (len(centers),))
-    grow = float(reach.max())
-    starts = np.arange(0, len(points), _CHUNK_ROWS)
-    sizes = np.minimum(len(points) - starts, _CHUNK_ROWS)
-    # The box keeps every center whose computed distance is <= reach: with
-    # u = 2^-53, rounding (monotone, relatively within u) makes that
-    # distance at least (1 - 4u) |p_a - c_a| on each axis a when
-    # |p_a - c_a| >= 2^-500, so the center lies within (1 + 5u) reach, or
-    # 2^-500 (1 + 2u), of the chunk on every axis.  The margin exceeds the
-    # largest reach by 2^-40 (|bound| + reach) + 2^-499, more than that plus
-    # the rounding of the margin and the bounds.  Overflowing bounds only
-    # widen the box; a NaN bound (a NaN point) leaves its axis unfiltered.
-    # reduceat, because a (chunks, rows, 3) view reduced on its middle axis
-    # is several times slower.
-    with np.errstate(over="ignore", invalid="ignore"):
-        lo, hi = np.minimum.reduceat(points, starts), np.maximum.reduceat(points, starts)
-        margin = grow + _BOX_SLACK * (np.maximum(np.abs(lo), np.abs(hi)) + grow) + _BOX_FLOOR
-        lo -= margin
-        hi += margin
-    loose = ~(lo <= hi)
-    lo[loose], hi[loose] = -math.inf, math.inf
-    for chunks, cols in _box_pairs(sort, centers, lo, hi):
-        heads = np.flatnonzero(np.diff(chunks, prepend=-1))  # chunks arrive sorted
-        counts = np.diff(heads, append=len(chunks))
-        for _, at in _runs(heads, counts, DISTANCE_BLOCK // 8 // _CHUNK_ROWS):
-            # Every row of each center's chunk, in one run.
-            pair, rows = next(_runs(starts[chunks[at]], sizes[chunks[at]], math.inf))
-            near = cols[at[pair]]
-            dist = _distances(points, rows, centers, near)
-            entries = dist <= reach[near]
-            # Each pair within reach checks its previous row: nothing carries over.
-            inside = np.flatnonzero(entries & (rows > 0))
-            was = _distances(points, rows[inside] - 1, centers, near[inside]) <= reach[near[inside]]
-            entries[inside[was]] = False
-            yield rows, near, dist, entries
+    found = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
+    starts = np.arange(0, points.shape[1], _CHUNK_ROWS)
+    sizes = np.minimum(points.shape[1] - starts, _CHUNK_ROWS)
+    # reduceat over contiguous coordinate rows, because a (3, chunks, rows)
+    # view reduced on its last axis is several times slower.
+    lo = np.minimum.reduceat(points, starts, axis=1).T
+    hi = np.maximum.reduceat(points, starts, axis=1).T
+    for sort in classes:
+        box = _grown(lo, hi, float(reach[sort[1]].max()))
+        for chunks, cols in _box_pairs(sort, centers, *box):
+            for pair, rows in _runs(starts[chunks], sizes[chunks], DISTANCE_BLOCK // 8):
+                found.append(_entries(points, rows, centers, cols[pair], reach))
+    return tuple(np.concatenate(part) for part in zip(*found))
 
 
 def _count_collisions(positions: np.ndarray, scene: SceneSpec) -> int:
@@ -554,18 +572,8 @@ def _count_collisions(positions: np.ndarray, scene: SceneSpec) -> int:
     Overlap is inclusive (touching counts); starting inside an obstacle
     counts as an entry.
     """
-    pairs = _entry_pairs(positions, scene.obstacle_centers, scene.obstacle_reach,
-                         scene._obstacle_sort)
-    return sum(int(np.count_nonzero(entries)) for *_, entries in pairs)
-
-
-def _traverse(curve: PathCurve, profile: SpeedProfile, scene: SceneSpec, dt: float):
-    """traverse's result plus the sampled positions it counted collisions over."""
-    times, s_values, completed = _step_states(curve, profile, dt, scene.energy_budget)
-    positions = curve.positions(s_values)
-    result = SimResult(time_used=float(times[-1]), collisions=_count_collisions(positions, scene),
-                       ray_attempts=0, ray_hits=0, accuracy=0.0, completed=completed)
-    return result, positions
+    return len(_entry_pairs(np.ascontiguousarray(positions.T), scene._centers, scene.obstacle_reach,
+                            _part(scene._classes, 0, len(scene.obstacles)))[0])
 
 
 def traverse(curve: PathCurve, profile: SpeedProfile, scene: SceneSpec, dt: float) -> SimResult:
@@ -574,7 +582,10 @@ def traverse(curve: PathCurve, profile: SpeedProfile, scene: SceneSpec, dt: floa
     Ray metrics are zero here; combine with run_ray_task (or use simulate)
     for the full task metrics.
     """
-    return _traverse(curve, profile, scene, dt)[0]
+    times, s_values, completed = _step_states(curve, profile, dt, scene.energy_budget)
+    return SimResult(time_used=float(times[-1]),
+                     collisions=_count_collisions(curve.positions(s_values), scene),
+                     ray_attempts=0, ray_hits=0, accuracy=0.0, completed=completed)
 
 
 def _unit_rows(v: np.ndarray, error: str) -> np.ndarray:
@@ -611,20 +622,20 @@ def _ray_times(oc: np.ndarray, directions: np.ndarray, radii: np.ndarray) -> np.
         return np.where(t < 0.0, -b + root, t)
 
 
-# Slack of the ray boxes in _first_hits, relative to t + the largest radius (see there).
+# Slack of the ray boxes in _first_hits, relative to t + the class's largest radius (see there).
 _RAY_SLACK = 2.0 ** -20
 
 
 def _first_hits(origins: np.ndarray, directions: np.ndarray, t: np.ndarray, aimed: np.ndarray,
-                scene: SceneSpec) -> np.ndarray:
+                scene: SceneSpec, classes) -> np.ndarray:
     """Per ray (origins[k], unit directions[k]) that meets its aimed target
     aimed[k] at t[k], whether that target is met first: no target is met
-    below t[k], nor at t[k] with a lower index.  Only the targets in a box of
-    half-width about t[k] plus the largest radius around the origin
-    (_box_pairs) can be met by t[k], so only they are resolved.
-    """
-    centers, radii = scene.target_centers, scene.target_radii
-    first = np.ones(len(origins), dtype=bool)
+    below t[k], nor at t[k] with a lower index.  Of each class of targets,
+    only those in a box of half-width about t[k] plus the class's largest
+    radius around the origin (_box_pairs) can be met by t[k], so only they
+    are resolved."""
+    radii, first = scene.target_radii, np.ones(len(origins), dtype=bool)
+    skip = len(scene.obstacles)  # target k is sphere skip + k
     # The boxes keep every target whose computed t_c can be <= t.  Exactly,
     # a ray from o that meets the sphere (c, r) at t_c has |o - c| <= t_c + r.
     # In floats (u = 2^-53, |d| = 1 + O(u)), the discriminant is within
@@ -633,21 +644,23 @@ def _first_hits(origins: np.ndarray, directions: np.ndarray, t: np.ndarray, aime
     # 2^-24 (|oc| + r) inside the root.  oc, b, the root and t_c add a few u
     # of |oc| + r, and the 1/k rescale is the same arithmetic in units of k.
     # So any computed t_c, either root, puts c within (t_c + r)(1 + 2^-22) of
-    # o on every axis, plus 2^-530 where products underflow.  The half-width
-    # (t + max r)(1 + 2^-20) + _BOX_FLOOR, with its roundings, is larger,
-    # and rounding is monotone, so no box bound crosses it the wrong way.
-    # Overflowing widths only widen the boxes.
-    with np.errstate(over="ignore", invalid="ignore"):
-        width = t + radii.max()
-        width += _RAY_SLACK * width + _BOX_FLOOR
-        lo, hi = origins - width[:, None], origins + width[:, None]
-    for rays, cand in _box_pairs(scene._target_sort, centers, lo, hi):
-        # take: a row gather several times faster than fancy indexing.
+    # o on every axis, plus 2^-530 where products underflow.  In each class,
+    # the half-width (t + the class's largest r)(1 + 2^-20) + _BOX_FLOOR,
+    # with its roundings, is larger, and rounding is monotone, so no box
+    # bound crosses it the wrong way.  Overflowing widths only widen the boxes.
+    for sort in classes:
         with np.errstate(over="ignore", invalid="ignore"):
-            oc = origins.take(rays, axis=0) - centers.take(cand, axis=0)
-        t_c, t_r = _ray_times(oc, directions.take(rays, axis=0), radii[cand]), t[rays]
-        met = (0.0 <= t_c) & ((t_c < t_r) | ((t_c == t_r) & (cand < aimed[rays])))
-        first[rays[met]] = False
+            width = t + radii[sort[1] - skip].max()
+            width += _RAY_SLACK * width + _BOX_FLOOR
+            lo, hi = origins - width[:, None], origins + width[:, None]
+        for rays, cand in _box_pairs(sort, scene._centers, lo, hi):
+            cand -= skip
+            # take: a row gather several times faster than fancy indexing.
+            with np.errstate(over="ignore", invalid="ignore"):
+                oc = origins.take(rays, axis=0) - scene.target_centers.take(cand, axis=0)
+            t_c, t_r = _ray_times(oc, directions.take(rays, axis=0), radii[cand]), t[rays]
+            met = (0.0 <= t_c) & ((t_c < t_r) | ((t_c == t_r) & (cand < aimed[rays])))
+            first[rays[met]] = False
     return first
 
 
@@ -724,6 +737,60 @@ def perturb_direction(rng: np.random.Generator, direction, sigma: float) -> np.n
     return _perturb_rows(rng, d, sigma)[0]
 
 
+def _nearest(points: np.ndarray, rows: np.ndarray, reach, centers, classes) -> np.ndarray:
+    """Per query q, the index of the center of classes nearest to
+    points[:, rows[q]] by _distances, the lowest on ties.  Only the centers
+    within reach[q] are searched (_grown, _box_pairs), so one must be."""
+    at = points.T[rows]
+    lo, hi = _grown(at, at, reach[:, None])
+    closest, nearest = np.full(len(rows), math.inf), np.full(len(rows), len(centers))
+    for sort in classes:
+        for queries, cols in _box_pairs(sort, centers, lo, hi):
+            dist = _distances(points, rows[queries], centers, cols)
+            before = closest[queries]
+            np.minimum.at(closest, queries, dist)
+            # A query's earlier ties lose to a nearer center of this batch.
+            nearest[queries[closest[queries] < before]] = len(centers)
+            tie = dist == closest[queries]
+            np.minimum.at(nearest, queries[tie], cols[tie])
+    return nearest
+
+
+def _fire(points: np.ndarray, rows: np.ndarray, dist: np.ndarray, sigma, seed, scene: SceneSpec):
+    """(attempts, hits) of the ray task along the (3, N) points, given each
+    trigger entry's row and its distance to the entered target (see run_ray_task)."""
+    if not len(rows):
+        return 0, 0
+    # In row order; a row's nearest target lies within the distance of any target it enters.
+    order = np.argsort(rows, kind="stable")
+    rows, reach, skip = rows[order], dist[order], len(scene.obstacles)
+    classes = _part(scene._classes, skip, skip + len(scene.targets))
+    aimed = _nearest(points, rows, reach, scene._centers, classes) - skip
+    centers = scene.target_centers
+    # Hits never feed back into the rng, so every direction is drawn first.
+    origins = points.T[rows]
+    offsets = centers[aimed] - origins
+    # An origin on its aimed target's center (up to underflow) aims along
+    # +x: every direction meets that sphere at t = r, so occluders decide.
+    with np.errstate(over="ignore"):
+        offsets[_rowdot(offsets, offsets) == 0.0] = (1.0, 0.0, 0.0)
+    aims = _unit_rows(offsets, "ray aim must be nonzero")
+    directions = _unit_rows(_perturb_rows(np.random.default_rng(seed), aims, sigma),
+                            "ray direction must be nonzero")
+    t = _ray_times(origins - centers[aimed], directions, scene.target_radii[aimed])
+    met = np.flatnonzero((0.0 <= t) & (t < math.inf))
+    hits = _first_hits(origins[met], directions[met], t[met], aimed[met], scene, classes)
+    return len(aimed), int(np.count_nonzero(hits))
+
+
+def _reach(scene: SceneSpec, trigger_distance: float | None) -> np.ndarray:
+    """Each sphere's reach by index: obstacle radius + agent radius, then trigger distances."""
+    with np.errstate(over="ignore"):  # an infinite trigger zone holds every point
+        triggers = (TRIGGER_RADIUS_FACTOR * scene.target_radii if trigger_distance is None
+                    else np.full(len(scene.targets), float(trigger_distance)))
+    return np.concatenate([scene.obstacle_reach, triggers])
+
+
 def run_ray_task(
     points,
     sigma: float,
@@ -740,10 +807,11 @@ def run_ray_task(
     noise model, and hits when the cast ray strikes that intended target
     first (an equally near target of lower index wins).  Attempts are
     processed in time order, breaking ties by target order, so results are
-    reproducible per seed.  Each ray is resolved against its aimed target
-    first: missing it is a miss, and hitting it at t leaves only the
-    targets in a box of half-width t plus the largest radius around the
-    origin to check for one met first (_first_hits).
+    reproducible per seed.  The nearest target lies within the entered
+    target's distance (_nearest).  Each ray is resolved against its aimed
+    target first: missing it is a miss, and hitting it at t leaves only the
+    targets in a box of half-width t plus their class's largest radius
+    around the origin to check for one met first (_first_hits).
     """
     if not len(scene.targets):
         raise ValueError("ray task needs at least one target in the scene")
@@ -751,43 +819,10 @@ def run_ray_task(
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"expected (N, 3) trajectory points, got shape {points.shape}")
-
-    centers = scene.target_centers
-    with np.errstate(over="ignore"):  # an infinite trigger zone holds every point
-        triggers = (TRIGGER_RADIUS_FACTOR * scene.target_radii
-                    if trigger_distance is None else trigger_distance)
-    # Each (row, target) entry fires an attempt from its row, aimed at the
-    # row's nearest target, lowest index on ties: never farther than the
-    # entered one, so among the row's pairs, kept by the largest trigger and
-    # not by each target's own.  A batch holds every pair of its rows.
-    fires = np.zeros(len(points), dtype=bool)
-    closest, aim = np.full(len(points), math.inf), np.full(len(points), len(centers))
-    entry_rows = [np.empty(0, dtype=np.intp)]  # one row per entry
-    for rows, cols, dist, entries in _entry_pairs(points, centers, triggers, scene._target_sort):
-        entry_rows.append(rows[entries])
-        fires[rows[entries]] = True
-        mine = np.flatnonzero(fires[rows])
-        rows, cols, dist = rows[mine], cols[mine], dist[mine]
-        np.minimum.at(closest, rows, dist)
-        tie = dist == closest[rows]
-        np.minimum.at(aim, rows[tie], cols[tie])
-    origin_rows = np.sort(np.concatenate(entry_rows))  # in (row, target) order
-    if not len(origin_rows):
-        return 0, 0
-    # Hits never feed back into the rng, so every direction is drawn first.
-    origins, aimed = points[origin_rows], aim[origin_rows]
-    offsets = centers[aimed] - origins
-    # An origin on its aimed target's center (up to underflow) aims along
-    # +x: every direction meets that sphere at t = r, so occluders decide.
-    with np.errstate(over="ignore"):
-        offsets[_rowdot(offsets, offsets) == 0.0] = (1.0, 0.0, 0.0)
-    aims = _unit_rows(offsets, "ray aim must be nonzero")
-    directions = _unit_rows(_perturb_rows(np.random.default_rng(seed), aims, sigma),
-                            "ray direction must be nonzero")
-    t = _ray_times(origins - centers[aimed], directions, scene.target_radii[aimed])
-    rows = np.flatnonzero((0.0 <= t) & (t < math.inf))
-    hits = _first_hits(origins[rows], directions[rows], t[rows], aimed[rows], scene)
-    return len(aimed), int(np.count_nonzero(hits))
+    points, skip = np.ascontiguousarray(points.T), len(scene.obstacles)
+    rows, _, dist = _entry_pairs(points, scene._centers, _reach(scene, trigger_distance),
+                                 _part(scene._classes, skip, skip + len(scene.targets)))
+    return _fire(points, rows, dist, sigma, seed, scene)
 
 
 def simulate(
@@ -803,11 +838,16 @@ def simulate(
 
     sigma must be finite and >= 0 and trigger_distance (when given) finite
     and > 0; both are checked before stepping, with or without targets.
+    One pass over the positions (_entry_pairs over every reach class) finds
+    the obstacle entries traverse counts and the trigger entries run_ray_task fires.
     """
     _check_ray_args(sigma, trigger_distance)
-    result, positions = _traverse(curve, profile, scene, dt)
-    if not len(scene.targets):
-        return result
-    attempts, hits = run_ray_task(positions, sigma, seed, scene, trigger_distance)
-    return replace(result, ray_attempts=attempts, ray_hits=hits,
-                   accuracy=hits / attempts if attempts else 0.0)
+    times, s_values, completed = _step_states(curve, profile, dt, scene.energy_budget)
+    points, skip = np.ascontiguousarray(curve.positions(s_values).T), len(scene.obstacles)
+    rows, cols, dist = _entry_pairs(points, scene._centers, _reach(scene, trigger_distance),
+                                    scene._classes)
+    target = cols >= skip
+    attempts, hits = _fire(points, rows[target], dist[target], sigma, seed, scene)
+    return SimResult(time_used=float(times[-1]), collisions=int(np.count_nonzero(~target)),
+                     ray_attempts=attempts, ray_hits=hits,
+                     accuracy=hits / attempts if attempts else 0.0, completed=completed)

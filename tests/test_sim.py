@@ -1,11 +1,14 @@
 import bisect
+import functools
+import importlib.util
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from searoam import geo, sim
 from searoam.sim import (
@@ -1176,10 +1179,19 @@ TIES_TO_EVEN = (np.array([(0.0, 0.0, 0.0), (0.0, 40.0, 0.0), (0.0, 0.0, 0.0)]),
                                   for i in range(2)]), False)
 
 
+# The aimed target (radius 1.5, 5 away) and the occluder (radius 2.5, its
+# center 5.5 away, its surface 3 away) share a reach class (triggers 4.5 and
+# 7.5): a box grown by the aimed target's radius alone would drop the occluder.
+SAME_CLASS_OCCLUDER = (np.array([(0.0, 40.0, 0.0), (0.0, 0.0, 0.0)]),
+                       scene_of(targets=[("aimed", (5.0, 0.0, 0.0), 1.5),
+                                         ("occluder", (5.5, 0.0, 0.0), 2.5)]), False)
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=occluder_scenes(), sigma=st.sampled_from([0.0, 1e-9, 0.05]),
        seed=st.integers(0, 1000))
 @example(case=TIES_TO_EVEN, sigma=0.0, seed=0)
+@example(case=SAME_CLASS_OCCLUDER, sigma=0.0, seed=0)
 def test_run_ray_task_on_occluder_scenes_equals_reference(case, sigma, seed):
     # An attempt hits when nothing lies on its ray before the aimed target
     # (nor at the same t with a lower index), so these occluders decide it.
@@ -1219,20 +1231,28 @@ def spread_scenes(draw, targets=False):
         reach = radii + AGENT
     else:
         reach = sim.TRIGGER_RADIUS_FACTOR * radii if trigger is None else np.full(n, trigger)
+    return positions, spread_centers(rng, positions, reach), radii, trigger
+
+
+def spread_centers(rng, positions, reach):
+    """Centers for spheres of the given reach: half anywhere in the range of
+    the positions, half near them, and some exactly one reach from a
+    position along an axis, touching, or one ulp farther or nearer."""
+    n = len(reach)
     centers = rng.uniform(positions.min(axis=0), positions.max(axis=0), (n, 3))
     near = rng.random(n) < 0.5
-    centers[near] = (positions[rng.integers(0, n_points, near.sum())]
+    centers[near] = (positions[rng.integers(0, len(positions), near.sum())]
                      + rng.normal(0.0, 3.0, (near.sum(), 3)))
     touch = np.flatnonzero(rng.random(n) < 0.3)
     axis = rng.integers(0, 3, len(touch))
     sign = rng.choice([-1.0, 1.0], len(touch))
-    centers[touch] = positions[rng.integers(0, n_points, len(touch))]
+    centers[touch] = positions[rng.integers(0, len(positions), len(touch))]
     centers[touch, axis] += sign * reach[touch]
     nudge = rng.integers(-1, 2, len(touch))  # one ulp nearer, touching, or farther
     for j, a, s, k in zip(touch, axis, sign, nudge):
         if k:
             centers[j, a] = np.nextafter(centers[j, a], s * k * np.inf)
-    return positions, centers, radii, trigger
+    return centers
 
 
 # Rounds into reach: |2^-53 - (1 + 2^-52)| rounds to exactly 1.0, outside a
@@ -1274,9 +1294,16 @@ def test_entry_pairs_skip_far_spheres():
     route = PathCurve.catmull_rom(keypoints[:, :3])
     scene = SceneSpec.from_json((golden / "scene.json").read_text())
     positions = sample_trajectory(route, SpeedProfile.from_keypoints(keypoints), 0.02).positions
-    measured = sum(len(dist) for _, _, dist, _ in sim._entry_pairs(
-        positions, scene.obstacle_centers, scene.obstacle_reach, scene._obstacle_sort))
-    assert 0 < measured < 0.1 * len(positions) * len(scene.obstacles)
+    measured = []
+    distances = sim._distances
+
+    def counted(points, rows, centers, cols):
+        measured.append(len(rows))
+        return distances(points, rows, centers, cols)
+
+    with mock.patch.object(sim, "_distances", counted):
+        sim._count_collisions(positions, scene)
+    assert 0 < sum(measured) < 0.1 * len(positions) * len(scene.obstacles)
 
 
 def test_ray_task_resolves_few_pairs_per_attempt():
@@ -1303,3 +1330,169 @@ def test_ray_task_resolves_few_pairs_per_attempt():
         attempts, hits = run_ray_task(positions, 0.05, 5, scene)
     assert attempts >= 30 and hits > 0
     assert 0 < sum(resolved) <= 4 * attempts
+
+
+# --- one pass per traversal -----------------------------------------------------
+# simulate measures obstacles and targets in one pass over the positions,
+# each reach class (sim._reach_classes) boxed by its own largest reach.
+
+def reference_simulate(curve, profile, scene, dt, seed, sigma, trigger):
+    times, s_values, completed = sim._step_states(curve, profile, dt, scene.energy_budget)
+    positions = curve.positions(s_values)
+    attempts, hits = (reference_run_ray_task(positions, sigma, seed, scene, trigger)
+                      if len(scene.targets) else (0, 0))
+    return sim.SimResult(time_used=float(times[-1]),
+                         collisions=reference_count_collisions(positions, scene),
+                         ray_attempts=attempts, ray_hits=hits,
+                         accuracy=hits / attempts if attempts else 0.0, completed=completed)
+
+
+def traversal_of(keypoints, kind, dt, obstacles=(), targets=(), agent=AGENT, trigger=None):
+    """(curve, profile, dt, scene, trigger) at speed 1 along the keypoints."""
+    curve = PathCurve(kind, np.array(keypoints, dtype=float))
+    return (curve, SpeedProfile(np.ones(len(keypoints))), dt,
+            scene_of(obstacles, targets, agent_radius=agent), trigger)
+
+
+@st.composite
+def traversals(draw):
+    """A traversal through obstacles and targets placed as in spread_scenes.
+
+    The route is a walk of 2-6 keypoints spanning +-100 units, stepped in
+    about 2-150 steps.  Radii are SPREAD_RADII, whose reaches (radius plus
+    an agent radius of 0, 0.5 or 1.5, and trigger distances) fall in
+    several reach classes.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    walk = np.cumsum(rng.normal(0.0, 1.0, (draw(st.integers(2, 6)), 3)), axis=0)
+    keypoints = np.round(walk * (1600.0 / max(np.abs(walk - walk[0]).max(), 1e-9))) / 16.0
+    assume(np.diff(keypoints, axis=0).any(axis=1).all())
+    curve = PathCurve(draw(st.sampled_from(spline.KINDS)), keypoints)
+    profile = SpeedProfile(np.ones(len(keypoints)))
+    dt = curve.arc_length() / draw(st.integers(2, 150))
+    positions = curve.positions(sim._step_states(curve, profile, dt, math.inf)[1])
+    agent = draw(st.sampled_from([0.0, 0.5, 1.5]))
+    trigger = draw(st.sampled_from([None, 2.0, 7.5]))
+    radii = [rng.choice(SPREAD_RADII, draw(st.integers(0, n))) for n in (40, 25)]
+    reach = np.concatenate([radii[0] + agent, sim.TRIGGER_RADIUS_FACTOR * radii[1]
+                            if trigger is None else np.full(len(radii[1]), trigger)])
+    centers = spread_centers(rng, positions, reach)
+    scene = SceneSpec(obstacles=np.column_stack([centers[:len(radii[0])], radii[0]]),
+                      targets=np.column_stack([centers[len(radii[0]):], radii[1]]),
+                      target_ids=tuple(f"t{i}" for i in range(len(radii[1]))),
+                      agent_radius=agent)
+    return curve, profile, dt, scene, trigger
+
+
+CORRIDOR = [(0.0, 0.0, 0.0), (30.0, 0.0, 0.0), (60.0, 5.0, 0.0)]
+CORRIDOR_OBSTACLES = [((10.0, 0.5, 0.0), 0.5), ((45.0, 3.0, 0.0), 1.0), ((30.0, -0.5, 0.0), 6.0)]
+CORRIDOR_TARGETS = [("a", (20.0, 1.0, 0.0), 2.0), ("b", (50.0, 2.0, 1.0), 0.25),
+                    ("c", (22.0, -1.0, 0.0), 0.5)]
+FAR = (1e12, 0.0, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=traversals(), sigma=st.sampled_from([0.0, 0.05, 0.5]), seed=st.integers(0, 1000),
+       block=st.integers(1, 64))
+# One radius-1e6 sphere 1e12 away, as an obstacle and as a target.
+@example(case=traversal_of(CORRIDOR, "polyline", 0.5, CORRIDOR_OBSTACLES + [(FAR, 1e6)],
+                           CORRIDOR_TARGETS), sigma=0.05, seed=3, block=64)
+@example(case=traversal_of(CORRIDOR, "catmull_rom", 0.5, CORRIDOR_OBSTACLES,
+                           CORRIDOR_TARGETS + [("far", FAR, 1e6)]), sigma=0.05, seed=3, block=64)
+@example(case=traversal_of(CORRIDOR, "bezier", 0.5, (), CORRIDOR_TARGETS, trigger=2.0),
+         sigma=0.0, seed=0, block=8)
+@example(case=traversal_of(CORRIDOR, "polyline", 0.25, CORRIDOR_OBSTACLES), sigma=0.5, seed=1,
+         block=1)
+# The first chunk's candidates come from two classes: an obstacle of reach
+# 1 (radius 0.5 + agent 0.5) and a target of trigger distance 6.
+@example(case=traversal_of(CORRIDOR, "polyline", 0.5, [((5.0, 0.0, 0.0), 0.5)],
+                           [("t", (6.0, 1.0, 0.0), 2.0)]), sigma=0.0, seed=0, block=1)
+# The second point enters only the zone of e (trigger 6, 5 away); n (2 away)
+# is nearer, yet outside the margin of its own class (trigger 0.75): the ray
+# aims at n and hits it, while one aimed at e would hit o on its way.
+@example(case=traversal_of([(-2.0, 0.0, 0.0), (0.0, 0.0, 0.0)], "polyline", 2.0, (),
+                           [("e", (5.0, 0.0, 0.0), 2.0), ("o", (2.5, 0.0, 0.0), 0.25),
+                            ("n", (0.0, -2.0, 0.0), 0.25)]), sigma=0.0, seed=0, block=64)
+def test_simulate_equals_reference(case, sigma, seed, block):
+    curve, profile, dt, scene, trigger = case
+    with mock.patch.object(sim, "DISTANCE_BLOCK", block):
+        new = simulate(curve, profile, scene, dt, seed, sigma, trigger)
+    assert new.to_dict() == reference_simulate(curve, profile, scene, dt, seed, sigma,
+                                               trigger).to_dict()
+
+
+def test_infinite_trigger_joins_the_top_reach_class():
+    # 3 x 1e308 overflows to an infinite trigger distance, whose frexp
+    # exponent is 0: in the class of triggers in [0.5, 1) it would make that
+    # class's boxes unbounded, and every small target would be measured
+    # against every chunk.
+    scene = scene_of(targets=[("small", (0.0, 5.0, 0.0), 0.25),
+                              ("huge", (0.0, -1e300, 0.0), 1e308)])
+    assert [order.tolist() for _, order, _ in scene._classes] == [[0], [1]]
+
+
+@functools.cache
+def dense_scene_inputs():
+    """bench/inputs.py's dense_scene(2101) files: route.csv and scene.json."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", GOLDEN_DIR.parent.parent / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.dense_scene(2101)
+
+
+def dense_simulate(doc, kind="polyline"):
+    """simulate on dense_scene 2101 with the benchmark's arguments and the
+    scene doc: its result and the rows given to _distances and _ray_times."""
+    keypoints = geo.load_keypoints(dense_scene_inputs()["route.csv"])
+    curve, scene = PathCurve(kind, keypoints[:, :3]), SceneSpec.from_json(json.dumps(doc))
+    rows = {"_distances": 0, "_ray_times": 0}
+
+    def counted(name, at):  # args[at] holds one entry per row
+        kernel = getattr(sim, name)
+
+        def count(*args):
+            rows[name] += len(args[at])
+            return kernel(*args)
+        return mock.patch.object(sim, name, count)
+
+    with counted("_distances", 1), counted("_ray_times", 0):
+        result = simulate(curve, SpeedProfile.from_keypoints(keypoints), scene, 0.05, 2101, 0.05)
+    return result, rows
+
+
+@pytest.mark.parametrize("key, far", [
+    ("obstacles", {"center": FAR, "radius": 1e6}),
+    ("targets", {"id": "far", "center": FAR, "radius": 1e6}),
+])
+def test_far_huge_sphere_adds_no_work(key, far):
+    # Each reach class is boxed by its own largest reach, so a huge sphere
+    # far from the path widens no box of the small spheres.  Boxes grown by
+    # the scene's largest reach measured 74x the (row, sphere) distances
+    # with this obstacle, and 37x those and 160x the _ray_times rows with
+    # this target.
+    doc = json.loads(dense_scene_inputs()["scene.json"])
+    plain, plain_rows = dense_simulate(doc)
+    doc[key].append(far)
+    result, rows = dense_simulate(doc)
+    assert result == plain
+    assert 0 < rows["_distances"] <= 2 * plain_rows["_distances"]
+    assert 0 < rows["_ray_times"] <= 2 * plain_rows["_ray_times"]
+
+
+@pytest.mark.parametrize("kind", spline.KINDS)
+def test_simulate_memory_stays_small_on_dense_scene(kind):
+    # Only each batch's entries outlive it: keeping every target pair for the
+    # ray task would peak at about 1.38 MB here.
+    files = dense_scene_inputs()
+    keypoints = geo.load_keypoints(files["route.csv"])
+    curve, scene = PathCurve(kind, keypoints[:, :3]), SceneSpec.from_json(files["scene.json"])
+    profile = SpeedProfile.from_keypoints(keypoints)
+    simulate(curve, profile, scene, 0.05, 2101, 0.05)
+    tracemalloc.start()
+    try:
+        simulate(curve, profile, scene, 0.05, 2101, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
